@@ -12,16 +12,12 @@ Four subcommands, exit codes 0 (success), 1 (verification failure),
   (``alpha_1,...,alpha_n,coefficient``), zeros included, no header.
 * ``verify --suite all [--seed N] [--report out.json]`` — named
   verification suites with a pass/fail report.
-
-``REINHARDT_THREADS`` (default 1) lets ``verify`` run independent suites
-in a thread pool; reporting order is unaffected.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -121,7 +117,11 @@ def _cmd_norm(args) -> int:
     if args.oracle == "exact":
         print(monomial_norm_oracle(args.alpha, spec))
     else:
-        result = mc_norm_estimate(args.alpha, spec, args.samples, args.seed)
+        try:
+            result = mc_norm_estimate(args.alpha, spec, args.samples, args.seed)
+        except (ValueError, ArithmeticError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
         print(
             f"{result.estimate:.8g} ± {result.std_error:.2g} "
             f"(samples={result.samples}, accepted={result.accepted}, seed={result.seed})"
@@ -152,8 +152,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    threads = int(os.environ.get("REINHARDT_THREADS", "1") or "1")
-    reports = run_suites([args.suite], seed=args.seed, threads=threads)
+    reports = run_suites([args.suite], seed=args.seed)
     print(f"seed {args.seed}")
     failures = 0
     for report in reports:

@@ -58,7 +58,7 @@ class SparsePoly:
     all operations return new polynomials.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_int_form")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
         self.nvars = int(nvars)
@@ -228,10 +228,44 @@ class SparsePoly:
 
     # -- evaluation and substitution ----------------------------------------
 
+    def _integer_form(self) -> tuple[int, list[tuple[int, tuple[tuple[int, int], ...]]]]:
+        """``(L, [(L * coef, ((var, exp), ...)), ...])``: the terms as integers over ``L``.
+
+        ``L`` is the common denominator of the coefficients and each term
+        keeps only its nonzero ``(var, exp)`` factors.  Built on first use
+        and kept, since instances are immutable.
+        """
+        try:
+            return self._int_form
+        except AttributeError:
+            pass
+        L = math.lcm(*(c.denominator for c in self.terms.values()))
+        form = (L, [
+            (c.numerator * (L // c.denominator),
+             tuple((i, e) for i, e in enumerate(exps) if e))
+            for exps, c in self.terms.items()
+        ])
+        self._int_form = form
+        return form
+
     def evaluate(self, values: Sequence):
-        """Evaluate at a point; exact for int/Fraction input, numeric otherwise."""
+        """Evaluate at a point; exact for int/Fraction input, numeric otherwise.
+
+        At an all-``int`` point the sum runs in integers over the common
+        coefficient denominator and one exact ``Fraction`` is built at the
+        end.  ``Fraction`` coordinates take the term-by-term ``Fraction``
+        route and float or complex coordinates the numeric one.
+        """
         if len(values) != self.nvars:
             raise ValueError(f"point has length {len(values)}, expected {self.nvars}")
+        if all(isinstance(v, int) for v in values):
+            L, terms = self._integer_form()
+            acc = 0
+            for num, factors in terms:
+                for i, e in factors:
+                    num *= values[i] ** e
+                acc += num
+            return Fraction(acc, L)
         exact = all(isinstance(v, (int, Fraction)) for v in values)
         total = Fraction(0) if exact else 0.0
         for exps, coef in self.terms.items():

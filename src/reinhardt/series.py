@@ -29,6 +29,7 @@ the support — a sharp test tying the series back to the norm recursion.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -42,7 +43,13 @@ Box = "Sequence[tuple[int, int]]"
 
 
 def expand_closed_form(kernel: RationalKernel, box: Sequence[tuple[int, int]]) -> LaurentChunk:
-    """Exact Laurent coefficients of a closed-form kernel on a box."""
+    """Exact Laurent coefficients of a closed-form kernel on a box.
+
+    Each coefficient's sum ``C(beta) * (m+1) * prod_b (p_b+1)`` runs in
+    integers over the common denominator ``L`` of the numerator's
+    coefficients; ``kernel.scalar / L`` is applied once per nonzero
+    coefficient, so the window holds exact ``Fraction`` values.
+    """
     n = kernel.n
     if len(box) != n:
         raise ValueError(f"box needs {n} ranges")
@@ -52,24 +59,27 @@ def expand_closed_form(kernel: RationalKernel, box: Sequence[tuple[int, int]]) -
     kb = kernel.main_kb
     chunk = LaurentChunk(n, box, pi_power=kernel.pi_power)
     terms: dict[tuple[int, ...], Fraction] = {}
-    numerator = kernel.numerator.sorted_terms()
+    sorted_terms = kernel.numerator.sorted_terms()
+    L = math.lcm(*(c.denominator for _, c in sorted_terms))
+    numerator = [(beta, c.numerator * (L // c.denominator)) for beta, c in sorted_terms]
+    scale = kernel.scalar / L
     for alpha in chunk.box_points():
-        total = Fraction(0)
+        total = 0
         for beta, c in numerator:
             d = alpha[0] - beta[0]
             if d < 0 or d % k1:
                 continue
             m = d // k1
-            weight = Fraction(m + 1)
+            weight = c * (m + 1)
             for b in range(1, n):
                 p = alpha[b] - beta[b] + kb[b - 1] * (m + 2)
                 if p < 0:
-                    weight = Fraction(0)
                     break
                 weight *= p + 1
-            total += c * weight
+            else:
+                total += weight
         if total:
-            terms[alpha] = kernel.scalar * total
+            terms[alpha] = scale * total
     chunk.terms = terms
     return chunk
 

@@ -16,16 +16,11 @@ with a human-readable detail line; the CLI groups them into suites:
 * ``bell``                   — branch-sum identity at random point pairs.
 * ``reproducing``            — Monte-Carlo reproducing property.
 * ``rationality-diagnostic`` — decay classification of slice families.
-
-Suites are independent and share only immutable caches, so ``run_suites``
-may execute them in a thread pool; reports always come back in request
-order.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as _cartesian
@@ -419,7 +414,7 @@ SUITES: dict[str, Callable[[int], SuiteReport]] = {
 }
 
 
-def run_suites(names: Sequence[str], seed: int = DEFAULT_SEED, threads: int = 1) -> list[SuiteReport]:
+def run_suites(names: Sequence[str], seed: int = DEFAULT_SEED) -> list[SuiteReport]:
     """Run suites by name ("all" expands to every suite), in stable order."""
     expanded: list[str] = []
     for name in names:
@@ -429,7 +424,4 @@ def run_suites(names: Sequence[str], seed: int = DEFAULT_SEED, threads: int = 1)
             expanded.append(name)
         else:
             raise KeyError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
-    if threads > 1 and len(expanded) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda name: SUITES[name](seed), expanded))
     return [SUITES[name](seed) for name in expanded]

@@ -92,6 +92,16 @@ def test_norm_mc_line_format(capsys):
     assert again == out
 
 
+def test_norm_mc_too_few_samples_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "norm", "--k", "1,-1", "--alpha", "0,0", "--oracle", "mc", "--samples", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_norm_alpha_length_mismatch(capsys):
     code, _, err = run(capsys, "norm", "--k", "1,-1", "--alpha", "0,0,0")
     assert code == 2

@@ -8,12 +8,13 @@ iterated two-variable integral with a known rational value.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.integrate import dblquad, quad
 
 from reinhardt.exact import (
@@ -24,6 +25,7 @@ from reinhardt.exact import (
     SparsePoly,
     integrate_one_var,
 )
+from reinhardt.norms import build_RS
 
 
 @st.composite
@@ -156,6 +158,60 @@ def test_poly_mismatched_variable_counts():
         SparsePoly.one(2) * SparsePoly.one(3)
     with pytest.raises(ValueError):
         SparsePoly.one(2).evaluate((1, 2, 3))
+
+
+# -- evaluation at integer points ----------------------------------------------
+
+
+def reference_value(p: SparsePoly, pt) -> Fraction:
+    """The term-by-term ``Fraction`` sum, written out independently of ``evaluate``."""
+    total = Fraction(0)
+    for exps, coef in p.terms.items():
+        term = Fraction(coef)
+        for v, e in zip(pt, exps):
+            term *= Fraction(v) ** e
+        total += term
+    return total
+
+
+@st.composite
+def polys3(draw, denominators):
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        exps = tuple(draw(st.integers(0, 4)) for _ in range(3))
+        terms[exps] = Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from(denominators)))
+    return SparsePoly(3, terms)
+
+
+int_points3 = st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5))
+
+
+@given(polys3((1,)), int_points3)
+@example(SparsePoly.zero(3), (0, -3, 2))
+@example(SparsePoly(3, {(0, 0, 0): Fraction(3), (2, 1, 0): Fraction(-4), (0, 0, 3): Fraction(1)}), (0, -2, -3))
+def test_integer_point_evaluation_integer_coefficients(p, pt):
+    value = p.evaluate(pt)
+    assert type(value) is Fraction
+    assert value == reference_value(p, pt)
+
+
+@given(polys3((2, 3, 4, 6)), int_points3)
+@example(SparsePoly(3, {(0, 0, 0): Fraction(1, 2), (1, 0, 2): Fraction(-5, 6), (0, 3, 0): Fraction(2, 3)}), (-1, 0, 4))
+def test_integer_point_evaluation_fractional_coefficients(p, pt):
+    value = p.evaluate(pt)
+    assert type(value) is Fraction
+    assert value == reference_value(p, pt)
+
+
+def test_build_RS_evaluates_like_the_reference():
+    for n in range(1, 6):
+        for s in range(1, n + 1):
+            pair = build_RS(n, s)
+            for pt in itertools.product((-2, 0, 3), repeat=n):
+                for poly in (pair.R, pair.S):
+                    value = poly.evaluate(pt)
+                    assert type(value) is Fraction
+                    assert value == reference_value(poly, pt), (n, s, pt)
 
 
 # -- FracExpSum ----------------------------------------------------------------
