@@ -7,17 +7,15 @@ coefficient windows, and verify everything through independent routes —
 shadow integrals, annihilating operators, branch sums, and Monte-Carlo.
 """
 
-from .counting import IndexSetG, coefficient_C, index_set, pair_count, pair_count_bruteforce
+from .counting import coefficient_C, index_set, pair_count, pair_count_bruteforce
 from .domains import (
     DomainSpec,
-    MultiIndex,
     NormValue,
     domain_contains,
     lcm_data,
     model_spec,
     normalize_spec,
     shadow_contains,
-    standard_proper_map_exponents,
 )
 from .exact import (
     DivergentIntegral,
@@ -35,7 +33,7 @@ from .kernels import (
     kernel_signature_one,
     kernel_thin_hartogs,
 )
-from .norms import RSPair, beta_star, build_RS, is_norm_finite, monomial_norm_model
+from .norms import RSPair, build_RS, is_norm_finite, monomial_norm_model
 from .sampling import (
     DivergenceProbe,
     McNormEstimate,
@@ -64,10 +62,8 @@ __all__ = [
     "DivergentIntegral",
     "DomainSpec",
     "FracExpSum",
-    "IndexSetG",
     "LaurentChunk",
     "McNormEstimate",
-    "MultiIndex",
     "NormValue",
     "OutsideWindow",
     "RSPair",
@@ -77,7 +73,6 @@ __all__ = [
     "SparsePoly",
     "apply_annihilating_operator",
     "bell_residuals",
-    "beta_star",
     "build_RS",
     "check_bell_identity",
     "check_reproducing",
@@ -107,5 +102,4 @@ __all__ = [
     "shadow_contains",
     "shadow_integral_exact",
     "slice_coefficients",
-    "standard_proper_map_exponents",
 ]

@@ -6,7 +6,8 @@ Four subcommands, exit codes 0 (success), 1 (verification failure),
 * ``kernel --k 1,-2 [--format plain|latex|json]`` — the closed-form kernel
   of a signature-one domain.
 * ``norm --k 1,-1 --alpha 0,0 [--oracle exact|mc]`` — a monomial norm, via
-  exact shadow integration or seeded Monte-Carlo.
+  exact shadow integration or seeded Monte-Carlo; an infinite norm prints
+  ``infinite`` on both routes, without sampling.
 * ``series --k 1,-1 --box 0:4,-4:4 [--format csv|json]`` — exact Laurent
   coefficients of the kernel on a box; CSV emits one row per box point
   (``alpha_1,...,alpha_n,coefficient``), zeros included, no header.
@@ -49,6 +50,16 @@ def _parse_box(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(ranges)
 
 
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+
+
 def _spec_or_exit(entries: tuple[int, ...]) -> DomainSpec:
     try:
         return normalize_spec(entries)
@@ -75,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="monomial exponent, e.g. 0,-1")
     p_norm.add_argument("--oracle", choices=("exact", "mc"), default="exact")
     p_norm.add_argument("--samples", type=int, default=10 ** 6)
-    p_norm.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_norm.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
 
     p_series = sub.add_parser("series", help="exact Laurent coefficients on a box")
     p_series.add_argument("--k", required=True, type=lambda s: _parse_ints(s, "--k"))
@@ -85,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("--suite", required=True, choices=tuple(SUITES) + ("all",))
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_verify.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
     p_verify.add_argument("--report", help="write the JSON report to this path")
     return parser
 
@@ -114,18 +125,20 @@ def _cmd_norm(args) -> int:
     if len(args.alpha) != spec.n:
         print(f"error: --alpha needs {spec.n} entries for {spec}", file=sys.stderr)
         return 2
-    if args.oracle == "exact":
-        print(monomial_norm_oracle(args.alpha, spec))
-    else:
-        try:
-            result = mc_norm_estimate(args.alpha, spec, args.samples, args.seed)
-        except (ValueError, ArithmeticError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        print(
-            f"{result.estimate:.8g} ± {result.std_error:.2g} "
-            f"(samples={result.samples}, accepted={result.accepted}, seed={result.seed})"
-        )
+    exact = monomial_norm_oracle(args.alpha, spec)
+    if args.oracle == "exact" or not exact.finite:
+        # sampling a divergent integral would still print a finite mean
+        print(exact)
+        return 0
+    try:
+        result = mc_norm_estimate(args.alpha, spec, args.samples, args.seed)
+    except (ValueError, ArithmeticError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    print(
+        f"{result.estimate:.8g} ± {result.std_error:.2g} "
+        f"(samples={result.samples}, accepted={result.accepted}, seed={result.seed})"
+    )
     return 0
 
 

@@ -27,7 +27,6 @@ vanishes identically on ``G \\ G*``, which is what makes branch-sum
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as _cartesian
 from typing import Sequence
 
@@ -73,25 +72,7 @@ def coefficient_C(beta: Sequence[int], spec: DomainSpec) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class IndexSetG:
-    """A support box for the kernel numerator, with its members enumerated."""
-
-    spec: DomainSpec
-    variant: str  # "full" or "pruned"
-    members: tuple[tuple[int, ...], ...]
-
-    def __contains__(self, beta) -> bool:
-        return tuple(beta) in set(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-
-def index_set(spec: DomainSpec, variant: str = "full") -> IndexSetG:
+def index_set(spec: DomainSpec, variant: str = "full") -> tuple[tuple[int, ...], ...]:
     """The numerator support box ``G`` (``variant="full"``) or ``G*`` (``"pruned"``).
 
     Members are listed lexicographically.  ``G*`` pinches every negative-block
@@ -111,4 +92,4 @@ def index_set(spec: DomainSpec, variant: str = "full") -> IndexSetG:
             ranges.append(range(1, cap))
         else:
             ranges.append(range(0, cap + 1))
-    return IndexSetG(spec, variant, tuple(_cartesian(*ranges)))
+    return tuple(_cartesian(*ranges))

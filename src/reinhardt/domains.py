@@ -31,47 +31,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
-class MultiIndex(tuple):
-    """An integer exponent vector with componentwise arithmetic.
+def shifted(alpha: Sequence[int]) -> tuple[int, ...]:
+    """The ubiquitous ``beta = alpha + 1``, entrywise.
 
-    Behaves as an immutable sequence of ints; ``+`` and ``-`` act
-    componentwise (lengths must match), ``scaled`` multiplies every entry
-    by an integer, and ``shifted`` adds a constant to every entry —
-    ``alpha.shifted(1)`` is the ubiquitous ``beta = alpha + 1``.
+    Raises ``TypeError`` for an entry that is not an ``int``.
     """
-
-    __slots__ = ()
-
-    def __new__(cls, entries: Iterable[int]) -> "MultiIndex":
-        values = tuple(entries)
-        for e in values:
-            if not isinstance(e, int):
-                raise TypeError(f"multi-index entries must be ints, got {e!r}")
-        return super().__new__(cls, values)
-
-    def __add__(self, other: Sequence[int]) -> "MultiIndex":  # type: ignore[override]
-        if len(self) != len(other):
-            raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
-        return MultiIndex(a + b for a, b in zip(self, other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Sequence[int]) -> "MultiIndex":
-        if len(self) != len(other):
-            raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
-        return MultiIndex(a - b for a, b in zip(self, other))
-
-    def scaled(self, c: int) -> "MultiIndex":
-        return MultiIndex(c * a for a in self)
-
-    def shifted(self, c: int = 1) -> "MultiIndex":
-        return MultiIndex(a + c for a in self)
-
-    def __repr__(self) -> str:
-        return f"MultiIndex{tuple(self)!r}"
+    for a in alpha:
+        if not isinstance(a, int):
+            raise TypeError(f"exponent entries must be ints, got {a!r}")
+    return tuple(a + 1 for a in alpha)
 
 
 @dataclass(frozen=True)
@@ -172,11 +143,6 @@ def lcm_data(spec: DomainSpec) -> tuple[int, tuple[int, ...], int]:
     ell = tuple(K // a for a in abs_k)
     L = math.prod(ell)
     return K, ell, L
-
-
-def standard_proper_map_exponents(spec: DomainSpec) -> tuple[int, ...]:
-    """Exponents ``ell`` of the proper monomial map Omega(n, s) -> H(k)."""
-    return lcm_data(spec)[1]
 
 
 def shadow_contains(spec: DomainSpec, t: Sequence) -> bool:

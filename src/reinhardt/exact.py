@@ -20,9 +20,7 @@ Everything here computes over the rationals with no rounding:
   ``∫_0^1 t^q log(1/t)^p dt = p! / (q+1)^{p+1}``.
 
 * :class:`LaurentChunk` — a finite window of Laurent coefficients: exact
-  values on a box of integer exponents, unknown outside it.  Operations
-  track the window honestly, shrinking it when information would be
-  missing (e.g. multiplying by a polynomial).
+  values on a box of integer exponents, unknown outside it.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product as _cartesian
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 
 class DivergentIntegral(ArithmeticError):
@@ -344,12 +342,6 @@ class SparsePoly:
 # FracExpSum
 # ---------------------------------------------------------------------------
 
-#: A monomial bound for integration: exponent vector ``e`` meaning
-#: ``prod(t_j ** e_j)``; the all-zero vector is the constant bound 1, and
-#: ``None`` stands for the bound 0 (allowed as a lower bound only).
-MonomialBound = "tuple[Fraction, ...] | None"
-
-
 class FracExpSum:
     """A finite sum ``sum c * prod t_j^{q_j} * prod log(1/t_j)^{p_j}``.
 
@@ -387,10 +379,6 @@ class FracExpSum:
         self.terms = clean
 
     @classmethod
-    def zero(cls, nvars: int) -> "FracExpSum":
-        return cls(nvars)
-
-    @classmethod
     def monomial(cls, nvars: int, exps: Sequence, coef=1) -> "FracExpSum":
         key = (tuple(_frac(q) for q in exps), (0,) * nvars)
         return cls(nvars, {key: _frac(coef)})
@@ -425,23 +413,6 @@ class FracExpSum:
             return NotImplemented
         return self + (-other)
 
-    def scaled(self, c) -> "FracExpSum":
-        c = _frac(c)
-        if not c:
-            return FracExpSum.zero(self.nvars)
-        out = FracExpSum.__new__(FracExpSum)
-        out.nvars = self.nvars
-        out.terms = {key: coef * c for key, coef in self.terms.items()}
-        return out
-
-    def mul_monomial(self, exps: Sequence, coef=1) -> "FracExpSum":
-        shift = tuple(_frac(q) for q in exps)
-        c = _frac(coef)
-        terms = {}
-        for (e, logs), old in self.terms.items():
-            terms[(tuple(a + b for a, b in zip(e, shift)), logs)] = old * c
-        return FracExpSum(self.nvars, terms)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FracExpSum):
             return NotImplemented
@@ -449,9 +420,6 @@ class FracExpSum:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def depends_on(self, var: int) -> bool:
-        return any(e[var] or logs[var] for (e, logs) in self.terms)
 
     def as_constant(self) -> Fraction:
         """The value of a variable-free sum; errors if any variable remains."""
@@ -621,11 +589,10 @@ class LaurentChunk:
     Inside the box every coefficient is known exactly (absent means zero);
     outside it nothing is known, and :meth:`coefficient` refuses to guess.
     ``pi_power`` tags an overall ``1/pi**pi_power`` prefactor so kernel
-    coefficient tables stay rational.  ``truncated`` records whether some
-    operation shrank the window relative to its operand.
+    coefficient tables stay rational.
     """
 
-    __slots__ = ("nvars", "box", "terms", "pi_power", "truncated")
+    __slots__ = ("nvars", "box", "terms", "pi_power")
 
     def __init__(
         self,
@@ -633,7 +600,6 @@ class LaurentChunk:
         box: Sequence[tuple[int, int]],
         terms: Mapping[tuple[int, ...], Fraction] | None = None,
         pi_power: int = 0,
-        truncated: bool = False,
     ):
         self.nvars = int(nvars)
         box = tuple((int(lo), int(hi)) for lo, hi in box)
@@ -644,7 +610,6 @@ class LaurentChunk:
                 raise ValueError(f"empty box range ({lo}, {hi})")
         self.box = box
         self.pi_power = int(pi_power)
-        self.truncated = bool(truncated)
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for exps, coef in terms.items():
@@ -681,40 +646,6 @@ class LaurentChunk:
             and self.terms == other.terms
         )
 
-    def _merge_box(self, other: "LaurentChunk") -> tuple[tuple[int, int], ...]:
-        merged = tuple(
-            (max(a_lo, b_lo), min(a_hi, b_hi))
-            for (a_lo, a_hi), (b_lo, b_hi) in zip(self.box, other.box)
-        )
-        for lo, hi in merged:
-            if lo > hi:
-                raise ValueError("windows do not overlap")
-        return merged
-
-    def __add__(self, other: "LaurentChunk") -> "LaurentChunk":
-        if not isinstance(other, LaurentChunk):
-            return NotImplemented
-        if self.nvars != other.nvars or self.pi_power != other.pi_power:
-            raise ValueError("chunks must share variable count and pi power")
-        box = self._merge_box(other)
-        out = LaurentChunk(self.nvars, box, pi_power=self.pi_power,
-                           truncated=self.truncated or other.truncated or box != self.box or box != other.box)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exps in out.box_points():
-            c = self.terms.get(exps, Fraction(0)) + other.terms.get(exps, Fraction(0))
-            if c:
-                terms[exps] = c
-        out.terms = terms
-        return out
-
-    def scaled(self, c) -> "LaurentChunk":
-        c = _frac(c)
-        return LaurentChunk(
-            self.nvars, self.box,
-            {exps: coef * c for exps, coef in self.terms.items()} if c else {},
-            self.pi_power, self.truncated,
-        )
-
     def shifted(self, delta: Sequence[int]) -> "LaurentChunk":
         """Multiply by the monomial ``x**delta``: window and exponents translate."""
         delta = tuple(int(d) for d in delta)
@@ -722,31 +653,7 @@ class LaurentChunk:
             raise ValueError("shift length disagrees with nvars")
         box = tuple((lo + d, hi + d) for (lo, hi), d in zip(self.box, delta))
         terms = {tuple(e + d for e, d in zip(exps, delta)): coef for exps, coef in self.terms.items()}
-        return LaurentChunk(self.nvars, box, terms, self.pi_power, self.truncated)
-
-    def mul_poly(self, poly: SparsePoly) -> "LaurentChunk":
-        """Multiply by a polynomial, shrinking to the box where all inputs are known."""
-        if poly.nvars != self.nvars:
-            raise ValueError("variable-count mismatch")
-        if poly.is_zero():
-            raise ValueError("multiplying a window by zero discards it entirely")
-        lo = [max(self.box[i][0] + e[i] for e in poly.terms) for i in range(self.nvars)]
-        hi = [min(self.box[i][1] + e[i] for e in poly.terms) for i in range(self.nvars)]
-        box = tuple(zip(lo, hi))
-        for b_lo, b_hi in box:
-            if b_lo > b_hi:
-                raise ValueError("window too small to hold any product coefficient")
-        terms: dict[tuple[int, ...], Fraction] = {}
-        out = LaurentChunk(self.nvars, box, pi_power=self.pi_power,
-                           truncated=self.truncated or box != self.box)
-        for gamma in out.box_points():
-            total = Fraction(0)
-            for e, c in poly.terms.items():
-                total += c * self.terms.get(tuple(g - ei for g, ei in zip(gamma, e)), Fraction(0))
-            if total:
-                terms[gamma] = total
-        out.terms = terms
-        return out
+        return LaurentChunk(self.nvars, box, terms, self.pi_power)
 
     # -- serialization -------------------------------------------------------
 

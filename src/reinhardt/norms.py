@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .domains import MultiIndex, NormValue
+from .domains import NormValue, shifted
 from .exact import SparsePoly
 
 
@@ -65,18 +65,6 @@ class RSPair:
     s: int
     R: SparsePoly
     S: SparsePoly
-
-
-def beta_star(beta: Sequence[int], s: int) -> tuple[int, ...]:
-    """The reflected argument of the recursion: the last entry is folded in.
-
-    For ``beta = (beta_1, ..., beta_n, b)`` returns the length-``n`` vector
-    with ``b`` added to the first ``s`` entries and subtracted from the rest.
-    """
-    if len(beta) < 2 or not 1 <= s <= len(beta) - 1:
-        raise ValueError("beta must include the folded entry and 1 <= s <= n")
-    *head, b = beta
-    return tuple(h + b if j < s else h - b for j, h in enumerate(head))
 
 
 @lru_cache(maxsize=None)
@@ -107,13 +95,12 @@ def build_RS(n: int, s: int) -> RSPair:
 
 def monomial_norm_model(alpha: Sequence[int], n: int, s: int) -> NormValue:
     """The exact squared norm of ``z**alpha`` on Omega(n, s)."""
-    alpha = MultiIndex(alpha)
+    beta = shifted(alpha)
     if not is_norm_finite(alpha, n, s):
         return NormValue.infinite()
-    beta = alpha.shifted(1)
     pair = build_RS(n, s)
     r = pair.R.evaluate(beta)
     q = pair.S.evaluate(beta)
     if q == 0 or r <= 0:
-        raise ArithmeticError(f"R/S degenerate at beta={tuple(beta)}: R={r}, S={q}")
+        raise ArithmeticError(f"R/S degenerate at beta={beta}: R={r}, S={q}")
     return NormValue.of(Fraction(r, 1) / q, n)

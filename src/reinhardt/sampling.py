@@ -50,6 +50,9 @@ from .kernels import RationalKernel, kernel_model_sig1, kernel_signature_one
 
 _CHUNK = 1 << 20
 
+#: Rejection draws per interior point; past them the sampler raises ``ArithmeticError``.
+_MAX_DRAWS = 10_000
+
 
 def generator(seed: int, stream: int = 0) -> np.random.Generator:
     """A Philox generator on an independent stream of the given seed."""
@@ -280,15 +283,16 @@ def check_bell_identity(
 def _sample_domain_point(
     spec: DomainSpec, rng: np.random.Generator, margin: float = 0.8
 ) -> list[complex]:
-    """A random interior point with a safety margin from the singular set."""
+    """A random interior point with a safety margin from the singular set (the region may be empty)."""
     n, s = spec.n, spec.s
-    while True:
+    for _ in range(_MAX_DRAWS):
         t = 0.05 + 0.85 * rng.random(n)
         lhs = math.prod(float(t[a]) ** spec.k[a] for a in range(s))
         rhs = math.prod(float(t[b]) ** abs(spec.k[b]) for b in range(s, n))
         if lhs < margin * rhs:
             theta = rng.random(n) * 2.0 * math.pi
             return [math.sqrt(float(ti)) * cmath.exp(1j * th) for ti, th in zip(t, theta)]
+    raise ArithmeticError(f"no interior point of {spec} with margin {margin} in {_MAX_DRAWS} draws")
 
 
 def bell_residuals(spec: DomainSpec, pairs: int, seed: int) -> list[float]:

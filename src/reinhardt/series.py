@@ -33,13 +33,11 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .domains import DomainSpec, MultiIndex
+from .domains import DomainSpec, shifted
 from .exact import LaurentChunk
 from .kernels import RationalKernel
 from .norms import build_RS, is_norm_finite
 from .shadow import shadow_integral_exact
-
-Box = "Sequence[tuple[int, int]]"
 
 
 def expand_closed_form(kernel: RationalKernel, box: Sequence[tuple[int, int]]) -> LaurentChunk:
@@ -111,7 +109,7 @@ def series_coefficients_oracle(spec: DomainSpec, box: Sequence[tuple[int, int]])
     chunk = LaurentChunk(spec.n, box, pi_power=spec.n)
     terms: dict[tuple[int, ...], Fraction] = {}
     for alpha in chunk.box_points():
-        value = shadow_integral_exact(MultiIndex(alpha).shifted(1), spec)
+        value = shadow_integral_exact(shifted(alpha), spec)
         if value is not None:
             terms[alpha] = 1 / value
     chunk.terms = terms
@@ -170,11 +168,10 @@ def apply_annihilating_operator(n: int, s: int, chunk: LaurentChunk) -> LaurentC
     if chunk.nvars != n:
         raise ValueError("window variable count disagrees with n")
     pair = build_RS(n, s)
-    shifted = chunk.shifted((1,) * n)
+    window = chunk.shifted((1,) * n)
     terms: dict[tuple[int, ...], Fraction] = {}
-    for gamma, coef in shifted.terms.items():
-        scaled = coef * pair.R.evaluate(gamma)
-        if scaled:
-            terms[gamma] = scaled
-    out = LaurentChunk(n, shifted.box, terms, chunk.pi_power, chunk.truncated)
-    return out
+    for gamma, coef in window.terms.items():
+        value = coef * pair.R.evaluate(gamma)
+        if value:
+            terms[gamma] = value
+    return LaurentChunk(n, window.box, terms, chunk.pi_power)

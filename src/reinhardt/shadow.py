@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .domains import DomainSpec, MultiIndex, NormValue
+from .domains import DomainSpec, NormValue, shifted
 from .exact import DivergentIntegral, FracExpSum, integrate_one_var
 
 
@@ -86,8 +86,7 @@ def monomial_norm_oracle(alpha: Sequence[int], spec: DomainSpec) -> NormValue:
     :func:`~reinhardt.norms.monomial_norm_model` (or with kernel expansion
     coefficients) is a genuine two-route check.
     """
-    alpha = MultiIndex(alpha)
-    value = shadow_integral_exact(alpha.shifted(1), spec)
+    value = shadow_integral_exact(shifted(alpha), spec)
     if value is None:
         return NormValue.infinite()
     if value <= 0:

@@ -102,6 +102,31 @@ def test_norm_mc_too_few_samples_is_a_usage_error(capsys):
     assert "Traceback" not in err
 
 
+def test_norm_mc_of_an_infinite_norm_reports_divergence(capsys):
+    # the exact finiteness test runs first, so no finite mean of a divergent integral is printed
+    code, out, err = run(
+        capsys, "norm", "--k", "1,-1", "--alpha", "-1,0", "--oracle", "mc", "--samples", "100000",
+    )
+    assert code == 0
+    assert out == "infinite\n"
+    assert err == ""
+
+
+@pytest.mark.parametrize("command", [
+    ("verify", "--suite", "bell"),
+    ("verify", "--suite", "reproducing"),
+    ("norm", "--k", "1,-1", "--alpha", "0,0", "--oracle", "mc"),
+])
+@pytest.mark.parametrize("seed", ["-1", "abc"])
+def test_seed_must_be_a_non_negative_integer(capsys, command, seed):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *command, "--seed", seed)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: must be a non-negative integer" in err
+    assert "Traceback" not in err
+
+
 def test_norm_alpha_length_mismatch(capsys):
     code, _, err = run(capsys, "norm", "--k", "1,-1", "--alpha", "0,0,0")
     assert code == 2

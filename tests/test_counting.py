@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from reinhardt.counting import (
-    IndexSetG,
     coefficient_C,
     index_set,
     pair_count,
@@ -90,19 +89,15 @@ def test_index_set_hartogs():
     spec = normalize_spec((1, -1))
     full = index_set(spec, "full")
     pruned = index_set(spec, "pruned")
-    assert full.members == ((0, 0), (0, 1), (0, 2))
-    assert pruned.members == ((0, 1),)
-    assert (0, 1) in pruned
-    assert (0, 0) not in pruned
-    assert len(full) == 3
-    assert list(iter(pruned)) == [(0, 1)]
+    assert full == ((0, 0), (0, 1), (0, 2))
+    assert pruned == ((0, 1),)
 
 
 def test_index_set_sizes():
     # full box: (2 k_1 - 1) * prod (2 |k_b| + 1); pinching only where ell_b == 1
     spec = normalize_spec((2, -3))  # ell = (3, 2): nothing to pinch
     assert len(index_set(spec, "full")) == 3 * 7
-    assert index_set(spec, "pruned").members == index_set(spec, "full").members
+    assert index_set(spec, "pruned") == index_set(spec, "full")
 
     spec = normalize_spec((1, -2))  # ell = (2, 1): the negative axis pinches
     assert len(index_set(spec, "full")) == 1 * 5
@@ -114,7 +109,7 @@ def test_index_set_sizes():
 
 
 def test_index_set_members_are_lexicographic():
-    members = index_set(normalize_spec((2, -1)), "full").members
+    members = index_set(normalize_spec((2, -1)), "full")
     assert members == tuple(sorted(members))
 
 

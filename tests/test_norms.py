@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from reinhardt.domains import NormValue
 from reinhardt.exact import SparsePoly
-from reinhardt.norms import RSPair, beta_star, build_RS, is_norm_finite, monomial_norm_model
+from reinhardt.norms import RSPair, build_RS, is_norm_finite, monomial_norm_model
 
 
 # -- finiteness -----------------------------------------------------------------
@@ -38,19 +38,6 @@ def test_finiteness_guards():
         is_norm_finite((0, 0), 2, 3)
     with pytest.raises(ValueError):
         is_norm_finite((0, 0, 0), 2, 1)
-
-
-# -- beta_star --------------------------------------------------------------------
-
-
-def test_beta_star_folds_the_last_entry():
-    assert beta_star((2, 3, 5), 1) == (7, -2)
-    assert beta_star((2, 3, 5), 2) == (7, 8)
-    assert beta_star((1, 1, 1, 4), 2) == (5, 5, -3)
-    with pytest.raises(ValueError):
-        beta_star((1,), 1)
-    with pytest.raises(ValueError):
-        beta_star((1, 2), 2)
 
 
 # -- the (R, S) pair ---------------------------------------------------------------
@@ -108,7 +95,7 @@ def test_R_recursion_identity_at_points(n, data):
     b = data.draw(st.integers(-4, 6).filter(lambda v: v != 0))
     R_small = build_RS(n, s).R
     R_big = build_RS(n + 1, s).R
-    star = beta_star(beta + (b,), s)
+    star = tuple(x + b if j < s else x - b for j, x in enumerate(beta))
     lhs = b * R_big.evaluate(beta + (b,))
     grow = 1
     shrink = 1
@@ -157,3 +144,9 @@ def test_norms_omega32():
 def test_norm_alpha_length_guard():
     with pytest.raises(ValueError):
         monomial_norm_model((0, 0), 3, 2)
+
+
+@pytest.mark.parametrize("alpha", [(0, 0.5), (Fraction(1), 0), (-1.0, 0)])
+def test_norm_rejects_non_int_exponents(alpha):
+    with pytest.raises(TypeError):
+        monomial_norm_model(alpha, 2, 1)

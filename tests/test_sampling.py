@@ -131,6 +131,12 @@ def test_bell_residuals_are_tiny_and_deterministic():
     assert max(first) < 1e-10
 
 
+def test_empty_sampling_region_raises_instead_of_hanging():
+    # with margin 0.8 no t in [0.05, 0.9]^2 satisfies t_1 < 0.8 * t_2**50
+    with pytest.raises(ArithmeticError, match=r"H\(1, -50\)"):
+        bell_residuals(normalize_spec((1, -50)), 1, 1)
+
+
 def test_generator_streams_are_stable():
     # the exact draw sequence is part of the reproducibility contract
     g = generator(123, 0)

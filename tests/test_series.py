@@ -151,10 +151,9 @@ def test_annihilator_flattens_hartogs_series():
 
 
 def test_annihilator_keeps_window_metadata():
-    chunk = LaurentChunk(2, [(0, 1), (0, 1)], {(0, 0): Fraction(1)}, pi_power=2, truncated=True)
+    chunk = LaurentChunk(2, [(0, 1), (0, 1)], {(0, 0): Fraction(1)}, pi_power=2)
     out = apply_annihilating_operator(2, 1, chunk)
     assert out.pi_power == 2
-    assert out.truncated
     assert out.box == ((1, 2), (1, 2))
     # R = 1 for s = 1, so values just shift
     assert out.coefficient((1, 1)) == 1

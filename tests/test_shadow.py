@@ -104,3 +104,9 @@ def test_oracle_finiteness_matches_predicate_on_a_model():
             for a3 in range(-2, 2):
                 alpha = (a1, a2, a3)
                 assert monomial_norm_oracle(alpha, spec).finite == is_norm_finite(alpha, 3, 1)
+
+
+@pytest.mark.parametrize("alpha", [(0, 0.5), (Fraction(1), 0)])
+def test_oracle_rejects_non_int_exponents(alpha):
+    with pytest.raises(TypeError):
+        monomial_norm_oracle(alpha, HARTOGS)
