@@ -22,7 +22,8 @@ import json
 import sys
 from typing import Sequence
 
-from .domains import DomainSpec, normalize_spec
+from .domains import DomainSpec, NormValue, normalize_spec
+from .exact import DivergentIntegral
 from .kernels import kernel_signature_one
 from .sampling import mc_norm_estimate
 from .series import expand_closed_form, series_coefficients_model, series_coefficients_oracle
@@ -125,13 +126,14 @@ def _cmd_norm(args) -> int:
     if len(args.alpha) != spec.n:
         print(f"error: --alpha needs {spec.n} entries for {spec}", file=sys.stderr)
         return 2
-    exact = monomial_norm_oracle(args.alpha, spec)
-    if args.oracle == "exact" or not exact.finite:
-        # sampling a divergent integral would still print a finite mean
-        print(exact)
+    if args.oracle == "exact":
+        print(monomial_norm_oracle(args.alpha, spec))
         return 0
     try:
         result = mc_norm_estimate(args.alpha, spec, args.samples, args.seed)
+    except DivergentIntegral:
+        print(NormValue.infinite())
+        return 0
     except (ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

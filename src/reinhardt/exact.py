@@ -10,7 +10,11 @@ Everything here computes over the rationals with no rounding:
 
 * :class:`FracExpSum` — finite sums of terms ``c * prod(t_j^{q_j}) *
   prod(log(1/t_j)^{p_j})`` with rational ``c``, rational exponents ``q_j``
-  and nonnegative integer log powers ``p_j``.  This class is closed under
+  and nonnegative integer log powers ``p_j``.  The exponents sit on a
+  lattice ``(1/den) * Z``: terms are keyed by ``int`` numerators over one
+  ``den`` per sum, kept minimal so that equal sums have equal keys, which
+  makes merging like terms integer hashing instead of ``Fraction``
+  normalisation.  This class is closed under
   the three moves iterated monomial integration needs: antidifferentiation
   in one variable, evaluation at a monomial bound (which substitutes a
   monomial for the variable, expanding ``log`` of a monomial linearly), and
@@ -196,12 +200,6 @@ class SparsePoly:
 
     # -- structure ----------------------------------------------------------
 
-    def total_degree(self) -> int:
-        """Max total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def is_homogeneous(self, degree: int | None = None) -> bool:
         if not self.terms:
             return True
@@ -342,24 +340,43 @@ class SparsePoly:
 # FracExpSum
 # ---------------------------------------------------------------------------
 
+def _put(terms: dict, key, coef: Fraction) -> None:
+    """Add the nonzero ``coef`` at ``key``, dropping the key if the sum cancels."""
+    old = terms.get(key)
+    if old is None:
+        terms[key] = coef
+    else:
+        acc = old + coef
+        if acc:
+            terms[key] = acc
+        else:
+            del terms[key]
+
+
 class FracExpSum:
     """A finite sum ``sum c * prod t_j^{q_j} * prod log(1/t_j)^{p_j}``.
 
-    Keys are ``(exps, logs)`` pairs: ``exps`` a tuple of ``Fraction``
-    exponents, ``logs`` a tuple of nonnegative int powers of ``log(1/t_j)``.
-    Log factors only ever appear through integration against monomial
-    bounds; the all-zero ``logs`` tuple is the plain fractional-power case.
+    Exponents live on the lattice ``(1/den) * Z``.  Keys are ``(exps,
+    logs)`` pairs of ``int`` tuples: ``q_j = exps[j] / den``, and ``logs``
+    holds the nonnegative powers of ``log(1/t_j)``.  ``den`` is kept
+    minimal, ``gcd(den, *exps of every key) == 1`` (the empty sum has
+    ``den == 1``), so equal sums have equal keys and compare equal.
+    Coefficients are nonzero ``Fraction``s.  The constructor and
+    :meth:`monomial` take ``Fraction`` or ``int`` exponents and start on
+    the lcm of their denominators.  Log factors only ever appear through
+    integration against monomial bounds; the all-zero ``logs`` tuple is the
+    plain fractional-power case.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "den", "terms")
 
     def __init__(
         self,
         nvars: int,
-        terms: Mapping[tuple[tuple[Fraction, ...], tuple[int, ...]], Fraction] | None = None,
+        terms: Mapping[tuple[Sequence, Sequence[int]], Fraction] | None = None,
     ):
         self.nvars = int(nvars)
-        clean: dict[tuple[tuple[Fraction, ...], tuple[int, ...]], Fraction] = {}
+        rows = []
         if terms:
             for (exps, logs), coef in terms.items():
                 exps = tuple(_frac(q) for q in exps)
@@ -370,53 +387,68 @@ class FracExpSum:
                     raise ValueError("log powers must be nonnegative")
                 c = _frac(coef)
                 if c:
-                    key = (exps, logs)
-                    acc = clean.get(key, Fraction(0)) + c
-                    if acc:
-                        clean[key] = acc
-                    else:
-                        del clean[key]
-        self.terms = clean
+                    rows.append((exps, logs, c))
+        den = math.lcm(1, *(q.denominator for exps, _, _ in rows for q in exps))
+        clean: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
+        for exps, logs, c in rows:
+            _put(clean, (tuple(q.numerator * (den // q.denominator) for q in exps), logs), c)
+        self._settle(den, clean)
+
+    def _settle(self, den: int, terms: dict) -> "FracExpSum":
+        """Store ``terms`` (numerators over ``den``) on the minimal lattice."""
+        g = math.gcd(den, *(e for exps, _ in terms for e in exps)) if den > 1 else 1
+        if g > 1:
+            den //= g
+            terms = {(tuple(e // g for e in exps), logs): c for (exps, logs), c in terms.items()}
+        self.den, self.terms = den, terms
+        return self
+
+    @classmethod
+    def _on_lattice(cls, nvars: int, den: int, terms: dict) -> "FracExpSum":
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        return out._settle(den, terms)
 
     @classmethod
     def monomial(cls, nvars: int, exps: Sequence, coef=1) -> "FracExpSum":
-        key = (tuple(_frac(q) for q in exps), (0,) * nvars)
-        return cls(nvars, {key: _frac(coef)})
+        return cls(nvars, {(tuple(exps), (0,) * nvars): coef})
 
     def _check(self, other: "FracExpSum") -> None:
         if self.nvars != other.nvars:
             raise ValueError(f"variable-count mismatch: {self.nvars} vs {other.nvars}")
 
+    def _lifted(self, den: int) -> dict:
+        """The terms as numerators over ``den``, a multiple of ``self.den``."""
+        m = den // self.den
+        if m == 1:
+            return self.terms
+        return {(tuple(e * m for e in exps), logs): c for (exps, logs), c in self.terms.items()}
+
+    def _combine(self, other: "FracExpSum", sign: int) -> "FracExpSum":
+        self._check(other)
+        den = math.lcm(self.den, other.den)
+        terms = dict(self._lifted(den))
+        for key, coef in other._lifted(den).items():
+            _put(terms, key, coef if sign > 0 else -coef)
+        return FracExpSum._on_lattice(self.nvars, den, terms)
+
     def __add__(self, other: "FracExpSum") -> "FracExpSum":
         if not isinstance(other, FracExpSum):
             return NotImplemented
-        self._check(other)
-        terms = dict(self.terms)
-        for key, coef in other.terms.items():
-            acc = terms.get(key, Fraction(0)) + coef
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
-        out = FracExpSum.__new__(FracExpSum)
-        out.nvars, out.terms = self.nvars, terms
-        return out
-
-    def __neg__(self) -> "FracExpSum":
-        out = FracExpSum.__new__(FracExpSum)
-        out.nvars = self.nvars
-        out.terms = {key: -coef for key, coef in self.terms.items()}
-        return out
+        return self._combine(other, 1)
 
     def __sub__(self, other: "FracExpSum") -> "FracExpSum":
         if not isinstance(other, FracExpSum):
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "FracExpSum":
+        return FracExpSum._on_lattice(self.nvars, self.den, {key: -coef for key, coef in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FracExpSum):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self.den == other.den and self.terms == other.terms
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -430,21 +462,6 @@ class FracExpSum:
             total += coef
         return total
 
-    def evaluate(self, point: Sequence[float]) -> float:
-        """Numeric evaluation at 0 < t_j < 1 (for cross-checks)."""
-        if len(point) != self.nvars:
-            raise ValueError("point length disagrees with nvars")
-        total = 0.0
-        for (exps, logs), coef in self.terms.items():
-            term = float(coef)
-            for t, q, p in zip(point, exps, logs):
-                if q:
-                    term *= float(t) ** float(q)
-                if p:
-                    term *= math.log(1.0 / float(t)) ** p
-            total += term
-        return total
-
     # -- substitution of monomial bounds -------------------------------------
 
     def substitute_monomial(self, var: int, bound: Sequence) -> "FracExpSum":
@@ -452,45 +469,40 @@ class FracExpSum:
 
         The bound must not involve ``t_var`` itself.  Power factors push the
         bound's exponents onto the other variables; each log factor expands
-        as ``log(1/t_var) -> sum bound_j * log(1/t_j)``.
+        as ``log(1/t_var) -> sum bound_j * log(1/t_j)``.  A bound whose
+        exponents have common denominator ``bden`` moves the sum onto the
+        lattice ``1/(den * bden)``, which is then reduced.
         """
-        bound = tuple(_frac(b) for b in bound)
+        bound = tuple(b if isinstance(b, (int, Fraction)) else Fraction(b) for b in bound)
         if len(bound) != self.nvars:
             raise ValueError("bound length disagrees with nvars")
         if bound[var]:
             raise ValueError("a bound may not involve the variable it replaces")
-        support = [j for j in range(self.nvars) if bound[j]]
-        terms: dict[tuple[tuple[Fraction, ...], tuple[int, ...]], Fraction] = {}
+        bden = math.lcm(*(b.denominator for b in bound))
+        support = [(j, b, b.numerator * (bden // b.denominator)) for j, b in enumerate(bound) if b]
+        terms: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
         for (exps, logs), coef in self.terms.items():
-            q, p = exps[var], logs[var]
-            base_exps = list(exps)
-            base_exps[var] = Fraction(0)
-            if q:
-                for j in support:
-                    base_exps[j] += q * bound[j]
+            e, p = exps[var], logs[var]
+            base = [x * bden for x in exps] if bden > 1 else list(exps)
+            base[var] = 0
+            if e:
+                for j, _, num in support:
+                    base[j] += e * num
+            base_exps = tuple(base)
+            if not p:
+                _put(terms, (base_exps, logs), coef)
+                continue
             # expand (sum_j bound_j * log(1/t_j)) ** p multinomially
-            expansion: dict[tuple[int, ...], Fraction] = {(0,) * self.nvars: Fraction(1)}
+            expansion = {logs[:var] + (0,) + logs[var + 1:]: coef}
             for _ in range(p):
                 nxt: dict[tuple[int, ...], Fraction] = {}
                 for lvec, c in expansion.items():
-                    for j in support:
-                        bumped = list(lvec)
-                        bumped[j] += 1
-                        key = tuple(bumped)
-                        nxt[key] = nxt.get(key, Fraction(0)) + c * bound[j]
+                    for j, b, _ in support:
+                        _put(nxt, lvec[:j] + (lvec[j] + 1,) + lvec[j + 1:], c * b)
                 expansion = nxt
-            base_logs = list(logs)
-            base_logs[var] = 0
             for lvec, c in expansion.items():
-                if not c:
-                    continue
-                key = (tuple(base_exps), tuple(a + b for a, b in zip(base_logs, lvec)))
-                acc = terms.get(key, Fraction(0)) + coef * c
-                if acc:
-                    terms[key] = acc
-                else:
-                    terms.pop(key, None)
-        return FracExpSum(self.nvars, terms)
+                _put(terms, (base_exps, lvec), c)
+        return FracExpSum._on_lattice(self.nvars, self.den * bden, terms)
 
     def limit_at_zero(self, var: int) -> "FracExpSum":
         """The limit as ``t_var -> 0+``; errors if any term blows up.
@@ -499,55 +511,50 @@ class FracExpSum:
         ``t -> 0``, so after like terms merge, divergence of any surviving
         term with ``q < 0``, or ``q == 0 < p``, is genuine and raises
         :class:`DivergentIntegral`.  Terms with ``q > 0`` vanish (powers
-        beat logs) and terms free of the variable pass through.
+        beat logs) and terms free of the variable pass through.  The sign
+        of ``q`` is the sign of its numerator.
         """
         terms = {}
-        for (exps, logs), coef in self.terms.items():
-            q, p = exps[var], logs[var]
-            if q > 0:
+        for key, coef in self.terms.items():
+            e, p = key[0][var], key[1][var]
+            if e > 0:
                 continue
-            if q < 0 or p > 0:
+            if e < 0 or p > 0:
                 raise DivergentIntegral(
-                    f"term with exponent {q} and log power {p} diverges as t_{var} -> 0"
+                    f"term with exponent {Fraction(e, self.den)} and log power {p} diverges as t_{var} -> 0"
                 )
-            terms[(exps, logs)] = coef
-        return FracExpSum(self.nvars, terms)
+            terms[key] = coef
+        return FracExpSum._on_lattice(self.nvars, self.den, terms)
 
     # -- integration ---------------------------------------------------------
 
     def antiderivative(self, var: int) -> "FracExpSum":
-        """An exact antiderivative in ``t_var`` (defined up to a constant)."""
-        terms: dict[tuple[tuple[Fraction, ...], tuple[int, ...]], Fraction] = {}
+        """An exact antiderivative in ``t_var`` (defined up to a constant).
 
-        def put(exps, logs, coef):
-            key = (tuple(exps), tuple(logs))
-            acc = terms.get(key, Fraction(0)) + coef
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
-
+        With ``q = e / den``, ``q == -1`` is ``e == -den`` and ``1/(q+1)`` is
+        ``den / (e + den)``.
+        """
+        den = self.den
+        terms: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
         for (exps, logs), coef in self.terms.items():
-            q, p = exps[var], logs[var]
-            if q == -1:
+            e, p = exps[var], logs[var]
+            if e == -den:
                 # ∫ t^-1 log(1/t)^p dt = -log(1/t)^(p+1) / (p+1)
-                new_exps = list(exps)
-                new_exps[var] = Fraction(0)
-                new_logs = list(logs)
-                new_logs[var] = p + 1
-                put(new_exps, new_logs, -coef / (p + 1))
-            else:
-                # ∫ t^q log(1/t)^p dt = sum_{i=0}^{p} p!/(p-i)! * t^{q+1} log(1/t)^{p-i} / (q+1)^{i+1}
-                new_exps = list(exps)
-                new_exps[var] = q + 1
-                factor = Fraction(1)
-                for i in range(p + 1):
-                    factor /= q + 1
-                    new_logs = list(logs)
-                    new_logs[var] = p - i
-                    put(new_exps, new_logs, coef * factor)
-                    factor *= p - i
-        return FracExpSum(self.nvars, terms)
+                key = (exps[:var] + (0,) + exps[var + 1:], logs[:var] + (p + 1,) + logs[var + 1:])
+                _put(terms, key, -coef / (p + 1))
+                continue
+            # ∫ t^q log(1/t)^p dt = sum_{i=0}^{p} p!/(p-i)! * t^{q+1} log(1/t)^{p-i} / (q+1)^{i+1}
+            new_exps = exps[:var] + (e + den,) + exps[var + 1:]
+            inverse = Fraction(den, e + den)
+            if not p:
+                _put(terms, (new_exps, logs), coef * inverse)
+                continue
+            factor = coef
+            for i in range(p + 1):
+                factor *= inverse
+                _put(terms, (new_exps, logs[:var] + (p - i,) + logs[var + 1:]), factor)
+                factor *= p - i
+        return FracExpSum._on_lattice(self.nvars, den, terms)
 
 
 def integrate_one_var(f: FracExpSum, var: int, lower, upper=None) -> FracExpSum:
@@ -567,7 +574,7 @@ def integrate_one_var(f: FracExpSum, var: int, lower, upper=None) -> FracExpSum:
     if isinstance(lower, int) and lower == 0:
         lower = None
     if upper is None or (isinstance(upper, int) and upper == 1):
-        upper = (Fraction(0),) * f.nvars
+        upper = (0,) * f.nvars
     F = f.antiderivative(var)
     top = F.substitute_monomial(var, upper)
     if lower is None:

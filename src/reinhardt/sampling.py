@@ -46,7 +46,9 @@ from typing import Sequence
 import numpy as np
 
 from .domains import DomainSpec, lcm_data, model_spec
+from .exact import DivergentIntegral
 from .kernels import RationalKernel, kernel_model_sig1, kernel_signature_one
+from .shadow import monomial_norm_oracle
 
 _CHUNK = 1 << 20
 
@@ -80,7 +82,23 @@ class McNormEstimate:
 def mc_norm_estimate(
     alpha: Sequence[int], spec: DomainSpec, samples: int, seed: int, stream: int = 0
 ) -> McNormEstimate:
-    """Monte-Carlo estimate of ``||z**alpha||^2`` on ``H(k)`` with its standard error."""
+    """Monte-Carlo estimate of ``||z**alpha||^2`` on ``H(k)`` with its standard error.
+
+    The exact oracle is asked first: an infinite norm raises
+    :class:`~reinhardt.exact.DivergentIntegral` before any sample is drawn,
+    since the sample mean of a divergent integral is still a finite number.
+    """
+    if len(alpha) != spec.n:
+        raise ValueError(f"alpha has length {len(alpha)}, expected {spec.n}")
+    if not monomial_norm_oracle(alpha, spec).finite:
+        raise DivergentIntegral(f"||z**{tuple(alpha)}||^2 is infinite on {spec}; there is nothing to estimate")
+    return _sample_norm(alpha, spec, samples, seed, stream)
+
+
+def _sample_norm(
+    alpha: Sequence[int], spec: DomainSpec, samples: int, seed: int, stream: int
+) -> McNormEstimate:
+    """The Monte-Carlo mean of ``pi**n * t**alpha`` over the shadow, finite norm or not."""
     n = spec.n
     if len(alpha) != n:
         raise ValueError(f"alpha has length {len(alpha)}, expected {n}")
@@ -141,7 +159,7 @@ def mc_divergence_probe(
     fixed seed, and a heuristic by nature (hence the separate exact oracle).
     """
     estimates = tuple(
-        mc_norm_estimate(alpha, spec, samples * factor ** i, seed, stream=i).estimate
+        _sample_norm(alpha, spec, samples * factor ** i, seed, stream=i).estimate
         for i in range(rungs)
     )
     flagged = estimates[-1] > growth * estimates[0] and estimates[-1] > growth * estimates[-2]

@@ -23,6 +23,9 @@ iterated integral of :class:`~reinhardt.exact.FracExpSum` objects:
   term with exponent <= -1 (log powers allowed) cannot be cancelled by
   terms of other asymptotic scales, so the integral is genuinely infinite.
 
+Every exponent stays on the lattice ``(1/D) * Z``, where ``D`` divides the
+product of the ``|k_b|`` over the negatives integrated so far.
+
 The nesting order of the negative block is configurable; the value is
 independent of it (and of the positive-block order), which the test suite
 uses as a consistency check.

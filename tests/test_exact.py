@@ -97,11 +97,9 @@ def test_poly_constructor_merges_duplicate_keys():
 
 def test_poly_degree_and_homogeneity():
     p = SparsePoly(2, {(2, 1): Fraction(1), (0, 3): Fraction(-2)})
-    assert p.total_degree() == 3
     assert p.is_homogeneous() and p.is_homogeneous(3) and not p.is_homogeneous(2)
     q = p + SparsePoly.one(2)
     assert not q.is_homogeneous()
-    assert SparsePoly.zero(2).total_degree() == -1
     assert SparsePoly.zero(2).is_homogeneous(17)
 
 
@@ -217,6 +215,17 @@ def test_build_RS_evaluates_like_the_reference():
 # -- FracExpSum ----------------------------------------------------------------
 
 
+def float_value(f: FracExpSum, point) -> float:
+    """``f`` at ``0 < t_j < 1`` in floats, reading each exponent as ``exps[j] / f.den``."""
+    total = 0.0
+    for (exps, logs), coef in f.terms.items():
+        term = float(coef)
+        for t, e, p in zip(point, exps, logs):
+            term *= t ** (e / f.den) * math.log(1.0 / t) ** p
+        total += term
+    return total
+
+
 def test_standard_log_integrals():
     # integral_0^1 t^q log(1/t)^p dt = p! / (q+1)^(p+1)
     for q in (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(7, 3)):
@@ -259,7 +268,7 @@ def test_antiderivative_fundamental_theorem():
     f = FracExpSum(1, {((Fraction(1, 2),), (1,)): Fraction(1)})  # sqrt(t) log(1/t)
     F = f.antiderivative(0)
     a, b = 0.2, 0.7
-    exact = F.evaluate([b]) - F.evaluate([a])
+    exact = float_value(F, [b]) - float_value(F, [a])
     numeric, _ = quad(lambda t: math.sqrt(t) * math.log(1.0 / t), a, b, epsabs=1e-13)
     assert abs(exact - numeric) < 1e-10
 
@@ -316,7 +325,77 @@ def test_as_constant_guards():
 def test_fracexp_evaluate_matches_terms():
     f = FracExpSum(1, {((Fraction(1, 2),), (1,)): Fraction(2)})
     t = 0.3
-    assert abs(f.evaluate([t]) - 2 * math.sqrt(t) * math.log(1 / t)) < 1e-14
+    assert abs(float_value(f, [t]) - 2 * math.sqrt(t) * math.log(1 / t)) < 1e-14
+
+
+# -- FracExpSum lattice --------------------------------------------------------
+
+
+def test_lattice_den_is_minimal():
+    f = FracExpSum(2, {((Fraction(1, 2), Fraction(3, 4)), (0, 0)): 1, ((1, 0), (0, 1)): 2})
+    assert f.den == 4
+    assert f.terms == {((2, 3), (0, 0)): 1, ((4, 0), (0, 1)): 2}
+    assert FracExpSum.monomial(2, (Fraction(2, 6), Fraction(4, 6))).den == 3
+    assert FracExpSum.monomial(2, (3, -1)).den == 1
+    assert FracExpSum(2).den == 1
+    # cancelling the only term on the finer grid takes den back down
+    g = FracExpSum.monomial(1, (Fraction(1, 6),)) + FracExpSum.monomial(1, (Fraction(1, 2),))
+    assert g.den == 6
+    h = g - FracExpSum.monomial(1, (Fraction(1, 6),))
+    assert h.den == 2 and h.terms == {((1,), (0,)): 1}
+    assert (g - g).den == 1 and (g - g).is_zero()
+    # a zero coefficient does not keep its exponent's denominator
+    assert FracExpSum(1, {((Fraction(1, 5),), (0,)): 0, ((1,), (0,)): 1}).den == 1
+
+
+def test_lattice_grows_exactly_for_an_off_grid_bound():
+    # t0 * t1^(1/2) with t0 -> t1^(1/3) is t1^(5/6)
+    f = FracExpSum.monomial(2, (1, Fraction(1, 2)))
+    assert f.den == 2
+    g = f.substitute_monomial(0, (0, Fraction(1, 3)))
+    assert g.den == 6
+    assert g.terms == {((0, 5), (0, 0)): 1}
+    # t0^(3/2) with t0 -> t1^(2/3) lands back on the integers
+    h = FracExpSum.monomial(2, (Fraction(3, 2), 0)).substitute_monomial(0, (0, Fraction(2, 3)))
+    assert h.den == 1 and h.terms == {((0, 1), (0, 0)): 1}
+
+
+def test_sums_built_by_different_routes_compare_equal():
+    # integral over t0 in (t1, 1) of t0^(-1/2) t1^(1/2) is 2 t1^(1/2) - 2 t1
+    f = FracExpSum.monomial(2, (Fraction(-1, 2), Fraction(1, 2)))
+    by_integration = integrate_one_var(f, 0, (0, 1))
+    by_hand = FracExpSum(2, {((0, Fraction(1, 2)), (0, 0)): 2, ((0, 1), (0, 0)): -2})
+    assert by_integration == by_hand
+    by_sums = (FracExpSum.monomial(2, (0, Fraction(1, 2)), 3) - FracExpSum.monomial(2, (0, 1), 2)
+               - FracExpSum.monomial(2, (0, Fraction(2, 4))))
+    assert by_sums == by_hand
+    assert by_sums.den == by_hand.den == 2
+    # the same monomial written on a coarser and a finer grid
+    assert FracExpSum.monomial(1, (Fraction(4, 6),)) == FracExpSum.monomial(1, (Fraction(2, 3),))
+
+
+def test_exponent_minus_one_on_a_fine_lattice_gives_a_log():
+    # t0^-1 t1^(1/2): q0 == -1 is the numerator -den, so the antiderivative is a log
+    f = FracExpSum.monomial(2, (-1, Fraction(1, 2)))
+    assert f.den == 2 and f.terms == {((-2, 1), (0, 0)): 1}
+    F = f.antiderivative(0)
+    assert F == FracExpSum(2, {((0, Fraction(1, 2)), (1, 0)): -1})
+    with pytest.raises(DivergentIntegral):
+        integrate_one_var(f, 0, None)
+    # -3/2 is off the integer grid and diverges too; -1/2 converges to 2
+    with pytest.raises(DivergentIntegral):
+        integrate_one_var(FracExpSum.monomial(1, (Fraction(-3, 2),)), 0, None)
+    assert integrate_one_var(FracExpSum.monomial(1, (Fraction(-1, 2),)), 0, None).as_constant() == 2
+
+
+def test_keys_are_int_tuples():
+    f = FracExpSum.monomial(3, (Fraction(1, 2), 2, -1))
+    f = integrate_one_var(f, 2, (Fraction(2, 3), Fraction(1, 3), 0))
+    f = integrate_one_var(f, 1, None)
+    assert f.den > 1
+    for exps, logs in f.terms:
+        assert type(exps) is tuple and type(logs) is tuple
+        assert all(type(e) is int for e in exps + logs)
 
 
 # -- LaurentChunk ---------------------------------------------------------------

@@ -12,7 +12,9 @@ import math
 import numpy as np
 import pytest
 
+import reinhardt.sampling
 from reinhardt.domains import normalize_spec
+from reinhardt.exact import DivergentIntegral
 from reinhardt.kernels import kernel_model_sig1
 from reinhardt.sampling import (
     bell_residuals,
@@ -35,6 +37,8 @@ def test_estimates_are_bit_for_bit_reproducible():
     assert a == b
     c = mc_norm_estimate((0, 0), HARTOGS, 50_000, SEED, stream=1)
     assert c.estimate != a.estimate  # independent stream
+    # the stream is the one recorded before the exact finiteness check was added
+    assert float.hex(a.estimate) == "0x1.3af7e1e2542e5p+2"
 
 
 def test_estimates_agree_with_exact_norms():
@@ -88,6 +92,24 @@ def test_divergence_probe_agrees_with_the_exact_oracle():
 def test_divergence_probe_reports_the_ladder():
     probe = mc_divergence_probe((0, 0), HARTOGS, 1000, 7, rungs=3, factor=2)
     assert len(probe.estimates) == 3
+
+
+def test_estimate_of_an_infinite_norm_is_refused_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a divergent integral")
+
+    monkeypatch.setattr(reinhardt.sampling, "generator", no_sampling)
+    for alpha in [(-1, 0), (0, -2)]:
+        with pytest.raises(DivergentIntegral, match=r"infinite on H\(1, -1\)"):
+            mc_norm_estimate(alpha, HARTOGS, 1000, SEED)
+
+
+def test_divergence_probe_still_samples_divergent_exponents():
+    # bit-for-bit the ladder recorded when the probe called mc_norm_estimate
+    probe = mc_divergence_probe((-1, 0), HARTOGS, 10_000, SEED)
+    assert [float.hex(e) for e in probe.estimates] == [
+        "0x1.762351fea8d6cp+6", "0x1.c2f21b4c97579p+6", "0x1.1802d31353fd2p+8", "0x1.e22ae38b8cf87p+6",
+    ]
 
 
 def test_kernel_values_match_scalar_evaluation():

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reinhardt.shadow
 from reinhardt.domains import NormValue, model_spec, normalize_spec
 from reinhardt.norms import is_norm_finite, monomial_norm_model
 from reinhardt.shadow import monomial_norm_oracle, shadow_integral_exact
@@ -110,3 +115,100 @@ def test_oracle_finiteness_matches_predicate_on_a_model():
 def test_oracle_rejects_non_int_exponents(alpha):
     with pytest.raises(TypeError):
         monomial_norm_oracle(alpha, HARTOGS)
+
+
+# -- pinned values -------------------------------------------------------------
+
+#: SHA-256 of ``repr((k, beta, shadow_integral_exact(beta, spec)))`` over
+#: :func:`pinned_grid`, recorded with the ``Fraction``-keyed integrator that
+#: preceded the integer exponent lattice.
+PINNED_DIGEST = "a4a69e1147b6529e7187b03aeabb110c214a30e1a199896a7afac3b6f85cc337"
+
+
+def pinned_grid():
+    """Every normalized spec with n <= 3 and |k_i| <= 4, plus four n = 4 specs, on small beta boxes.
+
+    Positive-block entries of beta run over 0..2 (0 diverges) and
+    negative-block entries over -2..2, so the grid mixes finite,
+    log-degenerate and divergent integrals.
+    """
+    specs = set()
+    for n in (2, 3):
+        for s in range(1, n):
+            for mags in itertools.product(range(1, 5), repeat=n):
+                if math.gcd(*mags) == 1:
+                    specs.add(mags[:s] + tuple(-m for m in mags[s:]))
+    for k in sorted(specs):
+        s = sum(1 for e in k if e > 0)
+        box = [range(0, 3)] * s + [range(-2, 3)] * (len(k) - s)
+        for beta in itertools.product(*box):
+            yield k, beta
+    for k in ((1, 2, -3, -4), (2, 1, -1, -3), (1, 1, -2, -3), (3, 2, 1, -4)):
+        for beta in itertools.product(range(0, 3), repeat=4):
+            yield k, beta
+
+
+def test_values_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for k, beta in pinned_grid():
+        value = shadow_integral_exact(beta, normalize_spec(k))
+        digest.update(repr((k, beta, value)).encode())
+    assert digest.hexdigest() == PINNED_DIGEST
+
+
+def test_exponents_stay_on_the_negative_block_lattice(monkeypatch):
+    # after each negative step the exponent denominator divides the product
+    # of the |k_b| integrated so far; positive steps never grow it
+    integrate = reinhardt.shadow.integrate_one_var
+    dens = []
+
+    def recording(f, var, lower, upper=None):
+        out = integrate(f, var, lower, upper)
+        dens.append((var, out.den))
+        return out
+
+    monkeypatch.setattr(reinhardt.shadow, "integrate_one_var", recording)
+    for raw, beta in [((1, 2, -3, -4), (1, 2, 1, -1)), ((2, 3, -5, -7), (1, 1, 2, 3)), ((1, -4, -6), (2, 1, 1))]:
+        spec = normalize_spec(raw)
+        dens.clear()
+        shadow_integral_exact(beta, spec)
+        product = 1
+        for var, den in dens:
+            if var >= spec.s:
+                product *= spec.abs_k[var]
+            assert product % den == 0
+        assert dens[-1][1] == 1
+
+
+# -- differential properties ---------------------------------------------------
+
+
+@st.composite
+def spec_and_beta(draw):
+    n = draw(st.integers(2, 4))
+    s = draw(st.integers(1, n - 1))
+    if draw(st.booleans()):
+        mags = [1] * n
+    else:
+        mags = draw(st.lists(st.integers(1, 7), min_size=n, max_size=n).filter(lambda m: math.gcd(*m) == 1))
+    k = tuple(mags[:s]) + tuple(-m for m in mags[s:])
+    beta = tuple(draw(st.lists(st.integers(-2, 8), min_size=n, max_size=n)))
+    return normalize_spec(k), beta
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec_and_beta())
+def test_value_is_independent_of_nesting_and_labels(case):
+    spec, beta = case
+    n, s = spec.n, spec.s
+    value = shadow_integral_exact(beta, spec)
+    for order in itertools.permutations(range(s, n)):
+        assert shadow_integral_exact(beta, spec, order) == value
+    for pos in itertools.permutations(range(s)):
+        for neg in itertools.permutations(range(s, n)):
+            perm = pos + neg
+            relabelled = normalize_spec(tuple(spec.k[p] for p in perm))
+            assert shadow_integral_exact(tuple(beta[p] for p in perm), relabelled) == value
+    if spec.is_model:
+        expected = monomial_norm_model(tuple(b - 1 for b in beta), n, s)
+        assert expected == (NormValue.infinite() if value is None else NormValue.of(value, n))
