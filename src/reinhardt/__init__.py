@@ -52,7 +52,7 @@ from .series import (
     series_coefficients_oracle,
     slice_coefficients,
 )
-from .shadow import monomial_norm_oracle, shadow_integral_exact
+from .shadow import ParametricShadow, monomial_norm_oracle, shadow_integral_exact
 from .verify import run_suites
 
 __version__ = "0.1.0"
@@ -66,6 +66,7 @@ __all__ = [
     "McNormEstimate",
     "NormValue",
     "OutsideWindow",
+    "ParametricShadow",
     "RSPair",
     "RationalKernel",
     "ReproducingCheck",

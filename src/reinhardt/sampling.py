@@ -88,8 +88,6 @@ def mc_norm_estimate(
     :class:`~reinhardt.exact.DivergentIntegral` before any sample is drawn,
     since the sample mean of a divergent integral is still a finite number.
     """
-    if len(alpha) != spec.n:
-        raise ValueError(f"alpha has length {len(alpha)}, expected {spec.n}")
     if not monomial_norm_oracle(alpha, spec).finite:
         raise DivergentIntegral(f"||z**{tuple(alpha)}||^2 is infinite on {spec}; there is nothing to estimate")
     return _sample_norm(alpha, spec, samples, seed, stream)

@@ -37,7 +37,7 @@ from .domains import DomainSpec, shifted
 from .exact import LaurentChunk
 from .kernels import RationalKernel
 from .norms import build_RS, is_norm_finite
-from .shadow import shadow_integral_exact
+from .shadow import ParametricShadow
 
 
 def expand_closed_form(kernel: RationalKernel, box: Sequence[tuple[int, int]]) -> LaurentChunk:
@@ -104,12 +104,16 @@ def series_coefficients_oracle(spec: DomainSpec, box: Sequence[tuple[int, int]])
 
     The coefficient at ``alpha`` is ``pi**n / ||z**alpha||^2``, i.e. the
     reciprocal of the shadow integral; exponents with infinite norm
-    contribute nothing.  Works for every signature.
+    contribute nothing.  Works for every signature.  The integral is taken
+    once per spec with symbolic ``beta``
+    (:class:`~reinhardt.shadow.ParametricShadow`) and evaluated at each
+    box point.
     """
     chunk = LaurentChunk(spec.n, box, pi_power=spec.n)
+    shadow_integral = ParametricShadow(spec)
     terms: dict[tuple[int, ...], Fraction] = {}
     for alpha in chunk.box_points():
-        value = shadow_integral_exact(shifted(alpha), spec)
+        value = shadow_integral(shifted(alpha))
         if value is not None:
             terms[alpha] = 1 / value
     chunk.terms = terms

@@ -1,8 +1,12 @@
-"""Tests for the package's top-level exports."""
+"""Tests for the package's top-level exports and its module boundaries."""
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import reinhardt
+import reinhardt.shadow
 
 
 def test_every_exported_name_resolves():
@@ -15,3 +19,24 @@ def test_star_import():
     namespace: dict = {}
     exec("from reinhardt import *", namespace)
     assert set(reinhardt.__all__) <= namespace.keys()
+
+
+def imported_modules(path: Path) -> set[str]:
+    """The last dotted component of every module a source file imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                names.add(node.module)
+            else:  # from . import x
+                names.update(alias.name for alias in node.names)
+    return {name.rsplit(".", 1)[-1] for name in names}
+
+
+def test_shadow_oracle_shares_no_code_with_the_closed_forms():
+    # every closed form keeps a cross-check that shares no code with it
+    imported = imported_modules(Path(reinhardt.shadow.__file__))
+    assert "exact" in imported  # the parser sees the relative imports
+    assert imported.isdisjoint({"norms", "kernels", "series", "counting"})

@@ -56,6 +56,11 @@ def test_estimate_guards():
         mc_norm_estimate((0, 0), HARTOGS, 1, SEED)
 
 
+def test_estimate_length_error_names_alpha():
+    with pytest.raises(ValueError, match=r"^alpha has length 1, expected 2$"):
+        mc_norm_estimate((0,), HARTOGS, 1000, SEED)
+
+
 def test_error_scales_like_inverse_sqrt_n():
     # mean relative error over three monomials at N = 1e5, 1e6, 1e7 should
     # fall on a log-log line with slope near -1/2

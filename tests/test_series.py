@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reinhardt.domains import model_spec, normalize_spec
 from reinhardt.exact import LaurentChunk, OutsideWindow, SparsePoly
@@ -60,6 +62,25 @@ def test_expansion_with_fractional_numerator_coefficients():
     assert {c.denominator for c in rescaled.numerator.terms.values()} == {2, 8}
     box = [(0, 6), (-6, 6)]
     assert expand_closed_form(rescaled, box) == series_coefficients_oracle(spec, box)
+
+
+@st.composite
+def signature_one_window(draw):
+    n = draw(st.integers(2, 3))
+    mags = draw(st.lists(st.integers(1, 7), min_size=n, max_size=n).filter(lambda m: math.gcd(*m) == 1))
+    spec = normalize_spec((mags[0],) + tuple(-m for m in mags[1:]))
+    low = draw(st.integers(-1, 2))
+    box = [(low, low + draw(st.integers(0, 3)))]
+    for _ in range(n - 1):
+        box.append((draw(st.integers(-4, -1)), draw(st.integers(0, 3))))
+    return spec, box
+
+
+@settings(max_examples=100, deadline=None)
+@given(signature_one_window())
+def test_expansion_equals_the_oracle_on_random_windows(case):
+    spec, box = case
+    assert expand_closed_form(kernel_signature_one(spec), box) == series_coefficients_oracle(spec, box)
 
 
 def test_expansion_guards():

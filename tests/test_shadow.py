@@ -6,15 +6,17 @@ import hashlib
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reinhardt.shadow
-from reinhardt.domains import NormValue, model_spec, normalize_spec
-from reinhardt.norms import is_norm_finite, monomial_norm_model
-from reinhardt.shadow import monomial_norm_oracle, shadow_integral_exact
+from reinhardt.domains import NormValue, model_spec, normalize_spec, shifted
+from reinhardt.exact import SparsePoly
+from reinhardt.norms import build_RS, is_norm_finite, monomial_norm_model
+from reinhardt.shadow import ParametricShadow, monomial_norm_oracle, shadow_integral_exact
 
 HARTOGS = normalize_spec((1, -1))
 
@@ -117,11 +119,17 @@ def test_oracle_rejects_non_int_exponents(alpha):
         monomial_norm_oracle(alpha, HARTOGS)
 
 
+def test_oracle_length_error_names_alpha():
+    with pytest.raises(ValueError, match=r"^alpha has length 1, expected 2$"):
+        monomial_norm_oracle((0,), HARTOGS)
+
+
 # -- pinned values -------------------------------------------------------------
 
 #: SHA-256 of ``repr((k, beta, shadow_integral_exact(beta, spec)))`` over
 #: :func:`pinned_grid`, recorded with the ``Fraction``-keyed integrator that
-#: preceded the integer exponent lattice.
+#: preceded the integer exponent lattice.  ``ParametricShadow`` must hash
+#: to the same value.
 PINNED_DIGEST = "a4a69e1147b6529e7187b03aeabb110c214a30e1a199896a7afac3b6f85cc337"
 
 
@@ -149,11 +157,16 @@ def pinned_grid():
 
 
 def test_values_match_the_pinned_digest():
-    digest = hashlib.sha256()
+    per_point, parametric = hashlib.sha256(), hashlib.sha256()
+    shadows = {}
     for k, beta in pinned_grid():
-        value = shadow_integral_exact(beta, normalize_spec(k))
-        digest.update(repr((k, beta, value)).encode())
-    assert digest.hexdigest() == PINNED_DIGEST
+        spec = normalize_spec(k)
+        if k not in shadows:
+            shadows[k] = ParametricShadow(spec)
+        per_point.update(repr((k, beta, shadow_integral_exact(beta, spec))).encode())
+        parametric.update(repr((k, beta, shadows[k](beta))).encode())
+    assert per_point.hexdigest() == PINNED_DIGEST
+    assert parametric.hexdigest() == PINNED_DIGEST
 
 
 def test_exponents_stay_on_the_negative_block_lattice(monkeypatch):
@@ -180,20 +193,77 @@ def test_exponents_stay_on_the_negative_block_lattice(monkeypatch):
         assert dens[-1][1] == 1
 
 
+# -- the parametric route -----------------------------------------------------
+
+
+def test_parametric_route_on_worked_examples():
+    shadow = ParametricShadow(HARTOGS)
+    # the two positive-step forms beta_1 and beta_1 + beta_2, then beta_2
+    assert shadow.forms[: shadow.positive] == ((0, 1, 0), (0, 1, 1))
+    assert shadow((1, 1)) == Fraction(1, 2)
+    assert shadow((1, 0)) == Fraction(1)  # beta_2 = 0: the removable limit
+    assert shadow((2, -1)) == Fraction(1, 2)
+    assert shadow((1, -1)) is None
+    assert shadow((0, 5)) is None
+    assert ParametricShadow(normalize_spec((1, 2, -3)))((1, 1, 1)) == Fraction(11, 20)
+    with pytest.raises(ValueError, match="beta has length 3, expected 2"):
+        shadow((1, 1, 1))
+
+
+def test_poles_that_do_not_cancel_are_an_error():
+    shadow = ParametricShadow(HARTOGS)
+    shadow.terms = shadow.terms[:1]  # without the lower part, beta_2 = 0 is a genuine pole
+    with pytest.raises(ArithmeticError, match="do not cancel"):
+        shadow((1, 0))
+
+
+@pytest.mark.parametrize("n,s", [(n, s) for n in range(2, 6) for s in range(1, n)])
+def test_parametric_integral_is_the_model_formula_for_every_beta(n, s):
+    # over Q = the product of the forms at their largest multiplicity the
+    # term sum is P / Q, and the paper's ||z^alpha||^2 = pi^n R/S says
+    # P/Q = R/S as rational functions of beta
+    shadow = ParametricShadow(model_spec(n, s))
+    forms = [SparsePoly.linear_form(n, {j: c for j, c in enumerate(f[1:]) if c}, f[0]) for f in shadow.forms]
+    top = Counter()
+    for _, idx in shadow.terms:
+        top |= Counter(idx)
+    Q = SparsePoly.one(n)
+    for i, m in top.items():
+        Q = Q * forms[i] ** m
+    P = SparsePoly.zero(n)
+    for c, idx in shadow.terms:
+        cofactor = SparsePoly.constant(n, Fraction(c, shadow.den))
+        for i, m in (top - Counter(idx)).items():
+            cofactor = cofactor * forms[i] ** m
+        P = P + cofactor
+    pair = build_RS(n, s)
+    assert P * pair.S == Q * pair.R
+    # and the chamber of the positive-step forms is the finiteness predicate
+    for alpha in itertools.product(range(-3, 4), repeat=n):
+        assert (shadow(shifted(alpha)) is None) == (not is_norm_finite(alpha, n, s))
+
+
 # -- differential properties ---------------------------------------------------
 
 
 @st.composite
-def spec_and_beta(draw):
-    n = draw(st.integers(2, 4))
+def spec_and_beta(draw, max_n=4, max_k=7, low=-2, high=8):
+    n = draw(st.integers(2, max_n))
     s = draw(st.integers(1, n - 1))
     if draw(st.booleans()):
         mags = [1] * n
     else:
-        mags = draw(st.lists(st.integers(1, 7), min_size=n, max_size=n).filter(lambda m: math.gcd(*m) == 1))
+        mags = draw(st.lists(st.integers(1, max_k), min_size=n, max_size=n).filter(lambda m: math.gcd(*m) == 1))
     k = tuple(mags[:s]) + tuple(-m for m in mags[s:])
-    beta = tuple(draw(st.lists(st.integers(-2, 8), min_size=n, max_size=n)))
+    beta = tuple(draw(st.lists(st.integers(low, high), min_size=n, max_size=n)))
     return normalize_spec(k), beta
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec_and_beta(max_n=5, max_k=9, low=-3, high=8))
+def test_parametric_value_equals_the_per_point_integral(case):
+    spec, beta = case
+    assert ParametricShadow(spec)(beta) == shadow_integral_exact(beta, spec)
 
 
 @settings(max_examples=300, deadline=None)
