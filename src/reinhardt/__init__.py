@@ -8,15 +8,7 @@ shadow integrals, annihilating operators, branch sums, and Monte-Carlo.
 """
 
 from .counting import coefficient_C, index_set, pair_count, pair_count_bruteforce
-from .domains import (
-    DomainSpec,
-    NormValue,
-    domain_contains,
-    lcm_data,
-    model_spec,
-    normalize_spec,
-    shadow_contains,
-)
+from .domains import DomainSpec, NormValue, lcm_data, model_spec, normalize_spec
 from .exact import (
     DivergentIntegral,
     FracExpSum,
@@ -35,13 +27,11 @@ from .kernels import (
 )
 from .norms import RSPair, build_RS, is_norm_finite, monomial_norm_model
 from .sampling import (
-    DivergenceProbe,
     McNormEstimate,
     ReproducingCheck,
     bell_residuals,
     check_bell_identity,
     check_reproducing,
-    mc_divergence_probe,
     mc_norm_estimate,
 )
 from .series import (
@@ -58,7 +48,6 @@ from .verify import run_suites
 __version__ = "0.1.0"
 
 __all__ = [
-    "DivergenceProbe",
     "DivergentIntegral",
     "DomainSpec",
     "FracExpSum",
@@ -78,7 +67,6 @@ __all__ = [
     "check_bell_identity",
     "check_reproducing",
     "coefficient_C",
-    "domain_contains",
     "expand_closed_form",
     "index_set",
     "integrate_one_var",
@@ -88,7 +76,6 @@ __all__ = [
     "kernel_signature_one",
     "kernel_thin_hartogs",
     "lcm_data",
-    "mc_divergence_probe",
     "mc_norm_estimate",
     "model_spec",
     "monomial_norm_model",
@@ -100,7 +87,6 @@ __all__ = [
     "run_suites",
     "series_coefficients_model",
     "series_coefficients_oracle",
-    "shadow_contains",
     "shadow_integral_exact",
     "slice_coefficients",
 ]

@@ -4,7 +4,8 @@ Four subcommands, exit codes 0 (success), 1 (verification failure),
 2 (usage or domain error — argparse's own convention):
 
 * ``kernel --k 1,-2 [--format plain|latex|json]`` — the closed-form kernel
-  of a signature-one domain.
+  of a signature-one domain, printed in normalized coordinates: ``t1`` is
+  the positive entry of ``k``, then the negative entries in input order.
 * ``norm --k 1,-1 --alpha 0,0 [--oracle exact|mc]`` — a monomial norm, via
   exact shadow integration or seeded Monte-Carlo; an infinite norm prints
   ``infinite`` on both routes, without sampling.
@@ -13,6 +14,10 @@ Four subcommands, exit codes 0 (success), 1 (verification failure),
   (``alpha_1,...,alpha_n,coefficient``), zeros included, no header.
 * ``verify --suite all [--seed N] [--report out.json]`` — named
   verification suites with a pass/fail report.
+
+``--alpha``, ``--box`` and the exponents that ``series`` prints follow the
+caller's order of ``--k``; they are moved into normalized order (positive
+entries first) for the computation and back for the output.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import sys
 from typing import Sequence
 
 from .domains import DomainSpec, NormValue, normalize_spec
-from .exact import DivergentIntegral
+from .exact import DivergentIntegral, LaurentChunk
 from .kernels import kernel_signature_one
 from .sampling import mc_norm_estimate
 from .series import expand_closed_form, series_coefficients_model, series_coefficients_oracle
@@ -67,6 +72,19 @@ def _spec_or_exit(entries: tuple[int, ...]) -> DomainSpec:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _normalized(spec: DomainSpec, values: Sequence) -> tuple:
+    """Per-coordinate values in the caller's order of ``--k``, put in normalized order."""
+    return tuple(values[p] for p in spec.permutation)
+
+
+def _in_caller_order(spec: DomainSpec, values: Sequence) -> tuple:
+    """The inverse of :func:`_normalized`."""
+    out = [None] * spec.n
+    for i, p in enumerate(spec.permutation):
+        out[p] = values[i]
+    return tuple(out)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -126,11 +144,12 @@ def _cmd_norm(args) -> int:
     if len(args.alpha) != spec.n:
         print(f"error: --alpha needs {spec.n} entries for {spec}", file=sys.stderr)
         return 2
+    alpha = _normalized(spec, args.alpha)
     if args.oracle == "exact":
-        print(monomial_norm_oracle(args.alpha, spec))
+        print(monomial_norm_oracle(alpha, spec))
         return 0
     try:
-        result = mc_norm_estimate(args.alpha, spec, args.samples, args.seed)
+        result = mc_norm_estimate(alpha, spec, args.samples, args.seed)
     except DivergentIntegral:
         print(NormValue.infinite())
         return 0
@@ -152,12 +171,18 @@ def _cmd_series(args) -> int:
     if any(lo > hi for lo, hi in args.box):
         print("error: box ranges must satisfy lo <= hi", file=sys.stderr)
         return 2
+    box = _normalized(spec, args.box)
     if spec.s == 1:
-        chunk = expand_closed_form(kernel_signature_one(spec), args.box)
+        chunk = expand_closed_form(kernel_signature_one(spec), box)
     elif spec.is_model:
-        chunk = series_coefficients_model(spec.n, spec.s, args.box)
+        chunk = series_coefficients_model(spec.n, spec.s, box)
     else:
-        chunk = series_coefficients_oracle(spec, args.box)
+        chunk = series_coefficients_oracle(spec, box)
+    if spec.permutation != tuple(range(spec.n)):
+        chunk = LaurentChunk(
+            _in_caller_order(spec, chunk.box),
+            {_in_caller_order(spec, alpha): c for alpha, c in chunk.terms.items()},
+        )
     if args.format == "csv":
         for row in chunk.csv_rows():
             print(row)

@@ -22,8 +22,10 @@ from :func:`lcm_data`.
 The *shadow* of ``H(k)`` is its image under ``z -> (|z_1|^2, ..., |z_n|^2)``
 intersected with the open unit cube: the set of ``t in (0,1)^n`` with
 ``prod(t_a^{k_a}, a <= s) < prod(t_b^{|k_b|}, b > s)``.  Integrals over the
-domain reduce to integrals over the shadow, which is why membership tests
-for both live together here.
+domain reduce to integrals over the shadow (:mod:`reinhardt.shadow`), and
+the Monte-Carlo sampler draws from it (:mod:`reinhardt.sampling`).
+
+:class:`NormValue` is the exact result type of every monomial norm.
 """
 
 from __future__ import annotations
@@ -52,12 +54,13 @@ class DomainSpec:
     Instances should be built through :func:`normalize_spec`, which sorts
     the positive entries ahead of the negative ones and divides out the
     gcd; the constructor enforces that the data is already in this shape.
+    The signature ``s`` is the number of positive entries of ``k``.
     ``permutation[i]`` records which position of the caller's original
     vector ended up at normalized position ``i``.
     """
 
     k: tuple[int, ...]
-    s: int
+    s: int = field(init=False)
     permutation: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
@@ -69,8 +72,7 @@ class DomainSpec:
         s = sum(1 for e in k if e > 0)
         if s == 0 or s == len(k):
             raise ValueError("exponents must mix signs (at least one positive and one negative)")
-        if s != self.s:
-            raise ValueError(f"signature field {self.s} disagrees with entries {k}")
+        object.__setattr__(self, "s", s)
         if any(e <= 0 for e in k[:s]) or any(e >= 0 for e in k[s:]):
             raise ValueError("normalized exponents must list positive entries first")
         if math.gcd(*[abs(e) for e in k]) != 1:
@@ -120,14 +122,13 @@ def normalize_spec(entries: Sequence[int]) -> DomainSpec:
     g = math.gcd(*[abs(e) for _, e in ordered])
     return DomainSpec(
         k=tuple(e // g for _, e in ordered),
-        s=len(positives),
         permutation=tuple(i for i, _ in ordered),
     )
 
 
 def model_spec(n: int, s: int) -> DomainSpec:
     """The model domain Omega(n, s) as a spec: s entries +1, then n-s entries -1."""
-    return DomainSpec(k=(1,) * s + (-1,) * (n - s), s=s)
+    return DomainSpec(k=(1,) * s + (-1,) * (n - s))
 
 
 def lcm_data(spec: DomainSpec) -> tuple[int, tuple[int, ...], int]:
@@ -143,41 +144,6 @@ def lcm_data(spec: DomainSpec) -> tuple[int, tuple[int, ...], int]:
     ell = tuple(K // a for a in abs_k)
     L = math.prod(ell)
     return K, ell, L
-
-
-def shadow_contains(spec: DomainSpec, t: Sequence) -> bool:
-    """Whether ``t`` lies strictly inside the shadow of ``H(k)``.
-
-    Works for exact inputs (ints/Fractions compare exactly) as well as
-    floats.  The shadow is open: boundary points return False.
-    """
-    if len(t) != spec.n:
-        raise ValueError(f"point has length {len(t)}, expected {spec.n}")
-    if not all(0 < ti < 1 for ti in t):
-        return False
-    s = spec.s
-    lhs = math.prod((t[a] ** spec.k[a] for a in range(s)), start=Fraction(1) if _exact(t) else 1.0)
-    rhs = math.prod((t[b] ** abs(spec.k[b]) for b in range(s, spec.n)), start=Fraction(1) if _exact(t) else 1.0)
-    return lhs < rhs
-
-
-def _exact(point: Sequence) -> bool:
-    return all(isinstance(x, (int, Fraction)) for x in point)
-
-
-def domain_contains(spec: DomainSpec, z: Sequence[complex]) -> bool:
-    """Whether ``z`` lies in ``H(k)`` (open; negative-block coordinates nonzero)."""
-    if len(z) != spec.n:
-        raise ValueError(f"point has length {len(z)}, expected {spec.n}")
-    moduli = [abs(zi) for zi in z]
-    if any(m >= 1.0 for m in moduli):
-        return False
-    s = spec.s
-    if any(moduli[b] == 0.0 for b in range(s, spec.n)):
-        return False
-    lhs = math.prod(moduli[a] ** spec.k[a] for a in range(s))
-    rhs = math.prod(moduli[b] ** abs(spec.k[b]) for b in range(s, spec.n))
-    return lhs < rhs
 
 
 class NormValue:

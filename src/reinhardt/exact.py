@@ -557,13 +557,12 @@ class FracExpSum:
         return FracExpSum._on_lattice(self.nvars, den, terms)
 
 
-def integrate_one_var(f: FracExpSum, var: int, lower, upper=None) -> FracExpSum:
-    """Definite integral of ``f`` in ``t_var`` between monomial bounds.
+def integrate_one_var(f: FracExpSum, var: int, lower) -> FracExpSum:
+    """Definite integral of ``f`` in ``t_var`` from a monomial bound up to 1.
 
-    ``lower`` and ``upper`` are exponent vectors describing monomials in
-    the *other* variables (the all-zero vector is the constant 1, the
-    default upper bound); ``lower`` may also be ``None`` / ``0`` for a zero
-    lower bound.  The result no longer depends on ``t_var``.
+    ``lower`` is an exponent vector describing a monomial in the *other*
+    variables, or ``None`` for a zero lower bound.  The result no longer
+    depends on ``t_var``.
 
     Raises :class:`DivergentIntegral` when the lower bound is 0 and the
     integrand carries a term with exponent <= -1 in ``t_var`` (after like
@@ -571,12 +570,8 @@ def integrate_one_var(f: FracExpSum, var: int, lower, upper=None) -> FracExpSum:
     """
     if not 0 <= var < f.nvars:
         raise ValueError(f"variable index {var} out of range")
-    if isinstance(lower, int) and lower == 0:
-        lower = None
-    if upper is None or (isinstance(upper, int) and upper == 1):
-        upper = (0,) * f.nvars
     F = f.antiderivative(var)
-    top = F.substitute_monomial(var, upper)
+    top = F.substitute_monomial(var, (0,) * f.nvars)
     if lower is None:
         bottom = F.limit_at_zero(var)
     else:
@@ -595,28 +590,19 @@ class LaurentChunk:
     ``box`` is a tuple of inclusive ``(lo, hi)`` ranges, one per variable.
     Inside the box every coefficient is known exactly (absent means zero);
     outside it nothing is known, and :meth:`coefficient` refuses to guess.
-    ``pi_power`` tags an overall ``1/pi**pi_power`` prefactor so kernel
-    coefficient tables stay rational.
+    The window holds kernel coefficients of ``H(k)`` in ``n`` variables, so
+    an overall ``1/pi**n`` prefactor keeps the table rational:
+    :attr:`pi_power` is :attr:`nvars`, the length of the box.
     """
 
-    __slots__ = ("nvars", "box", "terms", "pi_power")
+    __slots__ = ("box", "terms")
 
-    def __init__(
-        self,
-        nvars: int,
-        box: Sequence[tuple[int, int]],
-        terms: Mapping[tuple[int, ...], Fraction] | None = None,
-        pi_power: int = 0,
-    ):
-        self.nvars = int(nvars)
+    def __init__(self, box: Sequence[tuple[int, int]], terms: Mapping[tuple[int, ...], Fraction] | None = None):
         box = tuple((int(lo), int(hi)) for lo, hi in box)
-        if len(box) != self.nvars:
-            raise ValueError("box length disagrees with nvars")
         for lo, hi in box:
             if lo > hi:
                 raise ValueError(f"empty box range ({lo}, {hi})")
         self.box = box
-        self.pi_power = int(pi_power)
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for exps, coef in terms.items():
@@ -627,6 +613,14 @@ class LaurentChunk:
                 if c:
                     clean[exps] = c
         self.terms = clean
+
+    @property
+    def nvars(self) -> int:
+        return len(self.box)
+
+    @property
+    def pi_power(self) -> int:
+        return self.nvars
 
     def _inside(self, exps: tuple[int, ...]) -> bool:
         return all(lo <= e <= hi for e, (lo, hi) in zip(exps, self.box))
@@ -646,12 +640,7 @@ class LaurentChunk:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentChunk):
             return NotImplemented
-        return (
-            self.nvars == other.nvars
-            and self.box == other.box
-            and self.pi_power == other.pi_power
-            and self.terms == other.terms
-        )
+        return self.box == other.box and self.terms == other.terms
 
     def shifted(self, delta: Sequence[int]) -> "LaurentChunk":
         """Multiply by the monomial ``x**delta``: window and exponents translate."""
@@ -660,7 +649,7 @@ class LaurentChunk:
             raise ValueError("shift length disagrees with nvars")
         box = tuple((lo + d, hi + d) for (lo, hi), d in zip(self.box, delta))
         terms = {tuple(e + d for e, d in zip(exps, delta)): coef for exps, coef in self.terms.items()}
-        return LaurentChunk(self.nvars, box, terms, self.pi_power)
+        return LaurentChunk(box, terms)
 
     # -- serialization -------------------------------------------------------
 
@@ -681,7 +670,4 @@ class LaurentChunk:
         }
 
     def __repr__(self) -> str:
-        return (
-            f"LaurentChunk(nvars={self.nvars}, box={self.box}, "
-            f"{len(self.terms)} nonzero, pi_power={self.pi_power})"
-        )
+        return f"LaurentChunk(box={self.box}, {len(self.terms)} nonzero)"

@@ -9,9 +9,10 @@ rational function of the pairings ``t_a = z_a * conj(w_a)``:
 
 with lcm data ``(K, ell, L)``, coefficients ``C`` from
 :mod:`reinhardt.counting`, and support box ``G``.  :class:`RationalKernel`
-stores the pieces exactly: a rational scalar, a power of pi, the numerator
-polynomial, the squared "main" denominator (described by the exponents
-``k_1`` and ``|k_b|``), and the squared unit factors ``(1 - t_b)``.
+stores only what ``k`` does not fix: the spec, a rational scalar and the
+numerator polynomial.  The power ``n`` of pi, the squared "main"
+denominator (exponents ``k_1`` and ``|k_b|``) and the squared unit factors
+``(1 - t_b)`` are read from the spec.
 
 Two kernels are equal when their canonical forms match: the content of the
 numerator is folded into the scalar, so the general construction at
@@ -27,7 +28,7 @@ that agreement with :func:`kernel_signature_one` is a real cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -43,32 +44,32 @@ class SingularEvaluation(ArithmeticError):
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 
+#: Evaluations whose denominator is below this multiple of the numerator's
+#: scale raise :class:`SingularEvaluation`.
+SINGULAR_GUARD = 1e-12
+
+
 def _sup(e: int) -> str:
     return str(e).translate(_SUPERSCRIPTS) if e != 1 else ""
 
 
 @dataclass(frozen=True, eq=False)
 class RationalKernel:
-    """An exact rational Bergman kernel in the pairings ``t_a = z_a conj(w_a)``."""
+    """An exact rational Bergman kernel in the pairings ``t_a = z_a conj(w_a)``.
+
+    ``scalar / pi**n * numerator`` over the denominator that the
+    signature-one ``spec`` fixes (see the module docstring).
+    """
 
     spec: DomainSpec
     scalar: Fraction
-    pi_power: int
     numerator: SparsePoly
-    main_k1: int
-    main_kb: tuple[int, ...]
-    unit_factors: tuple[tuple[int, int], ...] = field(default=())
-    # unit_factors lists (variable index, multiplicity) for factors (1 - t_var)^mult
 
     def __post_init__(self) -> None:
+        if self.spec.s != 1:
+            raise ValueError(f"{self.spec} has signature {self.spec.s}; closed-form kernels need signature 1")
         if self.numerator.nvars != self.spec.n:
             raise ValueError("numerator variable count disagrees with the spec")
-        if len(self.main_kb) != self.spec.n - 1:
-            raise ValueError("main denominator needs one exponent per negative variable")
-        if not self.unit_factors:
-            object.__setattr__(
-                self, "unit_factors", tuple((b, 2) for b in range(1, self.spec.n))
-            )
         if self.scalar <= 0 or self.numerator.is_zero():
             raise ValueError("kernels have positive scalar and nonzero numerator")
 
@@ -81,63 +82,48 @@ class RationalKernel:
     def canonical(self) -> "RationalKernel":
         """Fold the numerator's content into the scalar and reduce."""
         content = self.numerator.content()
-        return RationalKernel(
-            spec=self.spec,
-            scalar=self.scalar * content,
-            pi_power=self.pi_power,
-            numerator=self.numerator * (1 / content),
-            main_k1=self.main_k1,
-            main_kb=self.main_kb,
-            unit_factors=self.unit_factors,
-        )
+        return RationalKernel(self.spec, self.scalar * content, self.numerator * (1 / content))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalKernel):
             return NotImplemented
         a, b = self.canonical(), other.canonical()
-        return (
-            a.spec.k == b.spec.k
-            and a.scalar == b.scalar
-            and a.pi_power == b.pi_power
-            and a.numerator == b.numerator
-            and a.main_k1 == b.main_k1
-            and a.main_kb == b.main_kb
-            and a.unit_factors == b.unit_factors
-        )
+        return a.spec.k == b.spec.k and a.scalar == b.scalar and a.numerator == b.numerator
 
     # -- evaluation -----------------------------------------------------------
 
-    def evaluate_pairings(self, t: Sequence[complex], guard: float = 1e-12) -> complex:
+    def evaluate_pairings(self, t: Sequence[complex]) -> complex:
         """Evaluate at given pairings ``t``; exact structure, float arithmetic.
 
         Raises :class:`SingularEvaluation` when the denominator is smaller
-        than ``guard`` times the scale of the evaluation (singular set:
-        the main surface ``prod t_b^{|k_b|} = t_1^{k_1}`` and the unit
-        hyperplanes ``t_b = 1``).
+        than :data:`SINGULAR_GUARD` times the scale of the evaluation
+        (singular set: the main surface ``prod t_b^{|k_b|} = t_1^{k_1}`` and
+        the unit hyperplanes ``t_b = 1``).
         """
         if len(t) != self.n:
             raise ValueError(f"need {self.n} pairings, got {len(t)}")
+        abs_k = self.spec.abs_k
         num = float(self.scalar) * self.numerator.evaluate(list(t))
         main = 1.0
-        for b, kb in zip(range(1, self.n), self.main_kb):
-            main *= t[b] ** kb
-        main -= t[0] ** self.main_k1
+        for b in range(1, self.n):
+            main *= t[b] ** abs_k[b]
+        main -= t[0] ** abs_k[0]
         den = main * main
-        for b, mult in self.unit_factors:
-            den *= (1.0 - t[b]) ** mult
+        for b in range(1, self.n):
+            den *= (1.0 - t[b]) ** 2
         scale = max(1.0, abs(num))
-        if abs(den) < guard * scale:
+        if abs(den) < SINGULAR_GUARD * scale:
             raise SingularEvaluation(
-                f"denominator {abs(den):.3e} below guard {guard:.0e} * {scale:.3e}"
+                f"denominator {abs(den):.3e} below guard {SINGULAR_GUARD:.0e} * {scale:.3e}"
             )
-        return num / den / math.pi ** self.pi_power
+        return num / den / math.pi ** self.n
 
-    def evaluate(self, z: Sequence[complex], w: Sequence[complex], guard: float = 1e-12) -> complex:
+    def evaluate(self, z: Sequence[complex], w: Sequence[complex]) -> complex:
         """The kernel at ``(z, w)``: holomorphic in ``z``, conjugate in ``w``."""
         if len(z) != self.n or len(w) != self.n:
             raise ValueError(f"points must have length {self.n}")
         t = [zi * complex(wi).conjugate() for zi, wi in zip(z, w)]
-        return self.evaluate_pairings(t, guard)
+        return self.evaluate_pairings(t)
 
     # -- emitters -------------------------------------------------------------
 
@@ -154,10 +140,9 @@ class RationalKernel:
         return parts
 
     def _main_strs(self, var, power) -> tuple[str, str]:
-        lead = " ".join(
-            f"{var(b)}{power(kb)}" for b, kb in zip(range(1, self.n), self.main_kb)
-        )
-        return lead, f"{var(0)}{power(self.main_k1)}"
+        abs_k = self.spec.abs_k
+        lead = " ".join(f"{var(b)}{power(abs_k[b])}" for b in range(1, self.n))
+        return lead, f"{var(0)}{power(abs_k[0])}"
 
     def to_plain(self) -> str:
         """Human-readable one-liner, e.g. ``1/π² · t2 / ((t2 − t1)² (1 − t2)²)``."""
@@ -167,7 +152,7 @@ class RationalKernel:
         num = " + ".join(kernel._num_terms_str(str, mono, " "))
         if len(kernel.numerator.terms) > 1:
             num = f"({num})"
-        pi = f"π{_sup(kernel.pi_power)}"
+        pi = f"π{_sup(kernel.n)}"
         if kernel.scalar == 1:
             scalar = f"1/{pi}"
         elif kernel.scalar.numerator == 1:
@@ -176,8 +161,8 @@ class RationalKernel:
             scalar = f"{kernel.scalar.numerator}/({kernel.scalar.denominator}{pi})"
         lead, sub = kernel._main_strs(var, _sup)
         den_parts = [f"({lead} − {sub})²"]
-        for b, mult in kernel.unit_factors:
-            den_parts.append(f"(1 − {var(b)}){_sup(mult)}")
+        for b in range(1, kernel.n):
+            den_parts.append(f"(1 − {var(b)})²")
         return f"{scalar} · {num} / ({' '.join(den_parts)})"
 
     def to_latex(self) -> str:
@@ -193,13 +178,13 @@ class RationalKernel:
         num = " + ".join(kernel._num_terms_str(frac, mono, "\\, "))
         lead, sub = kernel._main_strs(var, power)
         den = [f"\\left({lead} - {sub}\\right)^{{2}}"]
-        for b, mult in kernel.unit_factors:
-            den.append(f"\\left(1 - {var(b)}\\right)^{{{mult}}}")
+        for b in range(1, kernel.n):
+            den.append(f"\\left(1 - {var(b)}\\right)^{{2}}")
         scalar_den = "" if kernel.scalar.denominator == 1 else f"{kernel.scalar.denominator}\\,"
         if kernel.scalar.numerator != 1:
             num = f"{kernel.scalar.numerator}\\,\\left({num}\\right)"
         return (
-            f"\\frac{{{num}}}{{{scalar_den}\\pi^{{{kernel.pi_power}}}\\,"
+            f"\\frac{{{num}}}{{{scalar_den}\\pi^{{{kernel.n}}}\\,"
             + "\\,".join(den)
             + "}"
         )
@@ -208,15 +193,15 @@ class RationalKernel:
         """Exact machine-readable form (coefficients as rational strings)."""
         kernel = self.canonical()
         return {
-            "pi_power": kernel.pi_power,
+            "pi_power": kernel.n,
             "L": kernel.scalar.denominator,
             "scalar_num": kernel.scalar.numerator,
             "numerator": [
                 {"exp": list(exps), "coef": str(coef)}
                 for exps, coef in kernel.numerator.sorted_terms()
             ],
-            "denom_main": {"k1": kernel.main_k1, "kb": list(kernel.main_kb)},
-            "denom_units": [{"var": b + 1, "mult": mult} for b, mult in kernel.unit_factors],
+            "denom_main": {"k1": kernel.spec.k[0], "kb": list(kernel.spec.abs_k[1:])},
+            "denom_units": [{"var": b + 1, "mult": 2} for b in range(1, kernel.n)],
         }
 
     def __repr__(self) -> str:
@@ -241,14 +226,7 @@ def kernel_signature_one(spec: DomainSpec) -> RationalKernel:
         c = coefficient_C(beta, spec)
         if c:
             terms[beta] = Fraction(c)
-    return RationalKernel(
-        spec=spec,
-        scalar=Fraction(1, L),
-        pi_power=n,
-        numerator=SparsePoly(n, terms),
-        main_k1=spec.k[0],
-        main_kb=tuple(abs(e) for e in spec.k[1:]),
-    )
+    return RationalKernel(spec, Fraction(1, L), SparsePoly(n, terms))
 
 
 def kernel_model_sig1(n: int) -> RationalKernel:
@@ -260,14 +238,7 @@ def kernel_model_sig1(n: int) -> RationalKernel:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    return RationalKernel(
-        spec=model_spec(n, 1),
-        scalar=Fraction(1),
-        pi_power=n,
-        numerator=SparsePoly.monomial(n, (0,) + (1,) * (n - 1)),
-        main_k1=1,
-        main_kb=(1,) * (n - 1),
-    )
+    return RationalKernel(model_spec(n, 1), Fraction(1), SparsePoly.monomial(n, (0,) + (1,) * (n - 1)))
 
 
 def kernel_fat_hartogs(k: int) -> RationalKernel:
@@ -278,14 +249,7 @@ def kernel_fat_hartogs(k: int) -> RationalKernel:
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    return RationalKernel(
-        spec=normalize_spec((1, -k)),
-        scalar=Fraction(1),
-        pi_power=2,
-        numerator=SparsePoly.monomial(2, (0, k)),
-        main_k1=1,
-        main_kb=(k,),
-    )
+    return RationalKernel(normalize_spec((1, -k)), Fraction(1), SparsePoly.monomial(2, (0, k)))
 
 
 def kernel_thin_hartogs(k: int) -> RationalKernel:
@@ -313,11 +277,4 @@ def kernel_thin_hartogs(k: int) -> RationalKernel:
         add(l - 1, 1, l * l)
         add(k + l - 1, 1, (k - l) * (k - l))
         add(l - 1, 2, l * (k - l))
-    return RationalKernel(
-        spec=normalize_spec((k, -1)),
-        scalar=Fraction(1, k),
-        pi_power=2,
-        numerator=SparsePoly(2, terms),
-        main_k1=k,
-        main_kb=(1,),
-    )
+    return RationalKernel(normalize_spec((k, -1)), Fraction(1, k), SparsePoly(2, terms))

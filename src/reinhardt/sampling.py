@@ -1,9 +1,9 @@
 """Monte-Carlo verification: norms, the reproducing property, branch sums.
 
 All randomness flows through numpy's counter-based Philox generator, keyed
-by ``SeedSequence(seed, spawn_key=(stream,))``: runs are bit-for-bit
-reproducible for a fixed ``(seed, samples)`` pair, independent streams are
-cheap, and nothing depends on global RNG state.
+by ``SeedSequence(seed, spawn_key=(0,))``: runs are bit-for-bit
+reproducible for a fixed ``(seed, samples)`` pair, and nothing depends on
+global RNG state.
 
 Sampling uses the polar factorization of Reinhardt domains: drawing
 ``t`` uniformly on the unit cube, keeping the shadow inequality, and
@@ -14,7 +14,9 @@ exp(i theta_j)`` uniform on ``H(k)``; for any integrand ``f``,
 
 since the cube has volume 1 and each polar fiber contributes ``pi**n``.
 Estimates report a standard error from the same sample, so consumers can
-apply z-score tolerances.
+apply z-score tolerances.  A norm that the exact oracle finds infinite is
+refused before sampling, because the sample mean of a divergent integral is
+still a finite number.
 
 Two identity checks live here because only numerics can see them whole:
 
@@ -47,7 +49,7 @@ import numpy as np
 
 from .domains import DomainSpec, lcm_data, model_spec
 from .exact import DivergentIntegral
-from .kernels import RationalKernel, kernel_model_sig1, kernel_signature_one
+from .kernels import SINGULAR_GUARD, RationalKernel, kernel_model_sig1, kernel_signature_one
 from .shadow import monomial_norm_oracle
 
 _CHUNK = 1 << 20
@@ -56,9 +58,9 @@ _CHUNK = 1 << 20
 _MAX_DRAWS = 10_000
 
 
-def generator(seed: int, stream: int = 0) -> np.random.Generator:
-    """A Philox generator on an independent stream of the given seed."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(stream,))))
+def generator(seed: int) -> np.random.Generator:
+    """The Philox generator of the given seed."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,))))
 
 
 def _shadow_mask(spec: DomainSpec, t: np.ndarray) -> np.ndarray:
@@ -79,9 +81,7 @@ class McNormEstimate:
     seed: int
 
 
-def mc_norm_estimate(
-    alpha: Sequence[int], spec: DomainSpec, samples: int, seed: int, stream: int = 0
-) -> McNormEstimate:
+def mc_norm_estimate(alpha: Sequence[int], spec: DomainSpec, samples: int, seed: int) -> McNormEstimate:
     """Monte-Carlo estimate of ``||z**alpha||^2`` on ``H(k)`` with its standard error.
 
     The exact oracle is asked first: an infinite norm raises
@@ -90,19 +90,10 @@ def mc_norm_estimate(
     """
     if not monomial_norm_oracle(alpha, spec).finite:
         raise DivergentIntegral(f"||z**{tuple(alpha)}||^2 is infinite on {spec}; there is nothing to estimate")
-    return _sample_norm(alpha, spec, samples, seed, stream)
-
-
-def _sample_norm(
-    alpha: Sequence[int], spec: DomainSpec, samples: int, seed: int, stream: int
-) -> McNormEstimate:
-    """The Monte-Carlo mean of ``pi**n * t**alpha`` over the shadow, finite norm or not."""
-    n = spec.n
-    if len(alpha) != n:
-        raise ValueError(f"alpha has length {len(alpha)}, expected {n}")
     if samples < 2:
         raise ValueError("need at least two samples")
-    rng = generator(seed, stream)
+    n = spec.n
+    rng = generator(seed)
     a = np.array(alpha, dtype=np.float64)
     total = 0.0
     total_sq = 0.0
@@ -133,40 +124,7 @@ def _sample_norm(
     )
 
 
-@dataclass(frozen=True)
-class DivergenceProbe:
-    estimates: tuple[float, ...]
-    flagged: bool
-
-
-def mc_divergence_probe(
-    alpha: Sequence[int],
-    spec: DomainSpec,
-    samples: int,
-    seed: int,
-    rungs: int = 4,
-    factor: int = 4,
-    growth: float = 1.25,
-) -> DivergenceProbe:
-    """Heuristic divergence flag: estimates on a geometric ladder of sizes.
-
-    A finite norm settles (estimates fluctuate around the value); an
-    infinite one climbs with the sample size, though heavy tails make the
-    climb ragged.  The flag fires when the top rung beats both the bottom
-    and the next-to-top rung by the ``growth`` factor — deterministic for a
-    fixed seed, and a heuristic by nature (hence the separate exact oracle).
-    """
-    estimates = tuple(
-        _sample_norm(alpha, spec, samples * factor ** i, seed, stream=i).estimate
-        for i in range(rungs)
-    )
-    flagged = estimates[-1] > growth * estimates[0] and estimates[-1] > growth * estimates[-2]
-    return DivergenceProbe(estimates=estimates, flagged=flagged)
-
-
-def kernel_values(
-    kernel: RationalKernel, z: Sequence[complex], W: np.ndarray, guard: float = 1e-12
-) -> tuple[np.ndarray, np.ndarray]:
+def kernel_values(kernel: RationalKernel, z: Sequence[complex], W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized kernel evaluation ``K(z, W_row)`` with a non-singular mask."""
     zc = np.asarray(z, dtype=np.complex128)
     T = zc[None, :] * np.conj(W)
@@ -178,18 +136,19 @@ def kernel_values(
                 term *= T[:, i] ** e
         num += term
     num *= float(kernel.scalar)
+    abs_k = kernel.spec.abs_k
     main = np.ones(len(W), dtype=np.complex128)
-    for b, kb in zip(range(1, kernel.n), kernel.main_kb):
-        main *= T[:, b] ** kb
-    main -= T[:, 0] ** kernel.main_k1
+    for b in range(1, kernel.n):
+        main *= T[:, b] ** abs_k[b]
+    main -= T[:, 0] ** abs_k[0]
     den = main * main
-    for b, mult in kernel.unit_factors:
-        den *= (1.0 - T[:, b]) ** mult
+    for b in range(1, kernel.n):
+        den *= (1.0 - T[:, b]) ** 2
     scale = np.maximum(1.0, np.abs(num))
-    ok = np.abs(den) >= guard * scale
+    ok = np.abs(den) >= SINGULAR_GUARD * scale
     values = np.zeros(len(W), dtype=np.complex128)
     np.divide(num, den, out=values, where=ok)
-    return values / math.pi ** kernel.pi_power, ok
+    return values / math.pi ** kernel.n, ok
 
 
 @dataclass(frozen=True)
@@ -209,8 +168,6 @@ def check_reproducing(
     z: Sequence[complex],
     samples: int,
     seed: int,
-    kernel: RationalKernel | None = None,
-    stream: int = 0,
 ) -> ReproducingCheck:
     """Monte-Carlo check of ``z**alpha = Integral w**alpha K(z, w) dV(w)``.
 
@@ -219,9 +176,8 @@ def check_reproducing(
     monomial at ``z``; the relative error compares against it.
     """
     n = spec.n
-    if kernel is None:
-        kernel = kernel_signature_one(spec)
-    rng = generator(seed, stream)
+    kernel = kernel_signature_one(spec)
+    rng = generator(seed)
     a = np.array(alpha, dtype=np.float64)
     reference = complex(np.prod(np.asarray(z, dtype=np.complex128) ** a))
     total = 0.0 + 0.0j

@@ -51,11 +51,9 @@ def expand_closed_form(kernel: RationalKernel, box: Sequence[tuple[int, int]]) -
     n = kernel.n
     if len(box) != n:
         raise ValueError(f"box needs {n} ranges")
-    if any(mult != 2 for _, mult in kernel.unit_factors):
-        raise ValueError("expansion assumes squared unit factors")
-    k1 = kernel.main_k1
-    kb = kernel.main_kb
-    chunk = LaurentChunk(n, box, pi_power=kernel.pi_power)
+    k1 = kernel.spec.k[0]
+    kb = kernel.spec.abs_k
+    chunk = LaurentChunk(box)
     terms: dict[tuple[int, ...], Fraction] = {}
     sorted_terms = kernel.numerator.sorted_terms()
     L = math.lcm(*(c.denominator for _, c in sorted_terms))
@@ -70,7 +68,7 @@ def expand_closed_form(kernel: RationalKernel, box: Sequence[tuple[int, int]]) -
             m = d // k1
             weight = c * (m + 1)
             for b in range(1, n):
-                p = alpha[b] - beta[b] + kb[b - 1] * (m + 2)
+                p = alpha[b] - beta[b] + kb[b] * (m + 2)
                 if p < 0:
                     break
                 weight *= p + 1
@@ -85,7 +83,7 @@ def expand_closed_form(kernel: RationalKernel, box: Sequence[tuple[int, int]]) -
 def series_coefficients_model(n: int, s: int, box: Sequence[tuple[int, int]]) -> LaurentChunk:
     """Kernel series coefficients of Omega(n, s) from the norm formula R/S."""
     pair = build_RS(n, s)
-    chunk = LaurentChunk(n, box, pi_power=n)
+    chunk = LaurentChunk(box)
     terms: dict[tuple[int, ...], Fraction] = {}
     for alpha in chunk.box_points():
         if not is_norm_finite(alpha, n, s):
@@ -109,7 +107,7 @@ def series_coefficients_oracle(spec: DomainSpec, box: Sequence[tuple[int, int]])
     (:class:`~reinhardt.shadow.ParametricShadow`) and evaluated at each
     box point.
     """
-    chunk = LaurentChunk(spec.n, box, pi_power=spec.n)
+    chunk = LaurentChunk(box)
     shadow_integral = ParametricShadow(spec)
     terms: dict[tuple[int, ...], Fraction] = {}
     for alpha in chunk.box_points():
@@ -136,13 +134,17 @@ def slice_coefficients(n: int, count: int) -> list[Fraction]:
     return [Fraction(j, (j + 1) ** (n - 1) - 1) for j in range(1, count + 1)]
 
 
-def rationality_diagnostic(values: Sequence, *, poly_margin: float = 10.0, exp_delta: float = 0.05) -> str:
+_POLY_MARGIN = 10.0
+_EXP_DELTA = 0.05
+
+
+def rationality_diagnostic(values: Sequence) -> str:
     """Classify a positive tail as polynomial or exponential decay.
 
     Looks at consecutive ratios ``r_j = a_{j+1}/a_j`` over the second half
-    of the sequence: ``|r_j - 1| < poly_margin / j`` for all of them votes
+    of the sequence: ``|r_j - 1| < _POLY_MARGIN / j`` for all of them votes
     ``"polynomial_decay"`` (ratios creeping up to 1 like rational functions
-    do), ``r_j < 1 - exp_delta`` votes ``"exponential_decay"`` (ratios
+    do), ``r_j < 1 - _EXP_DELTA`` votes ``"exponential_decay"`` (ratios
     pinned below 1), anything else is ``"inconclusive"``.
     """
     data = [float(v) for v in values]
@@ -152,9 +154,9 @@ def rationality_diagnostic(values: Sequence, *, poly_margin: float = 10.0, exp_d
     if any(v <= 0.0 for v in data[start - 1:]):
         return "inconclusive"
     ratios = [(j + 1, data[j + 1] / data[j]) for j in range(start, len(data) - 1)]
-    if all(abs(r - 1.0) < poly_margin / j for j, r in ratios):
+    if all(abs(r - 1.0) < _POLY_MARGIN / j for j, r in ratios):
         return "polynomial_decay"
-    if all(r < 1.0 - exp_delta for _, r in ratios):
+    if all(r < 1.0 - _EXP_DELTA for _, r in ratios):
         return "exponential_decay"
     return "inconclusive"
 
@@ -178,4 +180,4 @@ def apply_annihilating_operator(n: int, s: int, chunk: LaurentChunk) -> LaurentC
         value = coef * pair.R.evaluate(gamma)
         if value:
             terms[gamma] = value
-    return LaurentChunk(n, window.box, terms, chunk.pi_power)
+    return LaurentChunk(window.box, terms)

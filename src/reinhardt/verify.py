@@ -3,11 +3,12 @@
 Every closed form in the package is checked against an independent route:
 pair counts against brute enumeration, the model norm formula against
 exact shadow integration, kernel expansion against reciprocal norms, the
-special-case kernels against the general construction, the series against
-the annihilating operator, the kernel against its own reproducing property
-(Monte-Carlo), and the proper-map branch sum tying general domains to
-their models.  Each check is a function returning a :class:`CheckResult`
-with a human-readable detail line; the CLI groups them into suites:
+special-case kernels against the general construction, ``R`` and ``S``
+against the annihilating operator applied to the oracle series, the kernel
+against its own reproducing property (Monte-Carlo), and the proper-map
+branch sum tying general domains to their models.  Each check is a
+function returning a :class:`CheckResult` with a human-readable detail
+line; the CLI groups them into suites:
 
 * ``combinatorics``          — pair counts, numerator support pruning.
 * ``norms``                  — norms vs oracle, fold-in recursion, R structure.
@@ -36,7 +37,6 @@ from .series import (
     apply_annihilating_operator,
     expand_closed_form,
     rationality_diagnostic,
-    series_coefficients_model,
     series_coefficients_oracle,
     slice_coefficients,
 )
@@ -48,6 +48,7 @@ BELL_SPECS = ((2, -1), (3, -2), (2, -3))
 BELL_PAIRS = 20
 BELL_TOLERANCE = 1e-10
 CENTRAL_SPECS = ((1, -1), (1, -2), (2, -1), (2, -3), (1, -1, -1), (1, -2, -3))
+FOLD_IN_INSTANCES = 200
 REPRODUCING_EXPONENTS = ((0, 0), (0, 1), (1, -1))
 REPRODUCING_POINT = (0.2, 0.6)
 REPRODUCING_SAMPLES = 10 ** 6
@@ -171,11 +172,11 @@ def check_model_norms_vs_oracle() -> CheckResult:
     )
 
 
-def check_fold_in_recursion(seed: int = DEFAULT_SEED, instances: int = 200) -> CheckResult:
+def check_fold_in_recursion(seed: int = DEFAULT_SEED) -> CheckResult:
     rng = random.Random(seed)
     found = 0
     failures = 0
-    while found < instances:
+    while found < FOLD_IN_INSTANCES:
         n = rng.randint(2, 4)
         s = rng.randint(1, n)
         beta = [rng.randint(-5, 6) for _ in range(n)]
@@ -196,7 +197,7 @@ def check_fold_in_recursion(seed: int = DEFAULT_SEED, instances: int = 200) -> C
     return CheckResult(
         "fold-in-recursion",
         failures == 0,
-        f"{instances} random finite instances (n <= 4, entries in [-5, 6], fold-in != 0); "
+        f"{FOLD_IN_INSTANCES} random finite instances (n <= 4, entries in [-5, 6], fold-in != 0); "
         f"{failures} violations",
     )
 
@@ -278,24 +279,32 @@ def check_expansion_vs_oracle() -> CheckResult:
     )
 
 
+def _annihilator_failures(n: int, s: int, box: Sequence[tuple[int, int]]) -> tuple[int, list]:
+    """``(points, failures)`` of the annihilating operator on the oracle series of Omega(n, s).
+
+    The series comes from shadow integration, not from ``R/S``, so a wrong
+    ``R`` or ``S`` makes the flattened window miss ``S`` somewhere.
+    """
+    flattened = apply_annihilating_operator(n, s, series_coefficients_oracle(model_spec(n, s), box))
+    S = build_RS(n, s).S
+    failures = []
+    points = 0
+    for gamma in flattened.box_points():
+        points += 1
+        want = S.evaluate(gamma) if is_norm_finite([g - 1 for g in gamma], n, s) else 0
+        if flattened.terms.get(gamma, 0) != want:
+            failures.append((n, s, gamma))
+    return points, failures
+
+
 def check_annihilating_operator() -> CheckResult:
     failures = []
     points = 0
     for n in (2, 3, 4):
         for s in range(1, n):
-            box = [(-8, 8)] * n
-            series = series_coefficients_model(n, s, box)
-            flattened = apply_annihilating_operator(n, s, series)
-            S = build_RS(n, s).S
-            for gamma in flattened.box_points():
-                points += 1
-                want = (
-                    Fraction(S.evaluate(gamma))
-                    if is_norm_finite([g - 1 for g in gamma], n, s)
-                    else Fraction(0)
-                )
-                if flattened.coefficient(gamma) != want:
-                    failures.append((n, s, gamma))
+            found, wrong = _annihilator_failures(n, s, [(-8, 8)] * n)
+            points += found
+            failures.extend(wrong)
     return CheckResult(
         "annihilating-operator",
         not failures,
@@ -323,18 +332,16 @@ def check_branch_sums(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     return results
 
 
-def check_reproducing_monomials(
-    seed: int = DEFAULT_SEED, samples: int = REPRODUCING_SAMPLES
-) -> list[CheckResult]:
+def check_reproducing_monomials(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     spec = normalize_spec((1, -1))
     results = []
     for alpha in REPRODUCING_EXPONENTS:
-        r = check_reproducing(spec, alpha, REPRODUCING_POINT, samples, seed)
+        r = check_reproducing(spec, alpha, REPRODUCING_POINT, REPRODUCING_SAMPLES, seed)
         results.append(CheckResult(
             f"monomial-{alpha[0]}_{alpha[1]}",
             r.relative_error < REPRODUCING_TOLERANCE,
             f"relative error {r.relative_error:.4f} at z={REPRODUCING_POINT}, "
-            f"{samples} samples, {r.discarded} near-singular draws discarded "
+            f"{REPRODUCING_SAMPLES} samples, {r.discarded} near-singular draws discarded "
             f"(tolerance {REPRODUCING_TOLERANCE})",
         ))
     return results

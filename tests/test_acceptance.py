@@ -84,7 +84,7 @@ def test_criterion_08_reproducing_property():
         f"Monte-Carlo reproducing property within {REPRODUCING_TOLERANCE:.0%} "
         f"at {REPRODUCING_SAMPLES} samples, fixed seed"
     )
-    _report(8, label, check_reproducing_monomials(DEFAULT_SEED, REPRODUCING_SAMPLES))
+    _report(8, label, check_reproducing_monomials(DEFAULT_SEED))
 
 
 def test_criterion_09_decay_diagnostic():

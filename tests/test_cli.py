@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -127,6 +128,17 @@ def test_seed_must_be_a_non_negative_integer(capsys, command, seed):
     assert "Traceback" not in err
 
 
+def test_norm_follows_the_callers_coordinate_order(capsys):
+    # --k -1,1 is {|z2| < |z1|}: 1/z2 is not square-integrable there, 1/z1 is
+    assert run(capsys, "norm", "--k", "-1,1", "--alpha", "0,-1")[1] == "infinite\n"
+    assert run(capsys, "norm", "--k", "-1,1", "--alpha", "-1,0")[1] == "1 · π^2\n"
+    assert run(capsys, "norm", "--k", "-1,1", "--alpha", "0,-1", "--oracle", "mc")[1] == "infinite\n"
+    mc = ("--oracle", "mc", "--samples", "20000", "--seed", "7")
+    swapped = run(capsys, "norm", "--k", "-1,1", "--alpha", "-1,0", *mc)
+    assert swapped == run(capsys, "norm", "--k", "1,-1", "--alpha", "0,-1", *mc)
+    assert swapped[0] == 0 and "±" in swapped[1]
+
+
 def test_norm_alpha_length_mismatch(capsys):
     code, _, err = run(capsys, "norm", "--k", "1,-1", "--alpha", "0,0,0")
     assert code == 2
@@ -169,6 +181,40 @@ def test_series_oracle_route_for_general_signature_two(capsys):
     code, out, _ = run(capsys, "series", "--k", "2,3,-4", "--box", "0:0,0:0,0:0")
     assert code == 0
     assert out.strip() == "0,0,0,21/13"
+
+
+@pytest.mark.parametrize("k, box, perm", [
+    ("-1,2", "0:1,0:1", (1, 0)),  # closed form
+    ("-3,2,-1", "-1:1,0:2,-2:0", (1, 0, 2)),  # closed form, three variables
+    ("-1,1,1", "-1:0,0:1,0:2", (1, 2, 0)),  # model, signature two
+    ("-4,2,3", "0:0,0:1,-1:0", (1, 2, 0)),  # oracle, signature two
+])
+def test_series_follows_the_callers_coordinate_order(capsys, k, box, perm):
+    # the same domain with its entries listed in normalized order gives the
+    # same coefficients, relabelled; rows run over the caller's box in order
+    ranges = box.split(",")
+    normal_k = ",".join(k.split(",")[p] for p in perm)
+    normal_box = ",".join(ranges[p] for p in perm)
+
+    def table(out):
+        rows = [row.rsplit(",", 1) for row in out.strip().split("\n")]
+        return [(tuple(int(a) for a in alpha.split(",")), coef) for alpha, coef in rows]
+
+    code, out, _ = run(capsys, "series", "--k", k, "--box", box)
+    assert code == 0
+    caller = table(out)
+    bounds = [[int(x) for x in r.split(":")] for r in ranges]
+    assert [alpha for alpha, _ in caller] == list(itertools.product(*(range(lo, hi + 1) for lo, hi in bounds)))
+    normal = dict(table(run(capsys, "series", "--k", normal_k, "--box", normal_box)[1]))
+    assert {tuple(alpha[p] for p in perm): coef for alpha, coef in caller} == normal
+
+    payload = json.loads(run(capsys, "series", "--k", k, "--box", box, "--format", "json")[1])
+    assert payload["box"] == bounds
+    exps = [tuple(entry["exp"]) for entry in payload["coefficients"]]
+    assert exps == sorted(exps)
+    assert {exp: entry["coef"] for exp, entry in zip(exps, payload["coefficients"])} == {
+        alpha: coef for alpha, coef in caller if coef != "0"
+    }
 
 
 def test_series_box_validation(capsys):

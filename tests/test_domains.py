@@ -1,4 +1,4 @@
-"""Tests for exponent-vector normalization, lcm data, and membership."""
+"""Tests for exponent-vector normalization, lcm data, and norm values."""
 
 from __future__ import annotations
 
@@ -8,16 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from reinhardt.domains import (
-    DomainSpec,
-    NormValue,
-    domain_contains,
-    lcm_data,
-    model_spec,
-    normalize_spec,
-    shadow_contains,
-    shifted,
-)
+from reinhardt.domains import DomainSpec, NormValue, lcm_data, model_spec, normalize_spec, shifted
 
 mixed_vectors = st.lists(
     st.integers(min_value=-9, max_value=9).filter(lambda e: e != 0),
@@ -81,13 +72,11 @@ def test_normalize_ignores_positive_scaling(raw, c):
 
 def test_spec_constructor_enforces_normal_form():
     with pytest.raises(ValueError):
-        DomainSpec(k=(-1, 1), s=1)  # positives must come first
+        DomainSpec(k=(-1, 1))  # positives must come first
     with pytest.raises(ValueError):
-        DomainSpec(k=(2, -4), s=1)  # gcd 2
+        DomainSpec(k=(2, -4))  # gcd 2
     with pytest.raises(ValueError):
-        DomainSpec(k=(1, -1), s=2)  # signature disagrees
-    with pytest.raises(ValueError):
-        DomainSpec(k=(1, -1), s=1, permutation=(0, 0))
+        DomainSpec(k=(1, -1), permutation=(0, 0))
 
 
 def test_spec_str_and_properties():
@@ -129,48 +118,6 @@ def test_lcm_data_properties(raw):
     assert all(l * a == K for l, a in zip(ell, spec.abs_k))
     assert math.gcd(*ell) == 1
     assert L == math.prod(ell)
-
-
-# -- membership ---------------------------------------------------------------
-
-
-def test_shadow_contains_hartogs():
-    h = normalize_spec((1, -1))
-    assert shadow_contains(h, (Fraction(1, 4), Fraction(1, 2)))
-    assert not shadow_contains(h, (Fraction(1, 2), Fraction(1, 2)))  # boundary is out
-    assert not shadow_contains(h, (Fraction(3, 4), Fraction(1, 2)))
-    assert not shadow_contains(h, (Fraction(1, 4), Fraction(3, 2)))  # outside the cube
-    assert shadow_contains(h, (0.2, 0.9))
-
-
-def test_shadow_contains_is_exact_for_fractions():
-    # a gap of 1e-40 is invisible to floats but not to Fractions
-    h = normalize_spec((1, -1))
-    t1 = Fraction(1, 3)
-    t2 = t1 + Fraction(1, 10**40)
-    assert shadow_contains(h, (t1, t2))
-    assert not shadow_contains(h, (t2, t1))
-
-
-def test_shadow_contains_general_spec():
-    spec = normalize_spec((2, -3))
-    # t1**2 < t2**3
-    assert shadow_contains(spec, (Fraction(1, 10), Fraction(1, 2)))
-    assert not shadow_contains(spec, (Fraction(1, 2), Fraction(1, 10)))
-    with pytest.raises(ValueError):
-        shadow_contains(spec, (Fraction(1, 2),))
-
-
-def test_domain_contains():
-    h = normalize_spec((1, -1))
-    assert domain_contains(h, (0.1, 0.5))
-    assert domain_contains(h, (0.1j, -0.5))
-    assert domain_contains(h, (0.0, 0.5))  # zero is fine in the positive block
-    assert not domain_contains(h, (0.5, 0.1))
-    assert not domain_contains(h, (0.1, 0.0))  # negative-block coordinate must be nonzero
-    assert not domain_contains(h, (0.1, 1.0))
-    with pytest.raises(ValueError):
-        domain_contains(h, (0.1,))
 
 
 # -- NormValue ----------------------------------------------------------------

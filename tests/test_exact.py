@@ -402,7 +402,7 @@ def test_keys_are_int_tuples():
 
 
 def test_chunk_coefficient_and_window():
-    chunk = LaurentChunk(2, [(-2, 2), (0, 3)], {(-1, 2): Fraction(5)}, pi_power=2)
+    chunk = LaurentChunk([(-2, 2), (0, 3)], {(-1, 2): Fraction(5)})
     assert chunk.coefficient((-1, 2)) == 5
     assert chunk.coefficient((0, 0)) == 0  # inside the box, absent means zero
     with pytest.raises(OutsideWindow):
@@ -414,41 +414,37 @@ def test_chunk_coefficient_and_window():
 
 def test_chunk_constructor_validation():
     with pytest.raises(ValueError):
-        LaurentChunk(2, [(0, -1), (0, 0)])
+        LaurentChunk([(0, -1), (0, 0)])
     with pytest.raises(ValueError):
-        LaurentChunk(2, [(0, 1)])
-    with pytest.raises(ValueError):
-        LaurentChunk(1, [(0, 1)], {(5,): Fraction(1)})
+        LaurentChunk([(0, 1)], {(5,): Fraction(1)})
 
 
 def test_chunk_shift():
-    chunk = LaurentChunk(2, [(0, 2), (0, 2)], {(1, 1): Fraction(3)}, pi_power=1)
+    chunk = LaurentChunk([(0, 2), (0, 2)], {(1, 1): Fraction(3)})
     moved = chunk.shifted((1, -1))
     assert moved.box == ((1, 3), (-1, 1))
     assert moved.coefficient((2, 0)) == 3
-    assert moved.pi_power == 1
     assert moved.shifted((-1, 1)) == chunk
     with pytest.raises(ValueError):
         chunk.shifted((1,))
 
 
 def test_chunk_csv_rows():
-    chunk = LaurentChunk(2, [(0, 1), (-1, 0)], {(1, 0): Fraction(5, 2)})
+    chunk = LaurentChunk([(0, 1), (-1, 0)], {(1, 0): Fraction(5, 2)})
     rows = list(chunk.csv_rows())
     assert rows == ["0,-1,0", "0,0,0", "1,-1,0", "1,0,5/2"]
 
 
 def test_chunk_json_dict():
-    chunk = LaurentChunk(1, [(-1, 1)], {(-1,): Fraction(1, 3)}, pi_power=2)
+    chunk = LaurentChunk([(-1, 1), (0, 0)], {(-1, 0): Fraction(1, 3)})
     payload = chunk.to_json_dict()
-    assert payload["pi_power"] == 2
-    assert payload["box"] == [[-1, 1]]
-    assert payload["coefficients"] == [{"exp": [-1], "coef": "1/3"}]
+    assert payload["pi_power"] == 2  # the kernel prefactor 1/pi**n of a window in n variables
+    assert payload["box"] == [[-1, 1], [0, 0]]
+    assert payload["coefficients"] == [{"exp": [-1, 0], "coef": "1/3"}]
 
 
 def test_chunk_equality():
-    a = LaurentChunk(1, [(0, 1)], {(0,): Fraction(1)})
-    assert a == LaurentChunk(1, [(0, 1)], {(0,): 1, (1,): 0})  # zero coefficients are dropped
-    assert a != LaurentChunk(1, [(0, 1)], {(1,): Fraction(1)})
-    assert a != LaurentChunk(1, [(0, 2)], {(0,): Fraction(1)})
-    assert a != LaurentChunk(1, [(0, 1)], {(0,): Fraction(1)}, pi_power=1)
+    a = LaurentChunk([(0, 1)], {(0,): Fraction(1)})
+    assert a == LaurentChunk([(0, 1)], {(0,): 1, (1,): 0})  # zero coefficients are dropped
+    assert a != LaurentChunk([(0, 1)], {(1,): Fraction(1)})
+    assert a != LaurentChunk([(0, 2)], {(0,): Fraction(1)})

@@ -25,12 +25,9 @@ HARTOGS = normalize_spec((1, -1))
 
 def test_hartogs_kernel_shape():
     kernel = kernel_signature_one(HARTOGS).canonical()
+    assert kernel.spec == HARTOGS
     assert kernel.scalar == 1
-    assert kernel.pi_power == 2
     assert kernel.numerator == SparsePoly.monomial(2, (0, 1))
-    assert kernel.main_k1 == 1
-    assert kernel.main_kb == (1,)
-    assert kernel.unit_factors == ((1, 2),)
 
 
 def test_general_construction_matches_special_cases():
@@ -42,14 +39,7 @@ def test_general_construction_matches_special_cases():
 
 def test_canonical_folds_content_into_scalar():
     # scalar 1/2 with numerator 2 t2 is the Hartogs kernel in disguise
-    doubled = RationalKernel(
-        spec=HARTOGS,
-        scalar=Fraction(1, 2),
-        pi_power=2,
-        numerator=SparsePoly.monomial(2, (0, 1), 2),
-        main_k1=1,
-        main_kb=(1,),
-    )
+    doubled = RationalKernel(HARTOGS, Fraction(1, 2), SparsePoly.monomial(2, (0, 1), 2))
     assert doubled == kernel_model_sig1(2)
     assert doubled.canonical().scalar == 1
 
@@ -106,8 +96,8 @@ def test_singular_guard_fires():
         kernel.evaluate_pairings((0.3, 0.3))  # on the main surface t2 = t1
     with pytest.raises(SingularEvaluation):
         kernel.evaluate_pairings((0.2, 1.0))  # on the unit factor t2 = 1
-    # just off the surface is fine with a loose guard
-    assert kernel.evaluate_pairings((0.3, 0.31), guard=1e-15) != 0
+    # just off the surface is fine
+    assert kernel.evaluate_pairings((0.3, 0.31)) != 0
 
 
 def test_constructor_guards():
@@ -118,20 +108,11 @@ def test_constructor_guards():
     with pytest.raises(ValueError):
         kernel_thin_hartogs(1)
     with pytest.raises(ValueError):
-        RationalKernel(
-            spec=HARTOGS, scalar=Fraction(1), pi_power=2,
-            numerator=SparsePoly.monomial(3, (0, 1, 0)), main_k1=1, main_kb=(1,),
-        )
+        RationalKernel(HARTOGS, Fraction(1), SparsePoly.monomial(3, (0, 1, 0)))
+    with pytest.raises(ValueError, match="signature 2"):
+        RationalKernel(normalize_spec((1, 1, -1)), Fraction(1), SparsePoly.monomial(3, (0, 0, 1)))
     with pytest.raises(ValueError):
-        RationalKernel(
-            spec=HARTOGS, scalar=Fraction(1), pi_power=2,
-            numerator=SparsePoly.monomial(2, (0, 1)), main_k1=1, main_kb=(1, 1),
-        )
-    with pytest.raises(ValueError):
-        RationalKernel(
-            spec=HARTOGS, scalar=Fraction(0), pi_power=2,
-            numerator=SparsePoly.monomial(2, (0, 1)), main_k1=1, main_kb=(1,),
-        )
+        RationalKernel(HARTOGS, Fraction(0), SparsePoly.monomial(2, (0, 1)))
 
 
 def test_evaluate_length_guards():

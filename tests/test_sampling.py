@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import reinhardt.sampling
 from reinhardt.domains import normalize_spec
@@ -22,7 +23,6 @@ from reinhardt.sampling import (
     check_reproducing,
     generator,
     kernel_values,
-    mc_divergence_probe,
     mc_norm_estimate,
 )
 from reinhardt.shadow import monomial_norm_oracle
@@ -35,8 +35,6 @@ def test_estimates_are_bit_for_bit_reproducible():
     a = mc_norm_estimate((0, 0), HARTOGS, 50_000, SEED)
     b = mc_norm_estimate((0, 0), HARTOGS, 50_000, SEED)
     assert a == b
-    c = mc_norm_estimate((0, 0), HARTOGS, 50_000, SEED, stream=1)
-    assert c.estimate != a.estimate  # independent stream
     # the stream is the one recorded before the exact finiteness check was added
     assert float.hex(a.estimate) == "0x1.3af7e1e2542e5p+2"
 
@@ -61,6 +59,28 @@ def test_estimate_length_error_names_alpha():
         mc_norm_estimate((0,), HARTOGS, 1000, SEED)
 
 
+@st.composite
+def spec_and_alpha(draw):
+    n = draw(st.integers(2, 3))
+    s = draw(st.integers(1, n - 1))
+    mags = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    spec = normalize_spec(tuple(mags[:s]) + tuple(-m for m in mags[s:]))
+    alpha = tuple(draw(st.integers(-2, 3)) for _ in range(n))
+    return spec, alpha
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec_and_alpha(), st.integers(0, 2**32 - 1))
+def test_estimates_lie_within_six_standard_errors(case, seed):
+    # z**(2 alpha) of finite norm means the estimator has finite variance,
+    # so the reported standard error means what it says
+    spec, alpha = case
+    assume(monomial_norm_oracle(tuple(2 * a for a in alpha), spec).finite)
+    truth = float(monomial_norm_oracle(alpha, spec))
+    est = mc_norm_estimate(alpha, spec, 20_000, seed)
+    assert abs(est.estimate - truth) < 6 * est.std_error
+
+
 def test_error_scales_like_inverse_sqrt_n():
     # mean relative error over three monomials at N = 1e5, 1e6, 1e7 should
     # fall on a log-log line with slope near -1/2
@@ -81,24 +101,6 @@ def test_error_scales_like_inverse_sqrt_n():
     assert -1.0 < slope < -0.25
 
 
-def test_divergence_probe_agrees_with_the_exact_oracle():
-    # heuristic, but deterministic at a pinned seed: the ladder verdict
-    # matches exact finiteness for all six calibration exponents
-    for alpha in [(-2, 0), (-1, 0)]:
-        probe = mc_divergence_probe(alpha, HARTOGS, 5000, 7)
-        assert probe.flagged
-        assert not monomial_norm_oracle(alpha, HARTOGS).finite
-    for alpha in [(0, 0), (1, 0), (0, -1), (2, -1)]:
-        probe = mc_divergence_probe(alpha, HARTOGS, 5000, 7)
-        assert not probe.flagged
-        assert monomial_norm_oracle(alpha, HARTOGS).finite
-
-
-def test_divergence_probe_reports_the_ladder():
-    probe = mc_divergence_probe((0, 0), HARTOGS, 1000, 7, rungs=3, factor=2)
-    assert len(probe.estimates) == 3
-
-
 def test_estimate_of_an_infinite_norm_is_refused_before_sampling(monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled a divergent integral")
@@ -109,17 +111,9 @@ def test_estimate_of_an_infinite_norm_is_refused_before_sampling(monkeypatch):
             mc_norm_estimate(alpha, HARTOGS, 1000, SEED)
 
 
-def test_divergence_probe_still_samples_divergent_exponents():
-    # bit-for-bit the ladder recorded when the probe called mc_norm_estimate
-    probe = mc_divergence_probe((-1, 0), HARTOGS, 10_000, SEED)
-    assert [float.hex(e) for e in probe.estimates] == [
-        "0x1.762351fea8d6cp+6", "0x1.c2f21b4c97579p+6", "0x1.1802d31353fd2p+8", "0x1.e22ae38b8cf87p+6",
-    ]
-
-
 def test_kernel_values_match_scalar_evaluation():
     kernel = kernel_model_sig1(2)
-    rng = generator(SEED, 5)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(SEED, spawn_key=(5,))))
     z = (0.2 + 0.1j, 0.7)
     t = rng.random((64, 2))
     theta = rng.random((64, 2)) * 2 * math.pi
@@ -166,7 +160,7 @@ def test_empty_sampling_region_raises_instead_of_hanging():
 
 def test_generator_streams_are_stable():
     # the exact draw sequence is part of the reproducibility contract
-    g = generator(123, 0)
-    h = generator(123, 0)
+    g = generator(123)
+    h = np.random.Generator(np.random.Philox(np.random.SeedSequence(123, spawn_key=(0,))))
     assert np.array_equal(g.random(8), h.random(8))
-    assert not np.array_equal(generator(123, 1).random(8), generator(123, 2).random(8))
+    assert not np.array_equal(generator(123).random(8), generator(124).random(8))

@@ -9,10 +9,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reinhardt.norms
+import reinhardt.series
+import reinhardt.verify
 from reinhardt.domains import model_spec, normalize_spec
 from reinhardt.exact import LaurentChunk, OutsideWindow, SparsePoly
-from reinhardt.kernels import RationalKernel, kernel_model_sig1, kernel_signature_one
-from reinhardt.norms import build_RS
+from reinhardt.kernels import kernel_model_sig1, kernel_signature_one
+from reinhardt.norms import RSPair, build_RS
 from reinhardt.series import (
     apply_annihilating_operator,
     expand_closed_form,
@@ -21,9 +24,7 @@ from reinhardt.series import (
     series_coefficients_oracle,
     slice_coefficients,
 )
-
-HARTOGS = normalize_spec((1, -1))
-
+from reinhardt.verify import _annihilator_failures
 
 def test_hartogs_expansion_values():
     chunk = expand_closed_form(kernel_model_sig1(2), [(0, 4), (-4, 4)])
@@ -84,16 +85,8 @@ def test_expansion_equals_the_oracle_on_random_windows(case):
 
 
 def test_expansion_guards():
-    kernel = kernel_model_sig1(2)
     with pytest.raises(ValueError):
-        expand_closed_form(kernel, [(0, 4)])
-    cubed_units = RationalKernel(
-        spec=HARTOGS, scalar=Fraction(1), pi_power=2,
-        numerator=SparsePoly.monomial(2, (0, 1)), main_k1=1, main_kb=(1,),
-        unit_factors=((1, 3),),
-    )
-    with pytest.raises(ValueError):
-        expand_closed_form(cubed_units, [(0, 2), (0, 2)])
+        expand_closed_form(kernel_model_sig1(2), [(0, 4)])
 
 
 def test_model_series_signature_two():
@@ -106,6 +99,24 @@ def test_oracle_series_any_signature():
     spec = normalize_spec((2, 3, -4))
     chunk = series_coefficients_oracle(spec, [(0, 0), (0, 0), (0, 0)])
     assert chunk.coefficient((0, 0, 0)) == Fraction(21, 13)
+
+
+@st.composite
+def model_window(draw):
+    n = draw(st.integers(2, 4))
+    s = draw(st.integers(1, n - 1))
+    box = []
+    for _ in range(n):
+        lo = draw(st.integers(-3, 2))
+        box.append((lo, lo + draw(st.integers(0, 2))))
+    return n, s, box
+
+
+@settings(max_examples=200, deadline=None)
+@given(model_window())
+def test_model_series_equals_the_oracle_on_random_windows(case):
+    n, s, box = case
+    assert series_coefficients_model(n, s, box) == series_coefficients_oracle(model_spec(n, s), box)
 
 
 def test_series_skips_infinite_norms():
@@ -171,8 +182,30 @@ def test_annihilator_flattens_hartogs_series():
         assert flat.coefficient(gamma) == expected
 
 
+@pytest.mark.parametrize("wrong", ["R", "S"])
+def test_annihilator_check_catches_a_wrong_R_or_S(monkeypatch, wrong):
+    # the check's series comes from shadow integration, so a wrong R or S
+    # (patched wherever build_RS is looked up) must surface as failures
+    box = [(-3, 3)] * 3
+    for n, s in [(3, 2), (3, 1)]:
+        assert _annihilator_failures(n, s, box) == (7 ** 3, [])
+    real = build_RS
+
+    def corrupted(n, s):
+        pair = real(n, s)
+        if wrong == "R":
+            return RSPair(n, s, pair.R + SparsePoly.one(n), pair.S)
+        return RSPair(n, s, pair.R, pair.S * 3)
+
+    for module in (reinhardt.norms, reinhardt.series, reinhardt.verify):
+        monkeypatch.setattr(module, "build_RS", corrupted)
+    for n, s in [(3, 2), (3, 1)]:
+        points, failures = _annihilator_failures(n, s, box)
+        assert points == 7 ** 3 and failures
+
+
 def test_annihilator_keeps_window_metadata():
-    chunk = LaurentChunk(2, [(0, 1), (0, 1)], {(0, 0): Fraction(1)}, pi_power=2)
+    chunk = LaurentChunk([(0, 1), (0, 1)], {(0, 0): Fraction(1)})
     out = apply_annihilating_operator(2, 1, chunk)
     assert out.pi_power == 2
     assert out.box == ((1, 2), (1, 2))
@@ -182,4 +215,4 @@ def test_annihilator_keeps_window_metadata():
 
 def test_annihilator_guards():
     with pytest.raises(ValueError):
-        apply_annihilating_operator(3, 1, LaurentChunk(2, [(0, 1), (0, 1)]))
+        apply_annihilating_operator(3, 1, LaurentChunk([(0, 1), (0, 1)]))

@@ -175,8 +175,8 @@ def test_exponents_stay_on_the_negative_block_lattice(monkeypatch):
     integrate = reinhardt.shadow.integrate_one_var
     dens = []
 
-    def recording(f, var, lower, upper=None):
-        out = integrate(f, var, lower, upper)
+    def recording(f, var, lower):
+        out = integrate(f, var, lower)
         dens.append((var, out.den))
         return out
 
