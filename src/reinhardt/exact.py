@@ -647,9 +647,10 @@ class LaurentChunk:
         delta = tuple(int(d) for d in delta)
         if len(delta) != self.nvars:
             raise ValueError("shift length disagrees with nvars")
-        box = tuple((lo + d, hi + d) for (lo, hi), d in zip(self.box, delta))
-        terms = {tuple(e + d for e, d in zip(exps, delta)): coef for exps, coef in self.terms.items()}
-        return LaurentChunk(box, terms)
+        moved = LaurentChunk(tuple((lo + d, hi + d) for (lo, hi), d in zip(self.box, delta)))
+        # the translated terms lie in the translated box and are already clean
+        moved.terms = {tuple(e + d for e, d in zip(exps, delta)): coef for exps, coef in self.terms.items()}
+        return moved
 
     # -- serialization -------------------------------------------------------
 

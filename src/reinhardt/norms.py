@@ -51,10 +51,10 @@ def is_norm_finite(alpha: Sequence[int], n: int, s: int) -> bool:
     _check_shape(n, s)
     if len(alpha) != n:
         raise ValueError(f"alpha has length {len(alpha)}, expected {n}")
-    beta = [a + 1 for a in alpha]
-    if any(beta[j] <= 0 for j in range(s)):
-        return False
-    return all(beta[j] + beta[l] > 0 for j in range(s) for l in range(s, n))
+    # beta_j > 0 and beta_j + beta_l > 0 for every pair hold iff they hold
+    # for the smallest entry of each block
+    m = min(alpha[:s])
+    return m >= 0 and (s == n or m + min(alpha[s:]) > -2)
 
 
 @dataclass(frozen=True, eq=False)

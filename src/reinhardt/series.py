@@ -29,11 +29,12 @@ the support — a sharp test tying the series back to the norm recursion.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
 
-from .domains import DomainSpec, shifted
+from .domains import DomainSpec
 from .exact import LaurentChunk
 from .kernels import RationalKernel
 from .norms import build_RS, is_norm_finite
@@ -103,17 +104,17 @@ def series_coefficients_oracle(spec: DomainSpec, box: Sequence[tuple[int, int]])
     The coefficient at ``alpha`` is ``pi**n / ||z**alpha||^2``, i.e. the
     reciprocal of the shadow integral; exponents with infinite norm
     contribute nothing.  Works for every signature.  The integral is taken
-    once per spec with symbolic ``beta``
-    (:class:`~reinhardt.shadow.ParametricShadow`) and evaluated at each
-    box point.
+    once per spec as one fraction ``P/Q`` in symbolic ``beta``
+    (:class:`~reinhardt.shadow.ParametricShadow`) and evaluated in ints at
+    every ``beta = alpha + 1`` of the shifted box.
     """
     chunk = LaurentChunk(box)
     shadow_integral = ParametricShadow(spec)
     terms: dict[tuple[int, ...], Fraction] = {}
-    for alpha in chunk.box_points():
-        value = shadow_integral(shifted(alpha))
+    for beta in itertools.product(*(range(lo + 1, hi + 2) for lo, hi in chunk.box)):
+        value = shadow_integral(beta)
         if value is not None:
-            terms[alpha] = 1 / value
+            terms[tuple(b - 1 for b in beta)] = 1 / value
     chunk.terms = terms
     return chunk
 
@@ -169,15 +170,17 @@ def apply_annihilating_operator(n: int, s: int, chunk: LaurentChunk) -> LaurentC
     ``gamma - 1``.  Applied to a kernel-series window of Omega(n, s) the
     output must equal ``S(gamma)`` at every ``gamma`` whose monomial lies
     in the space (and 0 at the rest) — the denominator ``R`` of the norm
-    formula is annihilated.
+    formula is annihilated.  The window's terms are translated once, into
+    the shifted window that is returned.
     """
     if chunk.nvars != n:
         raise ValueError("window variable count disagrees with n")
-    pair = build_RS(n, s)
+    R = build_RS(n, s).R
     window = chunk.shifted((1,) * n)
     terms: dict[tuple[int, ...], Fraction] = {}
     for gamma, coef in window.terms.items():
-        value = coef * pair.R.evaluate(gamma)
+        value = coef * R.evaluate(gamma)
         if value:
             terms[gamma] = value
-    return LaurentChunk(window.box, terms)
+    window.terms = terms
+    return window

@@ -43,16 +43,21 @@ coefficients:
   integer coefficients;
 * chamber.  Only positive steps can diverge: the integral is finite
   exactly where every positive-step form is ``> 0``;
-* epsilon-limit.  Where a negative-step form vanishes the point is
-  log-degenerate and the singularity is removable: the value is the
-  ``eps**0`` coefficient of the sum along ``beta + eps * d``, for a fixed
-  direction ``d`` on which no form is constant, and the negative powers of
-  ``eps`` must cancel.
+* one fraction.  The terms are summed pairwise along the split tree into
+  ``P / (den * Q)``, with ``Q`` the product of the distinct positive-step
+  forms and ``P`` an integer polynomial.  The two halves of the split at
+  step ``m`` sum to an integral that is analytic wherever the
+  positive-step forms are ``> 0``, and the step-``m`` form involves
+  negative-block variables only, so its zero set meets that chamber (take
+  the positive-block entries large): the form divides the summed
+  numerator exactly, and a nonzero remainder is an ``ArithmeticError``
+  when the object is built.  Log-degenerate points, where a negative-step
+  form vanishes, need no special case.
 
-Evaluation at a point is ``int`` arithmetic on the distinct forms and one
-``Fraction`` at the end.  The per-point integrator stays the reference the
-parametric route is tested against, and serves single queries, for which
-building the parametric object does not pay.
+Evaluation at a point is ``int`` arithmetic on the positive-step forms and
+``P``, and one ``Fraction`` at the end.  The per-point integrator stays the
+reference the parametric route is tested against, and serves single
+queries, for which building the parametric object does not pay.
 """
 
 from __future__ import annotations
@@ -107,132 +112,170 @@ def shadow_integral_exact(
     return f.as_constant()
 
 
+def _split_terms(spec: DomainSpec) -> list[tuple[Fraction, list[tuple[int, ...]], list[tuple[int, ...]]]]:
+    """The integral as ``2**(n - s)`` terms ``(c, positive, negative)``.
+
+    Term ``(c, positive, negative)`` is ``c / (prod positive * prod
+    negative)`` over primitive integer affine forms ``(c_0, c_1, ..., c_n)``,
+    ``c_0 + sum_j c_j * beta_j``.  ``positive`` holds the ``s`` positive-step
+    forms, ``negative`` the negative-step ones from the outermost step
+    ``s`` inwards.  Terms ``2 i`` and ``2 i + 1`` are the upper and lower
+    parts of one split at step ``s``; blocks of four split at step ``s + 1``,
+    and so on.
+    """
+    n, s = spec.n, spec.s
+    abs_k = spec.abs_k
+    # A form is a list [c_0, c_1, ..., c_n]; the exponent of t_j starts as beta_j - 1.
+    start = [[Fraction(-1)] + [Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+    terms = [(Fraction(1), start, [])]  # (coefficient, exponent forms, negative-step forms)
+    for m in range(n - 1, s - 1, -1):
+        lower = [(a, Fraction(spec.k[a], abs_k[m])) for a in range(s)]
+        lower += [(b, Fraction(-abs_k[b], abs_k[m])) for b in range(s, m)]
+        split = []
+        for c, q, divs in terms:
+            g = [q[m][0] + 1] + q[m][1:]
+            low = list(q)
+            for j, r in lower:
+                low[j] = [x + r * y for x, y in zip(q[j], g)]
+            split.append((c, q, [g] + divs))
+            split.append((-c, low, [g] + divs))
+        terms = split
+
+    cleared = []
+    for c, q, divs in terms:
+        keys = []
+        for g in [[q[a][0] + 1] + q[a][1:] for a in range(s)] + divs:
+            scale = math.lcm(*(x.denominator for x in g))
+            ints = [int(x * scale) for x in g]
+            content = math.gcd(*ints)
+            c *= Fraction(scale, content)
+            keys.append(tuple(x // content for x in ints))
+        cleared.append((c, keys[:s], keys[s:]))
+    return cleared
+
+
+# Polynomials in beta with int coefficients: {exponent tuple: nonzero int}.
+
+
+def _times_form(poly: dict, form: tuple[int, ...]) -> dict:
+    """``poly * (c_0 + sum_j c_j * beta_j)``."""
+    out: dict[tuple[int, ...], int] = {}
+    c0 = form[0]
+    linear = [(j, c) for j, c in enumerate(form[1:]) if c]
+    for exps, coef in poly.items():
+        if c0:
+            out[exps] = out.get(exps, 0) + coef * c0
+        for j, c in linear:
+            key = exps[:j] + (exps[j] + 1,) + exps[j + 1:]
+            out[key] = out.get(key, 0) + coef * c
+    return {exps: coef for exps, coef in out.items() if coef}
+
+
+def _divided_by_form(poly: dict, form: tuple[int, ...]) -> dict:
+    """``poly / form`` exactly, by synthetic division in one variable.
+
+    The variable ``v`` is one with the smallest nonzero coefficient
+    ``c_v``; the quotient of an integer polynomial by a primitive form it
+    divides has integer coefficients (Gauss), so every step divides by
+    ``c_v`` exactly.  Raises ``ArithmeticError`` if the form does not
+    divide ``poly``.
+    """
+    linear = [(j, c) for j, c in enumerate(form[1:]) if c]
+    v, cv = min(linear, key=lambda jc: abs(jc[1]))
+    rest = [(j, c) for j, c in linear if j != v]
+    rem = dict(poly)
+    quotient: dict[tuple[int, ...], int] = {}
+    for e in range(max((exps[v] for exps in rem), default=0), 0, -1):
+        for exps in [x for x in rem if x[v] == e]:
+            q, r = divmod(rem.pop(exps), cv)
+            if r:
+                raise ArithmeticError(f"the poles of the shadow integral along {form} do not cancel")
+            if not q:
+                continue
+            low = exps[:v] + (e - 1,) + exps[v + 1:]
+            quotient[low] = q
+            # subtract q * beta**low * (form - c_v * beta_v): terms of degree e - 1 in beta_v
+            rem[low] = rem.get(low, 0) - q * form[0]
+            for j, c in rest:
+                key = low[:j] + (low[j] + 1,) + low[j + 1:]
+                rem[key] = rem.get(key, 0) - q * c
+    if any(rem.values()):
+        raise ArithmeticError(f"the poles of the shadow integral along {form} do not cancel")
+    return quotient
+
+
+def _sum_of_halves(upper: tuple, lower: tuple) -> tuple:
+    """The two halves of one split as one node, their shared form divided out.
+
+    A node ``(P, den, forms, negative)`` stands for ``P / (den * prod(forms)
+    * prod(negative))``.  Both halves carry the same ``negative``, and the
+    split's own form comes first in it; it divides the summed numerator
+    because the sum is analytic on the chamber (see the module docstring).
+    """
+    (num_a, den_a, pos_a, negative), (num_b, den_b, pos_b, _) = upper, lower
+    den, pos = math.lcm(den_a, den_b), pos_a | pos_b
+    total: dict[tuple[int, ...], int] = {}
+    for num, d, own in ((num_a, den_a, pos_a), (num_b, den_b, pos_b)):
+        num = {exps: coef * (den // d) for exps, coef in num.items()}
+        for form in pos - own:
+            num = _times_form(num, form)
+        for exps, coef in num.items():
+            total[exps] = total.get(exps, 0) + coef
+    num = _divided_by_form(total, negative[0])
+    content = math.gcd(den, *num.values())
+    return {exps: coef // content for exps, coef in num.items()}, den // content, pos, negative[1:]
+
+
 class ParametricShadow:
     """``beta -> Integral_T t**(beta - 1) dt`` for one spec, integrated once.
 
     Calling the object with an integer vector ``beta`` returns the same
     ``Fraction`` or ``None`` (infinite) as :func:`shadow_integral_exact`
-    with the default nesting.  The integral is kept as
+    with the default nesting.  The integral is kept as one fraction
 
-        sum over terms (C, idx) of  C / (den * prod_{i in idx} forms[i](beta)),
+        I(beta) = P(beta) / (den * Q(beta)),   Q = prod(forms),
 
-    where ``forms[i] = (c_0, c_1, ..., c_n)`` is the primitive integer
-    affine form ``c_0 + sum_j c_j * beta_j``, ``idx`` lists form indices
-    with multiplicity, and the first ``positive`` forms are the
-    positive-step ones, whose signs decide finiteness.
+    where ``forms`` are the distinct positive-step forms ``(c_0, c_1, ...,
+    c_n)``, each the primitive integer affine form ``c_0 + sum_j c_j *
+    beta_j``, ``numerator`` is ``P`` as ``{exponent tuple: int}`` and
+    ``den`` is a positive int.  ``I`` is finite exactly where every form is
+    ``> 0``.
     """
 
     def __init__(self, spec: DomainSpec):
-        n, s = spec.n, spec.s
-        abs_k = spec.abs_k
+        n = spec.n
+        terms = _split_terms(spec)
         self.n = n
-        # A form is a list [c_0, c_1, ..., c_n]; the exponent of t_j starts as beta_j - 1.
-        start = [[Fraction(-1)] + [Fraction(int(i == j)) for i in range(n)] for j in range(n)]
-        terms = [(Fraction(1), start, [])]  # (coefficient, exponent forms, negative-step forms)
-        for m in range(n - 1, s - 1, -1):
-            lower = [(a, Fraction(spec.k[a], abs_k[m])) for a in range(s)]
-            lower += [(b, Fraction(-abs_k[b], abs_k[m])) for b in range(s, m)]
-            split = []
-            for c, q, divs in terms:
-                g = [q[m][0] + 1] + q[m][1:]
-                low = list(q)
-                for j, r in lower:
-                    low[j] = [x + r * y for x, y in zip(q[j], g)]
-                split.append((c, q, divs + [g]))
-                split.append((-c, low, divs + [g]))
-            terms = split
-
-        # Positive-step forms ahead of the negative-step ones, each cleared
-        # to a primitive integer form with its scale folded into c.
-        cleared = []
-        for c, q, divs in terms:
-            keys = []
-            for g in [[q[a][0] + 1] + q[a][1:] for a in range(s)] + divs:
-                scale = math.lcm(*(x.denominator for x in g))
-                ints = [int(x * scale) for x in g]
-                content = math.gcd(*ints)
-                c *= Fraction(scale, content)
-                keys.append(tuple(x // content for x in ints))
-            cleared.append((c, keys))
-        index: dict[tuple[int, ...], int] = {}
-        for _, keys in cleared:
-            for key in keys[:s]:
-                index.setdefault(key, len(index))
-        self.positive = len(index)
-        for _, keys in cleared:
-            for key in keys[s:]:
-                index.setdefault(key, len(index))
-        self.forms = tuple(index)
-        self.den = math.lcm(*(c.denominator for c, _ in cleared))
-        self.terms = tuple(
-            (int(c * self.den), tuple(sorted(index[key] for key in keys))) for c, keys in cleared
-        )
+        self.forms = tuple(dict.fromkeys(form for _, positive, _ in terms for form in positive))
+        # Sum the terms pairwise along the split tree, from step s inwards;
+        # a node is (P, den, positive forms, negative forms still shared).
+        nodes = [({(0,) * n: c.numerator} if c else {}, c.denominator, frozenset(positive), negative)
+                 for c, positive, negative in terms]
+        while len(nodes) > 1:
+            nodes = [_sum_of_halves(upper, lower) for upper, lower in zip(nodes[::2], nodes[1::2])]
+        numerator, den, _, _ = nodes[0]
+        self.numerator = numerator
+        self.den = den
         self._rows = tuple((f[0], f[1:]) for f in self.forms)
-        # Every form has a nonzero linear part (beta_j enters q_j with
-        # coefficient 1 until t_j is integrated), so with |c_j| < M / 2 the
-        # base-M digits of d make d . f nonzero for every form.
-        M = 2 * max(abs(x) for f in self.forms for x in f[1:]) + 1
-        direction = [M**j for j in range(n)]
-        self._slopes = tuple(sum(map(mul, f[1:], direction)) for f in self.forms)
+        self._monomials = tuple(
+            (coef, tuple((j, e) for j, e in enumerate(exps) if e)) for exps, coef in sorted(numerator.items())
+        )
 
     def __call__(self, beta: Sequence[int]) -> Fraction | None:
         if len(beta) != self.n:
             raise ValueError(f"beta has length {len(beta)}, expected {self.n}")
-        values = []
-        positive = self.positive
-        for i, (c0, coefs) in enumerate(self._rows):
+        q = self.den
+        for c0, coefs in self._rows:
             v = c0 + sum(map(mul, coefs, beta))
-            if v <= 0 and i < positive:
+            if v <= 0:
                 return None
-            values.append(v)
-        if 0 in values:
-            return self._limit(beta, values)
-        num, den = 0, 1
-        for c, idx in self.terms:
-            p = 1
-            for i in idx:
-                p *= values[i]
-            num = num * p + c * den
-            den *= p
-        return Fraction(num, den * self.den)
-
-    def _limit(self, beta: Sequence[int], values: list[int]) -> Fraction:
-        """The ``eps**0`` coefficient of the term sum at ``beta + eps * d``.
-
-        A term with ``z`` vanishing forms is ``C * eps**-z / B``, with ``B``
-        the product of their slopes ``d . f``, times ``1 / prod (a_i + b_i *
-        eps)`` over its other forms.  With ``A_0 = prod a_i`` that product
-        is ``sum_p h_p * eps**p / A_0**(p + 1)``, where ``h_p`` is the
-        complete homogeneous sum of degree ``p`` of the integers
-        ``u_i = -b_i * A_0 / a_i``.
-        """
-        slopes = self._slopes
-        acc = [0]  # acc[j]: numerator of the eps**-j coefficient over den
-        den = 1
-        for c, idx in self.terms:
-            zeros = [i for i in idx if not values[i]]
-            z = len(zeros)
-            a0 = math.prod([values[i] for i in idx if values[i]])
-            h = [1] + [0] * z
-            if z:
-                for i in idx:
-                    if values[i]:
-                        u = -slopes[i] * (a0 // values[i])
-                        for p in range(1, z + 1):
-                            h[p] += u * h[p - 1]
-            # the term's eps**-(z-p) coefficient is c * h_p * a0**(z-p) / term_den
-            term_den = math.prod([slopes[i] for i in zeros]) * a0 ** (z + 1)
-            g = math.gcd(den, term_den)
-            if term_den != g:
-                acc = [x * (term_den // g) for x in acc]
-                den *= term_den // g
-            acc += [0] * (z + 1 - len(acc))
-            scale = den // term_den * c
-            for p in range(z + 1):
-                acc[z - p] += scale * h[p] * a0 ** (z - p)
-        if any(acc[1:]):
-            raise ArithmeticError(f"the poles of the shadow integral do not cancel at beta={tuple(beta)}")
-        return Fraction(acc[0], den * self.den)
+            q *= v
+        p = 0
+        for c, factors in self._monomials:
+            for j, e in factors:
+                c *= beta[j] ** e
+            p += c
+        return Fraction(p, q)
 
 
 def monomial_norm_oracle(alpha: Sequence[int], spec: DomainSpec) -> NormValue:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,18 @@ def test_finiteness_polydisc():
     assert is_norm_finite((0, 0, 0), 3, 3)
     assert not is_norm_finite((-1, 0, 0), 3, 3)
     assert is_norm_finite((7, 0, 2), 3, 3)
+
+
+@pytest.mark.parametrize("n,s", [(n, s) for n in range(1, 6) for s in range(1, n + 1)])
+def test_finiteness_is_the_pairwise_definition(n, s):
+    # beta_j > 0 on the positive block and beta_j + beta_l > 0 for every
+    # cross pair, with beta = alpha + 1
+    for alpha in itertools.product(range(-4, 4), repeat=n):
+        beta = [a + 1 for a in alpha]
+        pairwise = all(beta[j] > 0 for j in range(s)) and all(
+            beta[j] + beta[l] > 0 for j in range(s) for l in range(s, n)
+        )
+        assert is_norm_finite(alpha, n, s) == pairwise
 
 
 def test_finiteness_guards():

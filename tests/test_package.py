@@ -35,8 +35,27 @@ def imported_modules(path: Path) -> set[str]:
     return {name.rsplit(".", 1)[-1] for name in names}
 
 
+def used_names(path: Path) -> set[str]:
+    """Every name a source file imports, reads or looks up as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
 def test_shadow_oracle_shares_no_code_with_the_closed_forms():
     # every closed form keeps a cross-check that shares no code with it
-    imported = imported_modules(Path(reinhardt.shadow.__file__))
+    path = Path(reinhardt.shadow.__file__)
+    imported = imported_modules(path)
     assert "exact" in imported  # the parser sees the relative imports
     assert imported.isdisjoint({"norms", "kernels", "series", "counting"})
+    # the parametric P/Q is built and evaluated in the module's own int
+    # arithmetic, with nothing of the polynomial code that builds R and S
+    used = used_names(path)
+    assert {"FracExpSum", "integrate_one_var"} <= used
+    assert used.isdisjoint({"SparsePoly", "substitute", "divide_exact_by_var"})

@@ -6,7 +6,6 @@ import hashlib
 import itertools
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -198,10 +197,12 @@ def test_exponents_stay_on_the_negative_block_lattice(monkeypatch):
 
 def test_parametric_route_on_worked_examples():
     shadow = ParametricShadow(HARTOGS)
-    # the two positive-step forms beta_1 and beta_1 + beta_2, then beta_2
-    assert shadow.forms[: shadow.positive] == ((0, 1, 0), (0, 1, 1))
+    # 1 / (beta_1 (beta_1 + beta_2)): the two positive-step forms, with the
+    # negative-step form beta_2 cancelled
+    assert shadow.forms == ((0, 1, 0), (0, 1, 1))
+    assert shadow.numerator == {(0, 0): 1} and shadow.den == 1
     assert shadow((1, 1)) == Fraction(1, 2)
-    assert shadow((1, 0)) == Fraction(1)  # beta_2 = 0: the removable limit
+    assert shadow((1, 0)) == Fraction(1)  # beta_2 = 0: the cancelled pole
     assert shadow((2, -1)) == Fraction(1, 2)
     assert shadow((1, -1)) is None
     assert shadow((0, 5)) is None
@@ -210,37 +211,64 @@ def test_parametric_route_on_worked_examples():
         shadow((1, 1, 1))
 
 
-def test_poles_that_do_not_cancel_are_an_error():
-    shadow = ParametricShadow(HARTOGS)
-    shadow.terms = shadow.terms[:1]  # without the lower part, beta_2 = 0 is a genuine pole
-    with pytest.raises(ArithmeticError, match="do not cancel"):
-        shadow((1, 0))
+def test_poles_that_do_not_cancel_are_an_error(monkeypatch):
+    # without one part of a split, that split's negative-step form is a
+    # genuine pole: the constructor refuses to divide it out
+    split_terms = reinhardt.shadow._split_terms
+    for spec in (HARTOGS, normalize_spec((1, 2, -3, -4)), model_spec(4, 1)):
+        for dropped in range(len(split_terms(spec))):
+
+            def without_one_part(spec, dropped=dropped):
+                terms = split_terms(spec)
+                _, positive, negative = terms[dropped]
+                terms[dropped] = (Fraction(0), positive, negative)
+                return terms
+
+            monkeypatch.setattr(reinhardt.shadow, "_split_terms", without_one_part)
+            with pytest.raises(ArithmeticError, match="do not cancel"):
+                ParametricShadow(spec)
+
+
+def evaluated(poly: dict, beta) -> int:
+    """An ``{exponent tuple: int}`` polynomial at an integer point."""
+    return sum(c * math.prod(b**e for b, e in zip(beta, exps)) for exps, c in poly.items())
+
+
+def forms_product(shadow: ParametricShadow, beta) -> int:
+    return math.prod(f[0] + sum(c * b for c, b in zip(f[1:], beta)) for f in shadow.forms)
 
 
 @pytest.mark.parametrize("n,s", [(n, s) for n in range(2, 6) for s in range(1, n)])
 def test_parametric_integral_is_the_model_formula_for_every_beta(n, s):
-    # over Q = the product of the forms at their largest multiplicity the
-    # term sum is P / Q, and the paper's ||z^alpha||^2 = pi^n R/S says
-    # P/Q = R/S as rational functions of beta
+    # the shadow integral is P / (den * Q) with Q the product of the
+    # positive-step forms, and the paper's ||z^alpha||^2 = pi^n R/S says
+    # P * S == den * Q * R as polynomials in beta
     shadow = ParametricShadow(model_spec(n, s))
-    forms = [SparsePoly.linear_form(n, {j: c for j, c in enumerate(f[1:]) if c}, f[0]) for f in shadow.forms]
-    top = Counter()
-    for _, idx in shadow.terms:
-        top |= Counter(idx)
-    Q = SparsePoly.one(n)
-    for i, m in top.items():
-        Q = Q * forms[i] ** m
-    P = SparsePoly.zero(n)
-    for c, idx in shadow.terms:
-        cofactor = SparsePoly.constant(n, Fraction(c, shadow.den))
-        for i, m in (top - Counter(idx)).items():
-            cofactor = cofactor * forms[i] ** m
-        P = P + cofactor
+    Q = SparsePoly.constant(n, shadow.den)
+    for f in shadow.forms:
+        Q = Q * SparsePoly.linear_form(n, {j: c for j, c in enumerate(f[1:]) if c}, f[0])
     pair = build_RS(n, s)
-    assert P * pair.S == Q * pair.R
+    assert SparsePoly(n, shadow.numerator) * pair.S == Q * pair.R
     # and the chamber of the positive-step forms is the finiteness predicate
     for alpha in itertools.product(range(-3, 4), repeat=n):
         assert (shadow(shifted(alpha)) is None) == (not is_norm_finite(alpha, n, s))
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_diagonal_slice_of_omega_n_n_minus_1_for_every_j(n):
+    # at beta = (1, ..., 1, j) the integral on Omega(n, n-1) is
+    # 1 / (j + j / ((j+1)**(n-1) - 1)) = ((j+1)**(n-1) - 1) / (j (j+1)**(n-1)),
+    # that is den * Q * ((j+1)**(n-1) - 1) == P * j * (j+1)**(n-1); both sides
+    # are polynomials in j of degree at most `degree`, so agreeing at
+    # degree + 1 integers makes it an identity in j
+    shadow = ParametricShadow(model_spec(n, n - 1))
+    degree = max(len(shadow.forms) + n - 1, max(map(sum, shadow.numerator)) + n)
+    for j in range(degree + 1):
+        beta = (1,) * (n - 1) + (j,)
+        lhs = shadow.den * forms_product(shadow, beta) * ((j + 1) ** (n - 1) - 1)
+        assert lhs == evaluated(shadow.numerator, beta) * j * (j + 1) ** (n - 1)
+    for j in range(1, 6):
+        assert 1 / shadow((1,) * (n - 1) + (j,)) == j + Fraction(j, (j + 1) ** (n - 1) - 1)
 
 
 # -- differential properties ---------------------------------------------------
