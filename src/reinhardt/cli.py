@@ -13,7 +13,8 @@ Four subcommands, exit codes 0 (success), 1 (verification failure),
   coefficients of the kernel on a box; CSV emits one row per box point
   (``alpha_1,...,alpha_n,coefficient``), zeros included, no header.
 * ``verify --suite all [--seed N] [--report out.json]`` — named
-  verification suites with a pass/fail report.
+  verification suites with a pass/fail report; the report path is opened
+  before any suite runs, so an unwritable one is a usage error (exit 2).
 
 ``--alpha``, ``--box`` and the exponents that ``series`` prints follow the
 caller's order of ``--k``; they are moved into normalized order (positive
@@ -192,6 +193,19 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # open the report first, so an unwritable path is a usage error before any suite runs
+    if not args.report:
+        return _run_verify(args, None)
+    try:
+        handle = open(args.report, "w", encoding="utf-8")
+    except OSError as err:
+        print(f"error: cannot write the report: {err}", file=sys.stderr)
+        return 2
+    with handle:
+        return _run_verify(args, handle)
+
+
+def _run_verify(args, handle) -> int:
     reports = run_suites([args.suite], seed=args.seed)
     print(f"seed {args.seed}")
     failures = 0
@@ -202,15 +216,14 @@ def _cmd_verify(args) -> int:
             print(f"  {mark} {check.name}: {check.detail}")
             failures += 0 if check.passed else 1
     total = sum(len(r.checks) for r in reports)
-    if args.report:
+    if handle is not None:
         payload = {
             "seed": args.seed,
             "passed": failures == 0,
             "suites": [r.to_json_dict() for r in reports],
         }
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
     if failures:
         print(f"{failures} of {total} checks failed")
         return 1

@@ -35,6 +35,9 @@ from itertools import product as _cartesian
 from typing import Iterator, Mapping, Sequence
 
 
+_ZERO = Fraction(0)
+
+
 class DivergentIntegral(ArithmeticError):
     """An integral with a zero lower bound diverges (exponent <= -1)."""
 
@@ -656,9 +659,9 @@ class LaurentChunk:
 
     def csv_rows(self) -> Iterator[str]:
         """One row per box point (zeros included): ``a_1,...,a_n,coefficient``."""
+        terms = self.terms
         for exps in self.box_points():
-            coef = self.terms.get(exps, Fraction(0))
-            yield ",".join(str(e) for e in exps) + f",{coef}"
+            yield ",".join(map(str, exps)) + "," + str(terms.get(exps, _ZERO))
 
     def to_json_dict(self) -> dict:
         return {

@@ -22,7 +22,9 @@ Two identity checks live here because only numerics can see them whole:
 
 * the reproducing property ``f(z) = Integral f(w) K(z, w) dV(w)`` for
   monomials ``f``, with near-singular kernel evaluations counted and
-  discarded rather than silently included;
+  discarded rather than silently included.  One sample stream serves
+  several monomials: the points and the kernel values are computed once
+  per chunk, and only the weight ``w**alpha`` differs between them;
 
 * the branch-sum identity tying the kernel of ``H(k)`` to the model kernel
   through the proper map ``phi(z) = (z_a**ell_a)``: with ``zeta_a`` the
@@ -153,9 +155,17 @@ def kernel_values(kernel: RationalKernel, z: Sequence[complex], W: np.ndarray) -
 
 @dataclass(frozen=True)
 class ReproducingCheck:
-    estimate: complex
-    reference: complex
-    relative_error: float
+    """One sample stream checked against several monomials.
+
+    ``alphas``, ``estimates``, ``references`` and ``relative_errors`` hold
+    one entry per exponent; the counts are shared, since the shadow mask
+    and the singular guard do not depend on the monomial.
+    """
+
+    alphas: tuple[tuple[int, ...], ...]
+    estimates: tuple[complex, ...]
+    references: tuple[complex, ...]
+    relative_errors: tuple[float, ...]
     accepted: int
     discarded: int
     samples: int
@@ -164,23 +174,34 @@ class ReproducingCheck:
 
 def check_reproducing(
     spec: DomainSpec,
-    alpha: Sequence[int],
+    alphas: Sequence[Sequence[int]],
     z: Sequence[complex],
     samples: int,
     seed: int,
 ) -> ReproducingCheck:
-    """Monte-Carlo check of ``z**alpha = Integral w**alpha K(z, w) dV(w)``.
+    """Monte-Carlo check of ``z**alpha = Integral w**alpha K(z, w) dV(w)`` for each ``alpha``.
 
     Samples uniformly on the domain, evaluates the kernel vectorized, and
-    discards (but counts) near-singular draws.  The reference value is the
-    monomial at ``z``; the relative error compares against it.
+    discards (but counts) near-singular draws.  One stream serves every
+    monomial: each chunk's points and kernel values are computed once and
+    weighted by each ``w**alpha`` in turn, so an exponent's estimate is the
+    same whether it is checked alone or with others.  The reference value
+    is the monomial at ``z``; the relative error compares against it.
     """
     n = spec.n
+    if len(alphas) == 0:
+        raise ValueError("alphas is empty, expected at least one exponent")
+    for alpha in alphas:
+        if len(alpha) != n:
+            raise ValueError(f"alpha has length {len(alpha)}, expected {n}")
+    if len(z) != n:
+        raise ValueError(f"z has length {len(z)}, expected {n}")
     kernel = kernel_signature_one(spec)
     rng = generator(seed)
-    a = np.array(alpha, dtype=np.float64)
-    reference = complex(np.prod(np.asarray(z, dtype=np.complex128) ** a))
-    total = 0.0 + 0.0j
+    powers = [np.array(alpha, dtype=np.float64) for alpha in alphas]
+    zc = np.asarray(z, dtype=np.complex128)
+    references = tuple(complex(np.prod(zc ** a)) for a in powers)
+    totals = [0.0 + 0.0j] * len(powers)
     accepted = 0
     discarded = 0
     done = 0
@@ -190,19 +211,21 @@ def check_reproducing(
         theta = rng.random((count, n)) * (2.0 * math.pi)
         mask = _shadow_mask(spec, t)
         W = np.sqrt(t) * np.exp(1j * theta)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f_vals = np.prod(W ** a, axis=1)
         k_vals, ok = kernel_values(kernel, z, W)
         use = mask & ok
-        total += complex(np.sum(np.where(use, f_vals * k_vals, 0.0)))
+        for i, a in enumerate(powers):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                f_vals = np.prod(W ** a, axis=1)
+            totals[i] += complex(np.sum(np.where(use, f_vals * k_vals, 0.0)))
         accepted += int(np.count_nonzero(use))
         discarded += int(np.count_nonzero(mask & ~ok))
         done += count
-    estimate = math.pi ** n / samples * total
+    estimates = tuple(math.pi ** n / samples * total for total in totals)
     return ReproducingCheck(
-        estimate=estimate,
-        reference=reference,
-        relative_error=abs(estimate - reference) / abs(reference),
+        alphas=tuple(tuple(alpha) for alpha in alphas),
+        estimates=estimates,
+        references=references,
+        relative_errors=tuple(abs(e - r) / abs(r) for e, r in zip(estimates, references)),
         accepted=accepted,
         discarded=discarded,
         samples=samples,

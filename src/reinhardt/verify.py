@@ -333,18 +333,19 @@ def check_branch_sums(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 
 
 def check_reproducing_monomials(seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    spec = normalize_spec((1, -1))
-    results = []
-    for alpha in REPRODUCING_EXPONENTS:
-        r = check_reproducing(spec, alpha, REPRODUCING_POINT, REPRODUCING_SAMPLES, seed)
-        results.append(CheckResult(
+    r = check_reproducing(
+        normalize_spec((1, -1)), REPRODUCING_EXPONENTS, REPRODUCING_POINT, REPRODUCING_SAMPLES, seed
+    )
+    return [
+        CheckResult(
             f"monomial-{alpha[0]}_{alpha[1]}",
-            r.relative_error < REPRODUCING_TOLERANCE,
-            f"relative error {r.relative_error:.4f} at z={REPRODUCING_POINT}, "
+            error < REPRODUCING_TOLERANCE,
+            f"relative error {error:.4f} at z={REPRODUCING_POINT}, "
             f"{REPRODUCING_SAMPLES} samples, {r.discarded} near-singular draws discarded "
             f"(tolerance {REPRODUCING_TOLERANCE})",
-        ))
-    return results
+        )
+        for alpha, error in zip(r.alphas, r.relative_errors)
+    ]
 
 
 def check_slice_diagnostics() -> list[CheckResult]:

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+import reinhardt.cli
 from reinhardt.cli import _absorb_negative_values, main
 
 
@@ -247,6 +248,20 @@ def test_verify_single_suite(capsys, tmp_path):
     assert payload["seed"] == 11
     assert payload["suites"][0]["name"] == "rationality-diagnostic"
     assert all(check["passed"] for check in payload["suites"][0]["checks"])
+
+
+def test_verify_unwritable_report_is_a_usage_error_before_any_suite_runs(capsys, tmp_path, monkeypatch):
+    def no_suites(*args, **kwargs):
+        raise AssertionError("ran a suite before opening the report")
+
+    monkeypatch.setattr(reinhardt.cli, "run_suites", no_suites)
+    report_path = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "verify", "--suite", "bell", "--report", str(report_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write the report: ")
+    assert err.count("\n") == 1
+    assert not report_path.parent.exists()
 
 
 def test_verify_unknown_suite_is_a_usage_error(capsys):

@@ -26,6 +26,7 @@ from reinhardt.sampling import (
     mc_norm_estimate,
 )
 from reinhardt.shadow import monomial_norm_oracle
+from reinhardt.verify import REPRODUCING_EXPONENTS, REPRODUCING_POINT, REPRODUCING_SAMPLES
 
 HARTOGS = normalize_spec((1, -1))
 SEED = 20260818
@@ -126,11 +127,55 @@ def test_kernel_values_match_scalar_evaluation():
 
 
 def test_reproducing_property_smoke():
-    result = check_reproducing(HARTOGS, (0, 1), (0.2, 0.6), 100_000, SEED)
-    assert result.relative_error < 0.15
-    assert result.reference == pytest.approx(0.6)
+    result = check_reproducing(HARTOGS, [(0, 1)], (0.2, 0.6), 100_000, SEED)
+    assert result.alphas == ((0, 1),)
+    assert result.relative_errors[0] < 0.15
+    assert result.references[0] == pytest.approx(0.6)
     assert result.accepted + result.discarded <= result.samples
     assert result.samples == 100_000
+
+
+def test_reproducing_stream_is_pinned():
+    # the three verify estimates, recorded when each monomial drew its own stream
+    result = check_reproducing(HARTOGS, REPRODUCING_EXPONENTS, REPRODUCING_POINT, REPRODUCING_SAMPLES, SEED)
+    assert [(e.real.hex(), e.imag.hex()) for e in result.estimates] == [
+        ("0x1.00481834fdaa4p+0", "-0x1.a76b35b20392cp-11"),
+        ("0x1.33a7c84412d4dp-1", "-0x1.9413695320585p-14"),
+        ("0x1.56cc9ec3648a1p-2", "-0x1.ed0bb58421c99p-10"),
+    ]
+    assert (result.accepted, result.discarded) == (499_877, 0)
+
+
+def test_shared_stream_equals_one_call_per_monomial(monkeypatch):
+    # a small chunk size makes the stream span several chunks, the last one partial
+    monkeypatch.setattr(reinhardt.sampling, "_CHUNK", 30_000)
+    alphas = [(0, 0), (0, 1), (1, -1), (2, -3)]
+    z = (0.3 + 0.1j, 0.5 - 0.2j)
+    shared = check_reproducing(HARTOGS, alphas, z, 100_000, SEED)
+    for i, alpha in enumerate(alphas):
+        alone = check_reproducing(HARTOGS, [alpha], z, 100_000, SEED)
+        assert alone.alphas == (shared.alphas[i],) == (alpha,)
+        assert alone.estimates == (shared.estimates[i],)
+        assert alone.references == (shared.references[i],)
+        assert alone.relative_errors == (shared.relative_errors[i],)
+        assert (alone.accepted, alone.discarded, alone.samples, alone.seed) == (
+            shared.accepted, shared.discarded, shared.samples, shared.seed,
+        )
+
+
+@pytest.mark.parametrize("alphas, z, message", [
+    ([(1,)], (0.2, 0.6), r"^alpha has length 1, expected 2$"),
+    ([(0, 0), (1, 0, 0)], (0.2, 0.6), r"^alpha has length 3, expected 2$"),
+    ([(0, 1)], (0.2,), r"^z has length 1, expected 2$"),
+    ([], (0.2, 0.6), r"^alphas is empty"),
+])
+def test_reproducing_guards(monkeypatch, alphas, z, message):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the arguments")
+
+    monkeypatch.setattr(reinhardt.sampling, "generator", no_sampling)
+    with pytest.raises(ValueError, match=message):
+        check_reproducing(HARTOGS, alphas, z, 1000, SEED)
 
 
 def test_bell_identity_at_a_fixed_pair():
