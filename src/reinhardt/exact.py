@@ -10,17 +10,18 @@ Everything here computes over the rationals with no rounding:
 
 * :class:`FracExpSum` — finite sums of terms ``c * prod(t_j^{q_j}) *
   prod(log(1/t_j)^{p_j})`` with rational ``c``, rational exponents ``q_j``
-  and nonnegative integer log powers ``p_j``.  The exponents sit on a
-  lattice ``(1/den) * Z``: terms are keyed by ``int`` numerators over one
-  ``den`` per sum, kept minimal so that equal sums have equal keys, which
-  makes merging like terms integer hashing instead of ``Fraction``
-  normalisation.  This class is closed under
-  the three moves iterated monomial integration needs: antidifferentiation
-  in one variable, evaluation at a monomial bound (which substitutes a
-  monomial for the variable, expanding ``log`` of a monomial linearly), and
-  taking the limit at 0.  The log powers are essential: integrating
-  ``t**-1`` against a monomial lower bound is exact via
-  ``d/dt[-log(1/t)**(p+1)/(p+1)] = t**-1 * log(1/t)**p``, and
+  and nonnegative integer log powers ``p_j``.  Exponents sit on a lattice
+  ``(1/den) * Z`` and coefficients on ``(1/cden) * Z``: terms are keyed by
+  ``int`` exponent numerators and hold ``int`` coefficient numerators, and
+  both denominators are kept minimal so that equal sums have equal fields,
+  which makes merging like terms integer hashing and adding instead of
+  ``Fraction`` normalisation.  :func:`integrate_one_var` is the one move
+  iterated monomial integration needs: the definite integral in one
+  variable from a monomial lower bound (or 0) up to 1, written in one pass
+  over the terms as ``F(1) - F(lower)`` of the antiderivative ``F``; a
+  ``log`` of the monomial bound expands linearly.  The log powers are
+  essential: integrating ``t**-1`` against a monomial lower bound is exact
+  via ``d/dt[-log(1/t)**(p+1)/(p+1)] = t**-1 * log(1/t)**p``, and
   ``∫_0^1 t^q log(1/t)^p dt = p! / (q+1)^{p+1}``.
 
 * :class:`LaurentChunk` — a finite window of Laurent coefficients: exact
@@ -343,40 +344,30 @@ class SparsePoly:
 # FracExpSum
 # ---------------------------------------------------------------------------
 
-def _put(terms: dict, key, coef: Fraction) -> None:
-    """Add the nonzero ``coef`` at ``key``, dropping the key if the sum cancels."""
-    old = terms.get(key)
-    if old is None:
-        terms[key] = coef
-    else:
-        acc = old + coef
-        if acc:
-            terms[key] = acc
-        else:
-            del terms[key]
-
 
 class FracExpSum:
     """A finite sum ``sum c * prod t_j^{q_j} * prod log(1/t_j)^{p_j}``.
 
-    Exponents live on the lattice ``(1/den) * Z``.  Keys are ``(exps,
-    logs)`` pairs of ``int`` tuples: ``q_j = exps[j] / den``, and ``logs``
-    holds the nonnegative powers of ``log(1/t_j)``.  ``den`` is kept
-    minimal, ``gcd(den, *exps of every key) == 1`` (the empty sum has
-    ``den == 1``), so equal sums have equal keys and compare equal.
-    Coefficients are nonzero ``Fraction``s.  The constructor and
-    :meth:`monomial` take ``Fraction`` or ``int`` exponents and start on
-    the lcm of their denominators.  Log factors only ever appear through
-    integration against monomial bounds; the all-zero ``logs`` tuple is the
-    plain fractional-power case.
+    Exponents live on the lattice ``(1/den) * Z`` and coefficients on
+    ``(1/cden) * Z``.  ``terms`` maps ``(exps, logs)`` pairs of ``int``
+    tuples to nonzero ``int`` numerators: ``q_j = exps[j] / den``, ``c =
+    terms[(exps, logs)] / cden``, and ``logs`` holds the nonnegative powers
+    of ``log(1/t_j)``.  Both denominators are kept minimal, ``gcd(den, *exps
+    of every key) == 1`` and ``gcd(cden, *every numerator) == 1`` (the empty
+    sum has ``den == cden == 1``), so equal sums have equal fields and
+    compare equal.  The constructor takes ``int`` or ``Fraction`` exponents
+    and coefficients and starts on the lcm of their denominators;
+    :meth:`on_lattice` takes the stored form.  Log factors only ever appear
+    through integration against monomial bounds; the all-zero ``logs``
+    tuple is the plain fractional-power case.
     """
 
-    __slots__ = ("nvars", "den", "terms")
+    __slots__ = ("nvars", "den", "cden", "terms")
 
     def __init__(
         self,
         nvars: int,
-        terms: Mapping[tuple[Sequence, Sequence[int]], Fraction] | None = None,
+        terms: Mapping[tuple[Sequence, Sequence[int]], int | Fraction] | None = None,
     ):
         self.nvars = int(nvars)
         rows = []
@@ -392,194 +383,179 @@ class FracExpSum:
                 if c:
                     rows.append((exps, logs, c))
         den = math.lcm(1, *(q.denominator for exps, _, _ in rows for q in exps))
-        clean: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
+        cden = math.lcm(1, *(c.denominator for _, _, c in rows))
+        clean: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         for exps, logs, c in rows:
-            _put(clean, (tuple(q.numerator * (den // q.denominator) for q in exps), logs), c)
-        self._settle(den, clean)
+            key = (tuple(q.numerator * (den // q.denominator) for q in exps), logs)
+            clean[key] = clean.get(key, 0) + c.numerator * (cden // c.denominator)
+        self._settle(den, cden, clean)
 
-    def _settle(self, den: int, terms: dict) -> "FracExpSum":
-        """Store ``terms`` (numerators over ``den``) on the minimal lattice."""
-        g = math.gcd(den, *(e for exps, _ in terms for e in exps)) if den > 1 else 1
-        if g > 1:
-            den //= g
-            terms = {(tuple(e // g for e in exps), logs): c for (exps, logs), c in terms.items()}
-        self.den, self.terms = den, terms
+    def _settle(self, den: int, cden: int, terms: dict) -> "FracExpSum":
+        """Store ``terms`` (numerators over ``den`` and ``cden``) with both denominators minimal."""
+        terms = {key: c for key, c in terms.items() if c}
+        if den > 1:
+            g = math.gcd(den, *(e for exps, _ in terms for e in exps))
+            if g > 1:
+                den //= g
+                terms = {(tuple(e // g for e in exps), logs): c for (exps, logs), c in terms.items()}
+        if cden > 1:
+            g = math.gcd(cden, *terms.values())
+            if g > 1:
+                cden //= g
+                terms = {key: c // g for key, c in terms.items()}
+        self.den, self.cden, self.terms = den, cden, terms
         return self
 
     @classmethod
-    def _on_lattice(cls, nvars: int, den: int, terms: dict) -> "FracExpSum":
+    def on_lattice(cls, nvars: int, terms: dict, den: int = 1, cden: int = 1) -> "FracExpSum":
+        """A sum given as it is stored: ``int`` numerators over ``den`` and ``cden``.
+
+        ``terms`` maps ``(exps, logs)`` pairs of ``int`` tuples to ``int``
+        numerators; zero numerators are dropped and both denominators are
+        reduced to the minimal ones.  Nothing is converted or checked.
+        """
         out = cls.__new__(cls)
         out.nvars = nvars
-        return out._settle(den, terms)
-
-    @classmethod
-    def monomial(cls, nvars: int, exps: Sequence, coef=1) -> "FracExpSum":
-        return cls(nvars, {(tuple(exps), (0,) * nvars): coef})
-
-    def _check(self, other: "FracExpSum") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError(f"variable-count mismatch: {self.nvars} vs {other.nvars}")
-
-    def _lifted(self, den: int) -> dict:
-        """The terms as numerators over ``den``, a multiple of ``self.den``."""
-        m = den // self.den
-        if m == 1:
-            return self.terms
-        return {(tuple(e * m for e in exps), logs): c for (exps, logs), c in self.terms.items()}
-
-    def _combine(self, other: "FracExpSum", sign: int) -> "FracExpSum":
-        self._check(other)
-        den = math.lcm(self.den, other.den)
-        terms = dict(self._lifted(den))
-        for key, coef in other._lifted(den).items():
-            _put(terms, key, coef if sign > 0 else -coef)
-        return FracExpSum._on_lattice(self.nvars, den, terms)
-
-    def __add__(self, other: "FracExpSum") -> "FracExpSum":
-        if not isinstance(other, FracExpSum):
-            return NotImplemented
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "FracExpSum") -> "FracExpSum":
-        if not isinstance(other, FracExpSum):
-            return NotImplemented
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "FracExpSum":
-        return FracExpSum._on_lattice(self.nvars, self.den, {key: -coef for key, coef in self.terms.items()})
+        return out._settle(den, cden, terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FracExpSum):
             return NotImplemented
-        return self.nvars == other.nvars and self.den == other.den and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return (self.nvars == other.nvars and self.den == other.den
+                and self.cden == other.cden and self.terms == other.terms)
 
     def as_constant(self) -> Fraction:
         """The value of a variable-free sum; errors if any variable remains."""
-        total = Fraction(0)
-        for (exps, logs), coef in self.terms.items():
+        total = 0
+        for (exps, logs), c in self.terms.items():
             if any(exps) or any(logs):
                 raise ValueError("sum still depends on a variable")
-            total += coef
-        return total
-
-    # -- substitution of monomial bounds -------------------------------------
-
-    def substitute_monomial(self, var: int, bound: Sequence) -> "FracExpSum":
-        """Replace ``t_var`` by the monomial ``prod t_j^{bound_j}`` exactly.
-
-        The bound must not involve ``t_var`` itself.  Power factors push the
-        bound's exponents onto the other variables; each log factor expands
-        as ``log(1/t_var) -> sum bound_j * log(1/t_j)``.  A bound whose
-        exponents have common denominator ``bden`` moves the sum onto the
-        lattice ``1/(den * bden)``, which is then reduced.
-        """
-        bound = tuple(b if isinstance(b, (int, Fraction)) else Fraction(b) for b in bound)
-        if len(bound) != self.nvars:
-            raise ValueError("bound length disagrees with nvars")
-        if bound[var]:
-            raise ValueError("a bound may not involve the variable it replaces")
-        bden = math.lcm(*(b.denominator for b in bound))
-        support = [(j, b, b.numerator * (bden // b.denominator)) for j, b in enumerate(bound) if b]
-        terms: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
-        for (exps, logs), coef in self.terms.items():
-            e, p = exps[var], logs[var]
-            base = [x * bden for x in exps] if bden > 1 else list(exps)
-            base[var] = 0
-            if e:
-                for j, _, num in support:
-                    base[j] += e * num
-            base_exps = tuple(base)
-            if not p:
-                _put(terms, (base_exps, logs), coef)
-                continue
-            # expand (sum_j bound_j * log(1/t_j)) ** p multinomially
-            expansion = {logs[:var] + (0,) + logs[var + 1:]: coef}
-            for _ in range(p):
-                nxt: dict[tuple[int, ...], Fraction] = {}
-                for lvec, c in expansion.items():
-                    for j, b, _ in support:
-                        _put(nxt, lvec[:j] + (lvec[j] + 1,) + lvec[j + 1:], c * b)
-                expansion = nxt
-            for lvec, c in expansion.items():
-                _put(terms, (base_exps, lvec), c)
-        return FracExpSum._on_lattice(self.nvars, self.den * bden, terms)
-
-    def limit_at_zero(self, var: int) -> "FracExpSum":
-        """The limit as ``t_var -> 0+``; errors if any term blows up.
-
-        Distinct ``t^q log(1/t)^p`` scales are linearly independent as
-        ``t -> 0``, so after like terms merge, divergence of any surviving
-        term with ``q < 0``, or ``q == 0 < p``, is genuine and raises
-        :class:`DivergentIntegral`.  Terms with ``q > 0`` vanish (powers
-        beat logs) and terms free of the variable pass through.  The sign
-        of ``q`` is the sign of its numerator.
-        """
-        terms = {}
-        for key, coef in self.terms.items():
-            e, p = key[0][var], key[1][var]
-            if e > 0:
-                continue
-            if e < 0 or p > 0:
-                raise DivergentIntegral(
-                    f"term with exponent {Fraction(e, self.den)} and log power {p} diverges as t_{var} -> 0"
-                )
-            terms[key] = coef
-        return FracExpSum._on_lattice(self.nvars, self.den, terms)
-
-    # -- integration ---------------------------------------------------------
-
-    def antiderivative(self, var: int) -> "FracExpSum":
-        """An exact antiderivative in ``t_var`` (defined up to a constant).
-
-        With ``q = e / den``, ``q == -1`` is ``e == -den`` and ``1/(q+1)`` is
-        ``den / (e + den)``.
-        """
-        den = self.den
-        terms: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
-        for (exps, logs), coef in self.terms.items():
-            e, p = exps[var], logs[var]
-            if e == -den:
-                # ∫ t^-1 log(1/t)^p dt = -log(1/t)^(p+1) / (p+1)
-                key = (exps[:var] + (0,) + exps[var + 1:], logs[:var] + (p + 1,) + logs[var + 1:])
-                _put(terms, key, -coef / (p + 1))
-                continue
-            # ∫ t^q log(1/t)^p dt = sum_{i=0}^{p} p!/(p-i)! * t^{q+1} log(1/t)^{p-i} / (q+1)^{i+1}
-            new_exps = exps[:var] + (e + den,) + exps[var + 1:]
-            inverse = Fraction(den, e + den)
-            if not p:
-                _put(terms, (new_exps, logs), coef * inverse)
-                continue
-            factor = coef
-            for i in range(p + 1):
-                factor *= inverse
-                _put(terms, (new_exps, logs[:var] + (p - i,) + logs[var + 1:]), factor)
-                factor *= p - i
-        return FracExpSum._on_lattice(self.nvars, den, terms)
+            total += c
+        return Fraction(total, self.cden)
 
 
-def integrate_one_var(f: FracExpSum, var: int, lower) -> FracExpSum:
+def _times_log_power(logs: tuple[int, ...], support: list[tuple[int, int]], r: int) -> dict:
+    """``prod log(1/t_j)^{logs_j} * (sum_j b_j log(1/t_j))^r`` as ``{log powers: int}``.
+
+    ``support`` lists the pairs ``(j, b_j)`` with ``b_j != 0``.
+    """
+    out = {logs: 1}
+    for _ in range(r):
+        nxt: dict[tuple[int, ...], int] = {}
+        for lvec, m in out.items():
+            for j, b in support:
+                key = lvec[:j] + (lvec[j] + 1,) + lvec[j + 1:]
+                nxt[key] = nxt.get(key, 0) + m * b
+        out = nxt
+    return out
+
+
+def integrate_one_var(
+    f: FracExpSum,
+    var: int,
+    lower: tuple[Sequence[int], int] | None,
+) -> FracExpSum:
     """Definite integral of ``f`` in ``t_var`` from a monomial bound up to 1.
 
-    ``lower`` is an exponent vector describing a monomial in the *other*
-    variables, or ``None`` for a zero lower bound.  The result no longer
-    depends on ``t_var``.
+    ``lower`` is ``None`` for a zero lower bound, or a pair ``(exps, bden)``
+    of ``int`` numerators and a positive ``int`` denominator: the monomial
+    ``prod_j t_j^(exps[j] / bden)`` in the *other* variables (``exps[var]
+    == 0``).  The result no longer depends on ``t_var``.
 
-    Raises :class:`DivergentIntegral` when the lower bound is 0 and the
-    integrand carries a term with exponent <= -1 in ``t_var`` (after like
-    terms merge), and ``ValueError`` for malformed bounds.
+    One pass over ``f``'s terms writes ``F(1) - F(lower)`` into one dict,
+    ``F`` being the antiderivative in ``t = t_var``.  A term with exponent
+    ``q = e / den`` and log power ``p`` in ``t`` has
+
+    * ``q == -1`` (``e == -den``): ``F = -log(1/t)^(p+1) / (p+1)``, which
+      is 0 at ``t = 1``;
+    * otherwise ``F = sum_{i=0}^{p} p!/(p-i)! * t^(q+1) * log(1/t)^(p-i) /
+      (q+1)^(i+1)``, which is ``p! / (q+1)^(p+1)`` at ``t = 1``.
+
+    At the bound, ``t^(q+1)`` adds ``(e + den) * exps[j]`` to the exponent
+    numerators of the other variables on the lattice ``1/(den * bden)``,
+    and ``log(1/t)`` expands as ``sum_j exps[j] / bden * log(1/t_j)``.
+    Every contribution is an ``int`` numerator over its own denominator;
+    all are brought to their lcm and the sum is reduced once.
+
+    With a zero lower bound, ``F -> 0`` as ``t -> 0`` for every term with
+    ``q > -1``, and the integral diverges if some term of ``f`` has ``q <=
+    -1`` (``e <= -den``).  Reading ``f``'s merged terms is equivalent to
+    reading the antiderivative's: the terms of ``f`` that share ``q`` and
+    the factors in the other variables map to terms of ``F`` with exponent
+    ``q + 1`` and the same factors, which no other such group produces, and
+    the group's highest log power ``p`` gives ``F`` a term (log power ``p``,
+    or ``p + 1`` when ``q == -1``) that no other term of the group reaches.
+    So ``F`` keeps a term that blows up at 0 exactly when ``f`` has a term
+    with ``q <= -1``, and since distinct ``t^q log(1/t)^p`` scales are
+    linearly independent as ``t -> 0``, the divergence is genuine.
+
+    Raises :class:`DivergentIntegral` for such a term under a zero lower
+    bound, and ``ValueError`` for a bad variable index or a malformed bound.
     """
-    if not 0 <= var < f.nvars:
+    n = f.nvars
+    if not 0 <= var < n:
         raise ValueError(f"variable index {var} out of range")
-    F = f.antiderivative(var)
-    top = F.substitute_monomial(var, (0,) * f.nvars)
+    den = f.den
+    # (key, numerator, denominator) of each contribution to F(1) - F(lower)
+    parts = []
     if lower is None:
-        bottom = F.limit_at_zero(var)
-    else:
-        bottom = F.substitute_monomial(var, lower)
-    return top - bottom
+        for (exps, logs), c in f.terms.items():
+            e, p = exps[var], logs[var]
+            s = e + den  # (q + 1) * den
+            if s <= 0:
+                raise DivergentIntegral(
+                    f"integrand term with exponent {Fraction(e, den)} and log power {p} "
+                    f"in t_{var} is not integrable at 0"
+                )
+            key = (exps[:var] + (0,) + exps[var + 1:], logs[:var] + (0,) + logs[var + 1:])
+            parts.append((key, c * math.factorial(p) * den ** (p + 1), s ** (p + 1)))
+        return _summed(n, parts, den, f.cden)
+    bexps, bden = lower
+    if len(bexps) != n:
+        raise ValueError("bound length disagrees with nvars")
+    if bexps[var]:
+        raise ValueError("a bound may not involve the variable it replaces")
+    if bden < 1:
+        raise ValueError("a bound's denominator must be positive")
+    support = [(j, b) for j, b in enumerate(bexps) if b]
+    for (exps, logs), c in f.terms.items():
+        e, p = exps[var], logs[var]
+        s = e + den
+        logs = logs[:var] + (0,) + logs[var + 1:]
+        base = [x * bden for x in exps]
+        base[var] = 0
+        if not s:
+            # -F(lower) = log(1/lower)^(p+1) / (p+1) = (sum_j b_j log(1/t_j))^(p+1) / ((p+1) bden^(p+1))
+            key, d = tuple(base), (p + 1) * bden ** (p + 1)
+            for lvec, m in _times_log_power(logs, support, p + 1).items():
+                parts.append(((key, lvec), c * m, d))
+            continue
+        parts.append(((tuple(base), logs), c * math.factorial(p) * den ** (p + 1), s ** (p + 1)))
+        for j, b in support:
+            base[j] += s * b
+        low = tuple(base)
+        # -F(lower): term i carries p!/(p-i)! den^(i+1) / (s^(i+1) bden^(p-i)) and log power p - i
+        weight = -c
+        for i in range(p + 1):
+            weight *= den
+            d = s ** (i + 1) * bden ** (p - i)
+            for lvec, m in _times_log_power(logs, support, p - i).items():
+                parts.append(((low, lvec), weight * m, d))
+            weight *= p - i
+    return _summed(n, parts, den * bden, f.cden)
+
+
+def _summed(nvars: int, parts: list, den: int, cden: int) -> FracExpSum:
+    """The contributions ``(key, numerator, denominator)`` over ``cden`` as one sum.
+
+    Each numerator is brought to the lcm of the denominators, like keys
+    merge, and :meth:`FracExpSum.on_lattice` reduces both denominators once.
+    """
+    common = math.lcm(*[d for _, _, d in parts])
+    terms: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    for key, num, d in parts:
+        terms[key] = terms.get(key, 0) + num * (common // d)
+    return FracExpSum.on_lattice(nvars, terms, den, cden * common)
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,16 @@ def mc_norm_estimate(alpha: Sequence[int], spec: DomainSpec, samples: int, seed:
 
 
 def kernel_values(kernel: RationalKernel, z: Sequence[complex], W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized kernel evaluation ``K(z, W_row)`` with a non-singular mask."""
+    """Vectorized kernel evaluation ``K(z, W_row)`` with a non-singular mask.
+
+    ``z`` has one entry per variable and ``W`` one row per point, each of
+    that width; anything else is a ``ValueError`` rather than a broadcast.
+    """
+    n = kernel.n
+    if len(z) != n:
+        raise ValueError(f"z has length {len(z)}, expected {n}")
+    if np.ndim(W) != 2 or np.shape(W)[1] != n:
+        raise ValueError(f"W has shape {np.shape(W)}, expected (points, {n})")
     zc = np.asarray(z, dtype=np.complex128)
     T = zc[None, :] * np.conj(W)
     num = np.zeros(len(W), dtype=np.complex128)

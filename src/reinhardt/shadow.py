@@ -15,13 +15,18 @@ iterated integral of :class:`~reinhardt.exact.FracExpSum` objects:
 
       lower_m = ( prod_{a<=s} t_a^{k_a} / prod_{earlier b} t_b^{|k_b|} )^{1/|k_m|},
 
-  a monomial bound that is automatically < 1 on the open region, so each
-  step is a two-point evaluation of an exact antiderivative;
+  a monomial bound that is automatically < 1 on the open region.  The
+  bound is passed as the ``int`` numerators ``k_a`` and ``-|k_b|`` over the
+  one denominator ``|k_m|``, and each step is one pass of
+  :func:`~reinhardt.exact.integrate_one_var`, which writes ``F(1) -
+  F(lower_m)`` of the antiderivative ``F`` in ``int`` numerators;
 
 * positive-block variables are outermost, each over ``(0, 1)``.  Only these
-  steps can diverge, and divergence is detected structurally: a surviving
-  term with exponent <= -1 (log powers allowed) cannot be cancelled by
-  terms of other asymptotic scales, so the integral is genuinely infinite.
+  steps can diverge, and divergence is detected structurally: a term of
+  the integrand with exponent <= -1 in the step's variable (log powers
+  allowed) leaves a term of the antiderivative that blows up at 0 and
+  that terms of other asymptotic scales cannot cancel, so the integral is
+  genuinely infinite.
 
 Every exponent stays on the lattice ``(1/D) * Z``, where ``D`` divides the
 product of the ``|k_b|`` over the negatives integrated so far.
@@ -78,13 +83,17 @@ def shadow_integral_exact(
 ) -> Fraction | None:
     """``Integral_T t**(beta - 1) dt`` as an exact rational, or None if infinite.
 
-    ``neg_order`` lists the negative-block variable indices from outermost
+    ``beta`` has ``int`` entries (``TypeError`` otherwise), so the start
+    monomial ``t**(beta - 1)`` sits on the integer lattice.  ``neg_order`` lists the negative-block variable indices from outermost
     to innermost nesting (default: increasing).  It must be a permutation
     of ``range(s, n)``.
     """
     n, s = spec.n, spec.s
     if len(beta) != n:
         raise ValueError(f"beta has length {len(beta)}, expected {n}")
+    for b in beta:
+        if not isinstance(b, int):
+            raise TypeError(f"beta entries must be ints, got {b!r}")
     if neg_order is None:
         neg_order = tuple(range(s, n))
     else:
@@ -93,16 +102,14 @@ def shadow_integral_exact(
             raise ValueError("neg_order must permute the negative-block indices")
     abs_k = spec.abs_k
 
-    f = FracExpSum.monomial(n, [Fraction(b - 1) for b in beta])
-    # Negative block, innermost first.
+    f = FracExpSum.on_lattice(n, {(tuple(b - 1 for b in beta), (0,) * n): 1})
+    # Negative block, innermost first; each bound is int numerators over |k_m|.
     for pos in range(len(neg_order) - 1, -1, -1):
         m = neg_order[pos]
-        lower = [Fraction(0)] * n
-        for a in range(s):
-            lower[a] = Fraction(spec.k[a], abs_k[m])
+        lower = list(spec.k[:s]) + [0] * (n - s)
         for b in neg_order[:pos]:
-            lower[b] = Fraction(-abs_k[b], abs_k[m])
-        f = integrate_one_var(f, m, lower)
+            lower[b] = -abs_k[b]
+        f = integrate_one_var(f, m, (lower, abs_k[m]))
     # Positive block, each over (0, 1); divergence can only surface here.
     try:
         for a in range(s - 1, -1, -1):

@@ -215,11 +215,16 @@ def test_build_RS_evaluates_like_the_reference():
 # -- FracExpSum ----------------------------------------------------------------
 
 
+def monomial(nvars: int, exps, coef=1) -> FracExpSum:
+    """``coef * prod t_j^{exps_j}`` with no log factors."""
+    return FracExpSum(nvars, {(tuple(exps), (0,) * nvars): coef})
+
+
 def float_value(f: FracExpSum, point) -> float:
-    """``f`` at ``0 < t_j < 1`` in floats, reading each exponent as ``exps[j] / f.den``."""
+    """``f`` at ``0 < t_j < 1`` in floats: exponent ``exps[j] / f.den``, coefficient ``c / f.cden``."""
     total = 0.0
-    for (exps, logs), coef in f.terms.items():
-        term = float(coef)
+    for (exps, logs), c in f.terms.items():
+        term = c / f.cden
         for t, e, p in zip(point, exps, logs):
             term *= t ** (e / f.den) * math.log(1.0 / t) ** p
         total += term
@@ -255,8 +260,8 @@ def test_quadrature_cross_check():
 
 def test_iterated_integral_with_monomial_lower_bound():
     # integral_0^1 integral_{t2^2}^1 t1^-1 t2 dt1 dt2 = 1/2, via a log term
-    f = FracExpSum.monomial(2, (Fraction(-1), Fraction(1)))
-    inner = integrate_one_var(f, 0, (Fraction(0), Fraction(2)))
+    f = monomial(2, (Fraction(-1), Fraction(1)))
+    inner = integrate_one_var(f, 0, ((0, 2), 1))
     assert inner == FracExpSum(2, {((Fraction(0), Fraction(1)), (0, 1)): Fraction(2)})
     assert integrate_one_var(inner, 1, None).as_constant() == Fraction(1, 2)
 
@@ -264,11 +269,35 @@ def test_iterated_integral_with_monomial_lower_bound():
     assert abs(numeric - 0.5) < 1e-9
 
 
+def test_two_variable_integral_with_a_fractional_bound_and_a_log_power():
+    # integral_0^1 integral_{t1^(3/2)}^1 (t0^-1 log(1/t0) t1^(1/3) + 2 t0^(1/2) t1) dt0 dt1:
+    # the q == -1 term squares the log of the fractional bound, the other
+    # moves t1's exponent by (3/2) * (3/2)
+    f = FracExpSum(2, {((-1, Fraction(1, 3)), (1, 0)): 1, ((Fraction(1, 2), 1), (0, 0)): 2})
+    inner = integrate_one_var(f, 0, ((0, 3), 2))
+    assert inner == FracExpSum(2, {
+        ((0, Fraction(1, 3)), (0, 2)): Fraction(9, 8),
+        ((0, 1), (0, 0)): Fraction(4, 3),
+        ((0, Fraction(13, 4)), (0, 0)): Fraction(-4, 3),
+    })
+    value = integrate_one_var(inner, 1, None).as_constant()
+    # 9/8 * 2 / (4/3)^3 + 4/3 / 2 - 4/3 / (17/4)
+    assert value == Fraction(243, 256) + Fraction(2, 3) - Fraction(16, 51)
+
+    numeric, _ = dblquad(
+        lambda t0, t1: math.log(1.0 / t0) / t0 * t1 ** (1 / 3) + 2 * math.sqrt(t0) * t1,
+        0, 1, lambda t1: t1 ** 1.5, 1, epsabs=1e-12, epsrel=1e-12,
+    )
+    assert abs(numeric - float(value)) < 1e-9
+
+
 def test_antiderivative_fundamental_theorem():
-    f = FracExpSum(1, {((Fraction(1, 2),), (1,)): Fraction(1)})  # sqrt(t) log(1/t)
-    F = f.antiderivative(0)
+    # integral_a^b sqrt(t) log(1/t) dt as G(a) - G(b), with G(t1) the
+    # integral of sqrt(t0) log(1/t0) over t0 in (t1, 1)
+    f = FracExpSum(2, {((Fraction(1, 2), 0), (1, 0)): Fraction(1)})
+    G = integrate_one_var(f, 0, ((0, 1), 1))
     a, b = 0.2, 0.7
-    exact = float_value(F, [b]) - float_value(F, [a])
+    exact = float_value(G, [0.5, a]) - float_value(G, [0.5, b])
     numeric, _ = quad(lambda t: math.sqrt(t) * math.log(1.0 / t), a, b, epsabs=1e-13)
     assert abs(exact - numeric) < 1e-10
 
@@ -276,7 +305,7 @@ def test_antiderivative_fundamental_theorem():
 def test_divergent_integrals_raise():
     for q in (Fraction(-1), Fraction(-3, 2)):
         with pytest.raises(DivergentIntegral):
-            integrate_one_var(FracExpSum.monomial(1, (q,)), 0, None)
+            integrate_one_var(monomial(1, (q,)), 0, None)
     # log divergence: the antiderivative of 1/t survives at 0 as a log power
     f = FracExpSum(1, {((Fraction(-1),), (1,)): Fraction(1)})
     with pytest.raises(DivergentIntegral):
@@ -284,118 +313,161 @@ def test_divergent_integrals_raise():
 
 
 def test_limit_at_zero_keeps_other_variables():
+    # integral_0^1 dt0 of 3 t0^(1/2) t1^2 + 5 t1^-1 log(1/t1): the limit at
+    # t0 -> 0 is 0, and t1's exponent -1 and log power pass through
     f = FracExpSum(2, {
-        ((Fraction(1), Fraction(2)), (0, 0)): Fraction(3),   # t1 t2^2 -> 0
-        ((Fraction(0), Fraction(-1)), (0, 1)): Fraction(5),  # t2^-1 log(1/t2) stays
+        ((Fraction(1, 2), Fraction(2)), (0, 0)): Fraction(3),
+        ((Fraction(0), Fraction(-1)), (0, 1)): Fraction(5),
     })
-    assert f.limit_at_zero(0) == FracExpSum(2, {((Fraction(0), Fraction(-1)), (0, 1)): Fraction(5)})
+    assert integrate_one_var(f, 0, None) == FracExpSum(2, {
+        ((0, 2), (0, 0)): 2,
+        ((0, -1), (0, 1)): 5,
+    })
 
 
 def test_substitute_monomial_expands_logs():
-    # log(1/t1)^2 with t1 -> t2^3 becomes 9 log(1/t2)^2
-    f = FracExpSum(2, {((Fraction(0), Fraction(0)), (2, 0)): Fraction(1)})
-    g = f.substitute_monomial(0, (0, 3))
+    # integral over t0 in (t1^3, 1) of 2 t0^-1 log(1/t0) is log(1/t1^3)^2 = 9 log(1/t1)^2
+    f = FracExpSum(2, {((Fraction(-1), Fraction(0)), (1, 0)): Fraction(2)})
+    g = integrate_one_var(f, 0, ((0, 3), 1))
     assert g == FracExpSum(2, {((Fraction(0), Fraction(0)), (0, 2)): Fraction(9)})
 
 
 def test_substitute_monomial_mixed_bound():
-    # t1^2 with t1 -> t2 t3^(1/2): exponents push onto both variables
-    f = FracExpSum.monomial(3, (Fraction(2), Fraction(0), Fraction(0)))
-    g = f.substitute_monomial(0, (0, 1, Fraction(1, 2)))
-    assert g == FracExpSum.monomial(3, (Fraction(0), Fraction(2), Fraction(1)))
-    with pytest.raises(ValueError):
-        f.substitute_monomial(0, (1, 0, 0))  # bound may not involve the variable
+    # integral over t0 in (t1 t2^(1/2), 1) of 3 t0^2 is 1 - t1^3 t2^(3/2):
+    # the bound's exponents push onto both variables
+    f = monomial(3, (Fraction(2), Fraction(0), Fraction(0)), 3)
+    g = integrate_one_var(f, 0, ((0, 2, 1), 2))
+    assert g == FracExpSum(3, {((0, 0, 0), (0, 0, 0)): 1, ((0, 3, Fraction(3, 2)), (0, 0, 0)): -1})
+    with pytest.raises(ValueError, match="may not involve"):
+        integrate_one_var(f, 0, ((1, 0, 0), 1))
+    with pytest.raises(ValueError, match="length"):
+        integrate_one_var(f, 0, ((0, 1), 1))
+    with pytest.raises(ValueError, match="positive"):
+        integrate_one_var(f, 0, ((0, 1, 0), 0))
+    with pytest.raises(ValueError, match="out of range"):
+        integrate_one_var(f, 3, None)
 
 
 def test_fracexp_sum_algebra():
-    f = FracExpSum.monomial(2, (Fraction(1), Fraction(0)), 2)
-    g = FracExpSum.monomial(2, (Fraction(0), Fraction(1)))
-    assert (f + g) - g == f
-    assert (f - f).is_zero()
-    assert -(-f) == f
+    # F(1) and F(lower) land in one dict: like terms merge and cancel there
+    f = FracExpSum(2, {((1, 0), (0, 0)): 1, ((0, 0), (0, 0)): 1})
+    g = integrate_one_var(f, 0, ((0, 1), 1))  # (1/2 + 1) - (t1^2 / 2 + t1)
+    assert g == FracExpSum(2, {
+        ((0, 0), (0, 0)): Fraction(3, 2),
+        ((0, 2), (0, 0)): Fraction(-1, 2),
+        ((0, 1), (0, 0)): -1,
+    })
+    assert g.cden == 2
+    # the bound t0 > 1 cancels everything
+    zero = integrate_one_var(f, 0, ((0, 0), 1))
+    assert zero == FracExpSum(2) and not zero.terms
+    assert zero.den == zero.cden == 1
 
 
 def test_as_constant_guards():
-    f = FracExpSum.monomial(2, (Fraction(1), Fraction(0)))
+    f = monomial(2, (Fraction(1), Fraction(0)))
     with pytest.raises(ValueError):
         f.as_constant()
-    assert FracExpSum.monomial(2, (0, 0), Fraction(5, 7)).as_constant() == Fraction(5, 7)
+    assert monomial(2, (0, 0), Fraction(5, 7)).as_constant() == Fraction(5, 7)
 
 
 def test_fracexp_evaluate_matches_terms():
-    f = FracExpSum(1, {((Fraction(1, 2),), (1,)): Fraction(2)})
+    f = FracExpSum(1, {((Fraction(1, 2),), (1,)): Fraction(2, 3)})
     t = 0.3
-    assert abs(float_value(f, [t]) - 2 * math.sqrt(t) * math.log(1 / t)) < 1e-14
+    assert abs(float_value(f, [t]) - 2 / 3 * math.sqrt(t) * math.log(1 / t)) < 1e-14
 
 
-# -- FracExpSum lattice --------------------------------------------------------
+# -- FracExpSum lattices -------------------------------------------------------
 
 
 def test_lattice_den_is_minimal():
     f = FracExpSum(2, {((Fraction(1, 2), Fraction(3, 4)), (0, 0)): 1, ((1, 0), (0, 1)): 2})
     assert f.den == 4
     assert f.terms == {((2, 3), (0, 0)): 1, ((4, 0), (0, 1)): 2}
-    assert FracExpSum.monomial(2, (Fraction(2, 6), Fraction(4, 6))).den == 3
-    assert FracExpSum.monomial(2, (3, -1)).den == 1
+    assert monomial(2, (Fraction(2, 6), Fraction(4, 6))).den == 3
+    assert monomial(2, (3, -1)).den == 1
     assert FracExpSum(2).den == 1
-    # cancelling the only term on the finer grid takes den back down
-    g = FracExpSum.monomial(1, (Fraction(1, 6),)) + FracExpSum.monomial(1, (Fraction(1, 2),))
-    assert g.den == 6
-    h = g - FracExpSum.monomial(1, (Fraction(1, 6),))
-    assert h.den == 2 and h.terms == {((1,), (0,)): 1}
-    assert (g - g).den == 1 and (g - g).is_zero()
+    # over t0 in (t1^(1/6), 1), t1^(1/6) + 1 integrates to (t1^(1/6) - t1^(1/3)) +
+    # (1 - t1^(1/6)): the t1^(1/6) terms cancel, and den drops from 36 to 3
+    f = FracExpSum(2, {((0, Fraction(1, 6)), (0, 0)): 1, ((0, 0), (0, 0)): 1})
+    assert f.den == 6
+    g = integrate_one_var(f, 0, ((0, 1), 6))
+    assert g.den == 3 and g.terms == {((0, 0), (0, 0)): 1, ((0, 1), (0, 0)): -1}
     # a zero coefficient does not keep its exponent's denominator
     assert FracExpSum(1, {((Fraction(1, 5),), (0,)): 0, ((1,), (0,)): 1}).den == 1
 
 
 def test_lattice_grows_exactly_for_an_off_grid_bound():
-    # t0 * t1^(1/2) with t0 -> t1^(1/3) is t1^(5/6)
-    f = FracExpSum.monomial(2, (1, Fraction(1, 2)))
+    # over t0 in (t1^(1/3), 1), t1^(1/2) integrates to t1^(1/2) - t1^(5/6)
+    f = monomial(2, (0, Fraction(1, 2)))
     assert f.den == 2
-    g = f.substitute_monomial(0, (0, Fraction(1, 3)))
+    g = integrate_one_var(f, 0, ((0, 1), 3))
     assert g.den == 6
-    assert g.terms == {((0, 5), (0, 0)): 1}
-    # t0^(3/2) with t0 -> t1^(2/3) lands back on the integers
-    h = FracExpSum.monomial(2, (Fraction(3, 2), 0)).substitute_monomial(0, (0, Fraction(2, 3)))
-    assert h.den == 1 and h.terms == {((0, 1), (0, 0)): 1}
+    assert g.terms == {((0, 3), (0, 0)): 1, ((0, 5), (0, 0)): -1}
+    # t0^(1/2) over (t1^(2/3), 1) is 2/3 - 2/3 t1: back on the integers
+    h = integrate_one_var(monomial(2, (Fraction(1, 2), 0)), 0, ((0, 2), 3))
+    assert h.den == 1 and h.cden == 3
+    assert h.terms == {((0, 0), (0, 0)): 2, ((0, 1), (0, 0)): -2}
+
+
+def test_coefficient_lattice_is_minimal():
+    f = FracExpSum(1, {((1,), (0,)): Fraction(1, 6), ((2,), (0,)): Fraction(1, 4)})
+    assert f.cden == 12 and f.terms == {((1,), (0,)): 2, ((2,), (0,)): 3}
+    assert FracExpSum(1, {((1,), (0,)): Fraction(2, 4), ((2,), (0,)): Fraction(3, 6)}).cden == 2
+    assert monomial(2, (1, 1), 4).cden == 1
+    assert FracExpSum(2).cden == 1
+    # numerators given over non-minimal denominators are reduced
+    g = FracExpSum.on_lattice(1, {((2,), (0,)): 4, ((6,), (0,)): -6, ((4,), (1,)): 0}, den=2, cden=8)
+    assert g == FracExpSum(1, {((1,), (0,)): Fraction(1, 2), ((3,), (0,)): Fraction(-3, 4)})
+    assert (g.den, g.cden) == (1, 4) and g.terms == {((1,), (0,)): 2, ((3,), (0,)): -3}
+    # every integration result is stored minimally
+    f = FracExpSum(3, {((Fraction(1, 2), 2, -1), (0, 1, 0)): Fraction(3, 7), ((1, 0, Fraction(-1, 3)), (0, 0, 0)): 5})
+    for h in (integrate_one_var(f, 2, ((2, 1, 0), 3)), integrate_one_var(f, 0, None)):
+        assert math.gcd(h.den, *(e for exps, _ in h.terms for e in exps)) == 1
+        assert math.gcd(h.cden, *h.terms.values()) == 1
 
 
 def test_sums_built_by_different_routes_compare_equal():
     # integral over t0 in (t1, 1) of t0^(-1/2) t1^(1/2) is 2 t1^(1/2) - 2 t1
-    f = FracExpSum.monomial(2, (Fraction(-1, 2), Fraction(1, 2)))
-    by_integration = integrate_one_var(f, 0, (0, 1))
+    f = monomial(2, (Fraction(-1, 2), Fraction(1, 2)))
+    by_integration = integrate_one_var(f, 0, ((0, 1), 1))
     by_hand = FracExpSum(2, {((0, Fraction(1, 2)), (0, 0)): 2, ((0, 1), (0, 0)): -2})
     assert by_integration == by_hand
-    by_sums = (FracExpSum.monomial(2, (0, Fraction(1, 2)), 3) - FracExpSum.monomial(2, (0, 1), 2)
-               - FracExpSum.monomial(2, (0, Fraction(2, 4))))
-    assert by_sums == by_hand
-    assert by_sums.den == by_hand.den == 2
+    # the same bound over a larger denominator, and the same sum written on finer lattices
+    assert integrate_one_var(f, 0, ((0, 3), 3)) == by_hand
+    on_fine_lattices = FracExpSum.on_lattice(2, {((0, 2), (0, 0)): 12, ((0, 4), (0, 0)): -12}, den=4, cden=6)
+    assert on_fine_lattices == by_hand
+    assert by_hand == FracExpSum(2, {((0, Fraction(2, 4)), (0, 0)): Fraction(6, 3), ((0, 1), (0, 0)): Fraction(-4, 2)})
+    assert (by_hand.den, by_hand.cden) == (2, 1)
     # the same monomial written on a coarser and a finer grid
-    assert FracExpSum.monomial(1, (Fraction(4, 6),)) == FracExpSum.monomial(1, (Fraction(2, 3),))
+    assert monomial(1, (Fraction(4, 6),)) == monomial(1, (Fraction(2, 3),))
+    assert monomial(1, (1,), Fraction(1, 3)) != monomial(1, (1,), Fraction(2, 3))
 
 
 def test_exponent_minus_one_on_a_fine_lattice_gives_a_log():
-    # t0^-1 t1^(1/2): q0 == -1 is the numerator -den, so the antiderivative is a log
-    f = FracExpSum.monomial(2, (-1, Fraction(1, 2)))
+    # t0^-1 t1^(1/2): q0 == -1 is the numerator -den, so the integral is a log
+    f = monomial(2, (-1, Fraction(1, 2)))
     assert f.den == 2 and f.terms == {((-2, 1), (0, 0)): 1}
-    F = f.antiderivative(0)
-    assert F == FracExpSum(2, {((0, Fraction(1, 2)), (1, 0)): -1})
+    # over t0 in (t1^(1/2), 1): log(1/t1^(1/2)) t1^(1/2)
+    g = integrate_one_var(f, 0, ((0, 1), 2))
+    assert g == FracExpSum(2, {((0, Fraction(1, 2)), (0, 1)): Fraction(1, 2)})
     with pytest.raises(DivergentIntegral):
         integrate_one_var(f, 0, None)
     # -3/2 is off the integer grid and diverges too; -1/2 converges to 2
     with pytest.raises(DivergentIntegral):
-        integrate_one_var(FracExpSum.monomial(1, (Fraction(-3, 2),)), 0, None)
-    assert integrate_one_var(FracExpSum.monomial(1, (Fraction(-1, 2),)), 0, None).as_constant() == 2
+        integrate_one_var(monomial(1, (Fraction(-3, 2),)), 0, None)
+    assert integrate_one_var(monomial(1, (Fraction(-1, 2),)), 0, None).as_constant() == 2
 
 
 def test_keys_are_int_tuples():
-    f = FracExpSum.monomial(3, (Fraction(1, 2), 2, -1))
-    f = integrate_one_var(f, 2, (Fraction(2, 3), Fraction(1, 3), 0))
+    f = monomial(3, (Fraction(1, 2), 2, -1), Fraction(1, 3))
+    f = integrate_one_var(f, 2, ((2, 1, 0), 3))
     f = integrate_one_var(f, 1, None)
-    assert f.den > 1
-    for exps, logs in f.terms:
+    assert f.den > 1 and f.cden > 1
+    for (exps, logs), c in f.terms.items():
         assert type(exps) is tuple and type(logs) is tuple
         assert all(type(e) is int for e in exps + logs)
+        assert type(c) is int
 
 
 # -- LaurentChunk ---------------------------------------------------------------

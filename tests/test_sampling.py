@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 import reinhardt.sampling
 from reinhardt.domains import normalize_spec
 from reinhardt.exact import DivergentIntegral
-from reinhardt.kernels import kernel_model_sig1
+from reinhardt.kernels import kernel_model_sig1, kernel_signature_one
 from reinhardt.sampling import (
     bell_residuals,
     check_bell_identity,
@@ -124,6 +124,23 @@ def test_kernel_values_match_scalar_evaluation():
     for row in (0, 17, 63):
         direct = kernel.evaluate(z, W[row])
         assert abs(values[row] - direct) < 1e-12 * max(1.0, abs(direct))
+
+
+@pytest.mark.parametrize(
+    "z, W, message",
+    [
+        ((0.2,), np.full((4, 2), 0.5 + 0j), r"^z has length 1, expected 2$"),
+        ((0.2, 0.1, 0.3), np.full((4, 2), 0.5 + 0j), r"^z has length 3, expected 2$"),
+        ((0.2, 0.1), np.full((4, 3), 0.5 + 0j), r"^W has shape \(4, 3\), expected \(points, 2\)$"),
+        ((0.2, 0.1), np.full((4, 1), 0.5 + 0j), r"^W has shape \(4, 1\), expected \(points, 2\)$"),
+        ((0.2, 0.1), np.full(4, 0.5 + 0j), r"^W has shape \(4,\), expected \(points, 2\)$"),
+    ],
+)
+def test_kernel_values_refuses_wrong_widths(z, W, message):
+    # numpy would broadcast each of these; the scalar evaluator refuses them too
+    kernel = kernel_signature_one(HARTOGS)
+    with pytest.raises(ValueError, match=message):
+        kernel_values(kernel, z, W)
 
 
 def test_reproducing_property_smoke():
