@@ -84,9 +84,10 @@ def shadow_integral_exact(
     """``Integral_T t**(beta - 1) dt`` as an exact rational, or None if infinite.
 
     ``beta`` has ``int`` entries (``TypeError`` otherwise), so the start
-    monomial ``t**(beta - 1)`` sits on the integer lattice.  ``neg_order`` lists the negative-block variable indices from outermost
-    to innermost nesting (default: increasing).  It must be a permutation
-    of ``range(s, n)``.
+    monomial ``t**(beta - 1)`` sits on the integer lattice.  ``neg_order``
+    lists the negative-block variable indices from outermost to innermost
+    nesting (default: increasing).  It must be a permutation of ``range(s,
+    n)``.
     """
     n, s = spec.n, spec.s
     if len(beta) != n:

@@ -101,6 +101,9 @@ def test_neg_order_validation():
         shadow_integral_exact((1, 1), HARTOGS, neg_order=(1, 1))
     with pytest.raises(ValueError):
         shadow_integral_exact((1, 1, 1), HARTOGS)
+    # the start monomial sits on the integer lattice, so beta must be ints
+    with pytest.raises(TypeError, match="beta entries must be ints"):
+        shadow_integral_exact((1, Fraction(1)), HARTOGS)
 
 
 def test_oracle_finiteness_matches_predicate_on_a_model():
