@@ -22,11 +22,19 @@ iterated integral of :class:`~reinhardt.exact.FracExpSum` objects:
   F(lower_m)`` of the antiderivative ``F`` in ``int`` numerators;
 
 * positive-block variables are outermost, each over ``(0, 1)``.  Only these
-  steps can diverge, and divergence is detected structurally: a term of
-  the integrand with exponent <= -1 in the step's variable (log powers
-  allowed) leaves a term of the antiderivative that blows up at 0 and
-  that terms of other asymptotic scales cannot cancel, so the integral is
-  genuinely infinite.
+  steps can diverge.
+
+Divergence is answered before any step, from the chamber.  In ``u = -log
+t`` the shadow is the polyhedral cone with rays ``e_a`` and ``|k_b| * e_a +
+k_a * e_b`` (``a <= s < b``), and ``Integral e^(-<beta, u>) du`` over a
+cone is finite exactly on the interior of its dual cone: where every form
+``beta_a`` and ``|k_b| * beta_a + k_a * beta_b`` is ``> 0``
+(:func:`in_chamber`).  Outside it the integral is ``None`` at once;
+inside it the steps run and confirm a finite value.  A positive step can
+still see a term with exponent <= -1 in its variable (log powers
+allowed), which would leave a term of the antiderivative that blows up at
+0; at a chamber point that means the chamber and the integral disagree,
+which is a bug, and is an ``ArithmeticError``.
 
 Every exponent stays on the lattice ``(1/D) * Z``, where ``D`` divides the
 product of the ``|k_b|`` over the negatives integrated so far.
@@ -76,6 +84,30 @@ from .domains import DomainSpec, NormValue, shifted
 from .exact import DivergentIntegral, FracExpSum, integrate_one_var
 
 
+def in_chamber(beta: Sequence[int], spec: DomainSpec) -> bool:
+    """Whether ``Integral_T t**(beta - 1) dt`` is finite, from the shadow's cone alone.
+
+    In ``u = -log t`` the shadow is the open polyhedral cone with rays
+    ``e_a`` and ``|k_b| * e_a + k_a * e_b`` (``a <= s < b``).  The integral
+    of ``e^(-<beta, u>)`` over a cone is finite exactly on the interior of
+    its dual cone, the chamber: where every form ``beta_a`` and ``|k_b| *
+    beta_a + k_a * beta_b`` is ``> 0``.  Divided by their gcd, these forms
+    are, as a set, the positive-step forms of :class:`ParametricShadow`.
+    Costs ``O(s * (n - s))`` int operations.
+    """
+    k, s = spec.k, spec.s
+    if len(beta) != len(k):
+        raise ValueError(f"beta has length {len(beta)}, expected {len(k)}")
+    for a in range(s):
+        beta_a = beta[a]
+        if beta_a <= 0:
+            return False
+        for b in range(s, len(k)):
+            if k[a] * beta[b] - k[b] * beta_a <= 0:
+                return False
+    return True
+
+
 def shadow_integral_exact(
     beta: Sequence[int],
     spec: DomainSpec,
@@ -88,6 +120,10 @@ def shadow_integral_exact(
     lists the negative-block variable indices from outermost to innermost
     nesting (default: increasing).  It must be a permutation of ``range(s,
     n)``.
+
+    A ``beta`` outside the chamber (:func:`in_chamber`) returns None before
+    any integration step.  A positive step that diverges at a chamber point
+    raises ``ArithmeticError``.
     """
     n, s = spec.n, spec.s
     if len(beta) != n:
@@ -101,6 +137,8 @@ def shadow_integral_exact(
         neg_order = tuple(neg_order)
         if sorted(neg_order) != list(range(s, n)):
             raise ValueError("neg_order must permute the negative-block indices")
+    if not in_chamber(beta, spec):
+        return None
     abs_k = spec.abs_k
 
     f = FracExpSum.on_lattice(n, {(tuple(b - 1 for b in beta), (0,) * n): 1})
@@ -111,12 +149,12 @@ def shadow_integral_exact(
         for b in neg_order[:pos]:
             lower[b] = -abs_k[b]
         f = integrate_one_var(f, m, (lower, abs_k[m]))
-    # Positive block, each over (0, 1); divergence can only surface here.
+    # Positive block, each over (0, 1); at a chamber point no step diverges.
     try:
         for a in range(s - 1, -1, -1):
             f = integrate_one_var(f, a, None)
-    except DivergentIntegral:
-        return None
+    except DivergentIntegral as exc:
+        raise ArithmeticError(f"the shadow integral at beta={tuple(beta)} diverges inside the chamber") from exc
     return f.as_constant()
 
 
@@ -296,7 +334,13 @@ def monomial_norm_oracle(alpha: Sequence[int], spec: DomainSpec) -> NormValue:
     """
     if len(alpha) != spec.n:
         raise ValueError(f"alpha has length {len(alpha)}, expected {spec.n}")
-    value = shadow_integral_exact(shifted(alpha), spec)
+    # the integral validates beta = alpha + 1 (a non-int entry stays one
+    # after the shift), so alpha is scanned once on the way in
+    try:
+        value = shadow_integral_exact(tuple(a + 1 for a in alpha), spec)
+    except TypeError:
+        shifted(alpha)  # raises naming the caller's entry, not the shifted one
+        raise
     if value is None:
         return NormValue.infinite()
     if value <= 0:

@@ -59,3 +59,6 @@ def test_shadow_oracle_shares_no_code_with_the_closed_forms():
     used = used_names(path)
     assert {"FracExpSum", "integrate_one_var"} <= used
     assert used.isdisjoint({"SparsePoly", "substitute", "divide_exact_by_var"})
+    # the chamber is written from the shadow's cone, not from the model's
+    # finiteness predicate or norm formula
+    assert used.isdisjoint({"is_norm_finite", "build_RS", "monomial_norm_model"})

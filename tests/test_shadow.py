@@ -15,7 +15,7 @@ import reinhardt.shadow
 from reinhardt.domains import NormValue, model_spec, normalize_spec, shifted
 from reinhardt.exact import SparsePoly
 from reinhardt.norms import build_RS, is_norm_finite, monomial_norm_model
-from reinhardt.shadow import ParametricShadow, monomial_norm_oracle, shadow_integral_exact
+from reinhardt.shadow import ParametricShadow, in_chamber, monomial_norm_oracle, shadow_integral_exact
 
 HARTOGS = normalize_spec((1, -1))
 
@@ -121,6 +121,11 @@ def test_oracle_rejects_non_int_exponents(alpha):
         monomial_norm_oracle(alpha, HARTOGS)
 
 
+def test_oracle_type_error_names_alpha():
+    with pytest.raises(TypeError, match=r"^exponent entries must be ints, got 0\.5$"):
+        monomial_norm_oracle((0, 0.5), HARTOGS)
+
+
 def test_oracle_length_error_names_alpha():
     with pytest.raises(ValueError, match=r"^alpha has length 1, expected 2$"):
         monomial_norm_oracle((0,), HARTOGS)
@@ -193,6 +198,71 @@ def test_exponents_stay_on_the_negative_block_lattice(monkeypatch):
                 product *= spec.abs_k[var]
             assert product % den == 0
         assert dens[-1][1] == 1
+
+
+# -- the chamber ---------------------------------------------------------------
+
+
+def normalized_specs(max_n, max_k):
+    """Every normalized spec with n <= max_n and |k_i| <= max_k."""
+    for n in range(2, max_n + 1):
+        for s in range(1, n):
+            for mags in itertools.product(range(1, max_k + 1), repeat=n):
+                if math.gcd(*mags) == 1:
+                    yield normalize_spec(mags[:s] + tuple(-m for m in mags[s:]))
+
+
+def dual_cone_forms(spec):
+    """The primitive forms ``beta_a`` and ``(|k_b| beta_a + k_a beta_b) / gcd``, as ``(c_0, c_1, ..., c_n)``."""
+    n, s, k = spec.n, spec.s, spec.k
+    forms = set()
+    for a in range(s):
+        forms.add(tuple(int(j == 1 + a) for j in range(n + 1)))
+        for b in range(s, n):
+            g = math.gcd(k[a], k[b])
+            forms.add(tuple(-k[b] // g if j == 1 + a else k[a] // g if j == 1 + b else 0 for j in range(n + 1)))
+    return forms
+
+
+def test_in_chamber_on_worked_examples():
+    assert in_chamber((1, 0), HARTOGS) and in_chamber((2, -1), HARTOGS)
+    assert not in_chamber((0, 5), HARTOGS) and not in_chamber((1, -1), HARTOGS)
+    # H(1, 2, -3): 3 beta_1 + beta_3 > 0 and 3 beta_2 + 2 beta_3 > 0
+    spec = normalize_spec((1, 2, -3))
+    assert in_chamber((1, 2, -2), spec) and not in_chamber((1, 1, -2), spec)
+    with pytest.raises(ValueError, match="beta has length 2, expected 3"):
+        in_chamber((1, 1), spec)
+
+
+def test_the_dual_cone_forms_are_the_parametric_positive_step_forms():
+    for spec in normalized_specs(4, 5):
+        assert dual_cone_forms(spec) == set(ParametricShadow(spec).forms), spec
+
+
+DIFFERENTIAL_SPECS = ((1, -1), (2, -3), (1, -1, -1), (1, 1, -1), (1, 2, -3), (3, -2, -4), (1, 1, -1, -1), (2, 1, -1, -3))
+
+
+@pytest.mark.parametrize("k", DIFFERENTIAL_SPECS)
+def test_integrator_finds_divergence_exactly_outside_the_chamber(k, monkeypatch):
+    # with a chamber that admits every point the positive steps meet each
+    # divergence themselves, and at a chamber point that is an ArithmeticError
+    spec = normalize_spec(k)
+    forms = dual_cone_forms(spec)
+    expected = {}
+    for beta in itertools.product(range(-3, 5), repeat=spec.n):
+        inside = all(f[0] + sum(c * b for c, b in zip(f[1:], beta)) > 0 for f in forms)
+        assert in_chamber(beta, spec) == inside
+        expected[beta] = shadow_integral_exact(beta, spec)
+    monkeypatch.setattr(reinhardt.shadow, "in_chamber", lambda beta, spec: True)
+    degenerate = 0
+    for beta, value in expected.items():
+        if value is None:
+            with pytest.raises(ArithmeticError, match="diverges inside the chamber"):
+                shadow_integral_exact(beta, spec)
+        else:
+            assert shadow_integral_exact(beta, spec) == value
+            degenerate += beta[-1] == 0  # the innermost step's form is beta_n
+    assert degenerate > 0  # log-degenerate points are among the finite ones
 
 
 # -- the parametric route -----------------------------------------------------
