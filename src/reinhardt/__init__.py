@@ -42,7 +42,7 @@ from .series import (
     series_coefficients_oracle,
     slice_coefficients,
 )
-from .shadow import ParametricShadow, in_chamber, monomial_norm_oracle, shadow_integral_exact
+from .shadow import ParametricShadow, monomial_norm_oracle, shadow_integral_exact
 from .verify import run_suites
 
 __version__ = "0.1.0"
@@ -68,7 +68,6 @@ __all__ = [
     "check_reproducing",
     "coefficient_C",
     "expand_closed_form",
-    "in_chamber",
     "index_set",
     "integrate_one_var",
     "is_norm_finite",

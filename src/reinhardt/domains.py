@@ -164,7 +164,7 @@ class NormValue:
 
     @classmethod
     def of(cls, coefficient, pi_power: int) -> "NormValue":
-        return cls(coefficient, pi_power, True)
+        return cls(Fraction(coefficient), pi_power, True)
 
     @classmethod
     def infinite(cls) -> "NormValue":

@@ -37,8 +37,6 @@ from typing import Iterator, Mapping, Sequence
 
 
 _ZERO = Fraction(0)
-# the exact types of an all-``int`` point, tested in one C-level pass
-_INT_TYPES = frozenset((int, bool))
 
 
 class DivergentIntegral(ArithmeticError):
@@ -260,7 +258,7 @@ class SparsePoly:
         """
         if len(values) != self.nvars:
             raise ValueError(f"point has length {len(values)}, expected {self.nvars}")
-        if _INT_TYPES.issuperset(map(type, values)) or all(isinstance(v, int) for v in values):
+        if all(isinstance(v, int) for v in values):
             L, terms = self._integer_form()
             acc = 0
             for num, factors in terms:

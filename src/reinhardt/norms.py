@@ -33,6 +33,7 @@ whenever ``s = 1`` or ``s = n``, and ``R_{3,2} = beta_1 + beta_2 + beta_3``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -102,4 +103,4 @@ def monomial_norm_model(alpha: Sequence[int], n: int, s: int) -> NormValue:
     q = pair.S.evaluate(beta)
     if q == 0 or r <= 0:
         raise ArithmeticError(f"R/S degenerate at beta={beta}: R={r}, S={q}")
-    return NormValue.of(r / q, n)
+    return NormValue.of(Fraction(r, 1) / q, n)

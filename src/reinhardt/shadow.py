@@ -29,7 +29,7 @@ t`` the shadow is the polyhedral cone with rays ``e_a`` and ``|k_b| * e_a +
 k_a * e_b`` (``a <= s < b``), and ``Integral e^(-<beta, u>) du`` over a
 cone is finite exactly on the interior of its dual cone: where every form
 ``beta_a`` and ``|k_b| * beta_a + k_a * beta_b`` is ``> 0``
-(:func:`in_chamber`).  Outside it the integral is ``None`` at once;
+(``_in_chamber``).  Outside it the integral is ``None`` at once;
 inside it the steps run and confirm a finite value.  A positive step can
 still see a term with exponent <= -1 in its variable (log powers
 allowed), which would leave a term of the antiderivative that blows up at
@@ -84,7 +84,7 @@ from .domains import DomainSpec, NormValue, shifted
 from .exact import DivergentIntegral, FracExpSum, integrate_one_var
 
 
-def in_chamber(beta: Sequence[int], spec: DomainSpec) -> bool:
+def _in_chamber(beta: Sequence[int], spec: DomainSpec) -> bool:
     """Whether ``Integral_T t**(beta - 1) dt`` is finite, from the shadow's cone alone.
 
     In ``u = -log t`` the shadow is the open polyhedral cone with rays
@@ -93,11 +93,9 @@ def in_chamber(beta: Sequence[int], spec: DomainSpec) -> bool:
     its dual cone, the chamber: where every form ``beta_a`` and ``|k_b| *
     beta_a + k_a * beta_b`` is ``> 0``.  Divided by their gcd, these forms
     are, as a set, the positive-step forms of :class:`ParametricShadow`.
-    Costs ``O(s * (n - s))`` int operations.
+    Costs ``O(s * (n - s))`` int operations; the caller checks ``beta``.
     """
     k, s = spec.k, spec.s
-    if len(beta) != len(k):
-        raise ValueError(f"beta has length {len(beta)}, expected {len(k)}")
     for a in range(s):
         beta_a = beta[a]
         if beta_a <= 0:
@@ -121,7 +119,7 @@ def shadow_integral_exact(
     nesting (default: increasing).  It must be a permutation of ``range(s,
     n)``.
 
-    A ``beta`` outside the chamber (:func:`in_chamber`) returns None before
+    A ``beta`` outside the chamber (``_in_chamber``) returns None before
     any integration step.  A positive step that diverges at a chamber point
     raises ``ArithmeticError``.
     """
@@ -137,7 +135,7 @@ def shadow_integral_exact(
         neg_order = tuple(neg_order)
         if sorted(neg_order) != list(range(s, n)):
             raise ValueError("neg_order must permute the negative-block indices")
-    if not in_chamber(beta, spec):
+    if not _in_chamber(beta, spec):
         return None
     abs_k = spec.abs_k
 
@@ -334,13 +332,7 @@ def monomial_norm_oracle(alpha: Sequence[int], spec: DomainSpec) -> NormValue:
     """
     if len(alpha) != spec.n:
         raise ValueError(f"alpha has length {len(alpha)}, expected {spec.n}")
-    # the integral validates beta = alpha + 1 (a non-int entry stays one
-    # after the shift), so alpha is scanned once on the way in
-    try:
-        value = shadow_integral_exact(tuple(a + 1 for a in alpha), spec)
-    except TypeError:
-        shifted(alpha)  # raises naming the caller's entry, not the shifted one
-        raise
+    value = shadow_integral_exact(shifted(alpha), spec)
     if value is None:
         return NormValue.infinite()
     if value <= 0:
