@@ -248,33 +248,23 @@ class SparsePoly:
         self._int_form = form
         return form
 
-    def evaluate(self, values: Sequence):
-        """Evaluate at a point; exact for int/Fraction input, numeric otherwise.
+    def evaluate(self, values: Sequence) -> Fraction:
+        """Evaluate exactly at an ``int`` or ``Fraction`` point.
 
-        At an all-``int`` point the sum runs in integers over the common
-        coefficient denominator and one exact ``Fraction`` is built at the
-        end.  ``Fraction`` coordinates take the term-by-term ``Fraction``
-        route and float or complex coordinates the numeric one.
+        The sum runs over the common coefficient denominator and one exact
+        ``Fraction`` is built at the end; at an all-``int`` point the sum
+        stays in integers.  A float or complex coordinate that enters a term
+        raises ``TypeError``.
         """
         if len(values) != self.nvars:
             raise ValueError(f"point has length {len(values)}, expected {self.nvars}")
-        if all(isinstance(v, int) for v in values):
-            L, terms = self._integer_form()
-            acc = 0
-            for num, factors in terms:
-                for i, e in factors:
-                    num *= values[i] ** e
-                acc += num
-            return Fraction(acc, L)
-        exact = all(isinstance(v, (int, Fraction)) for v in values)
-        total = Fraction(0) if exact else 0.0
-        for exps, coef in self.terms.items():
-            term = coef if exact else float(coef)
-            for value, e in zip(values, exps):
-                if e:
-                    term = term * value ** e
-            total = total + term
-        return total
+        L, terms = self._integer_form()
+        acc = 0
+        for num, factors in terms:
+            for i, e in factors:
+                num *= values[i] ** e
+            acc += num
+        return Fraction(acc, L)
 
     def substitute(self, mapping: Mapping[int, "SparsePoly"]) -> "SparsePoly":
         """Simultaneously replace ``x_i`` by ``mapping[i]`` (same variable count)."""

@@ -51,13 +51,16 @@ import numpy as np
 
 from .domains import DomainSpec, lcm_data, model_spec
 from .exact import DivergentIntegral
-from .kernels import SINGULAR_GUARD, RationalKernel, kernel_model_sig1, kernel_signature_one
+from .kernels import RationalKernel, _float_parts, kernel_model_sig1, kernel_signature_one
 from .shadow import monomial_norm_oracle
 
 _CHUNK = 1 << 20
 
 #: Rejection draws per interior point; past them the sampler raises ``ArithmeticError``.
 _MAX_DRAWS = 10_000
+
+#: Interior points keep ``t**k_pos < _MARGIN * t**|k_neg|``, clear of the singular set.
+_MARGIN = 0.8
 
 
 def generator(seed: int) -> np.random.Generator:
@@ -139,24 +142,7 @@ def kernel_values(kernel: RationalKernel, z: Sequence[complex], W: np.ndarray) -
         raise ValueError(f"W has shape {np.shape(W)}, expected (points, {n})")
     zc = np.asarray(z, dtype=np.complex128)
     T = zc[None, :] * np.conj(W)
-    num = np.zeros(len(W), dtype=np.complex128)
-    for exps, coef in kernel.numerator.sorted_terms():
-        term = np.full(len(W), float(coef), dtype=np.complex128)
-        for i, e in enumerate(exps):
-            if e:
-                term *= T[:, i] ** e
-        num += term
-    num *= float(kernel.scalar)
-    abs_k = kernel.spec.abs_k
-    main = np.ones(len(W), dtype=np.complex128)
-    for b in range(1, kernel.n):
-        main *= T[:, b] ** abs_k[b]
-    main -= T[:, 0] ** abs_k[0]
-    den = main * main
-    for b in range(1, kernel.n):
-        den *= (1.0 - T[:, b]) ** 2
-    scale = np.maximum(1.0, np.abs(num))
-    ok = np.abs(den) >= SINGULAR_GUARD * scale
+    num, den, ok = _float_parts(kernel, T.T, lambda c: np.full(len(W), c, dtype=np.complex128))
     values = np.zeros(len(W), dtype=np.complex128)
     np.divide(num, den, out=values, where=ok)
     return values / math.pi ** kernel.n, ok
@@ -284,19 +270,17 @@ def check_bell_identity(
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
 
-def _sample_domain_point(
-    spec: DomainSpec, rng: np.random.Generator, margin: float = 0.8
-) -> list[complex]:
+def _sample_domain_point(spec: DomainSpec, rng: np.random.Generator) -> list[complex]:
     """A random interior point with a safety margin from the singular set (the region may be empty)."""
     n, s = spec.n, spec.s
     for _ in range(_MAX_DRAWS):
         t = 0.05 + 0.85 * rng.random(n)
         lhs = math.prod(float(t[a]) ** spec.k[a] for a in range(s))
         rhs = math.prod(float(t[b]) ** abs(spec.k[b]) for b in range(s, n))
-        if lhs < margin * rhs:
+        if lhs < _MARGIN * rhs:
             theta = rng.random(n) * 2.0 * math.pi
             return [math.sqrt(float(ti)) * cmath.exp(1j * th) for ti, th in zip(t, theta)]
-    raise ArithmeticError(f"no interior point of {spec} with margin {margin} in {_MAX_DRAWS} draws")
+    raise ArithmeticError(f"no interior point of {spec} with margin {_MARGIN} in {_MAX_DRAWS} draws")
 
 
 def bell_residuals(spec: DomainSpec, pairs: int, seed: int) -> list[float]:

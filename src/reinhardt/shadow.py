@@ -39,9 +39,9 @@ which is a bug, and is an ``ArithmeticError``.
 Every exponent stays on the lattice ``(1/D) * Z``, where ``D`` divides the
 product of the ``|k_b|`` over the negatives integrated so far.
 
-The nesting order of the negative block is configurable; the value is
-independent of it (and of the positive-block order), which the test suite
-uses as a consistency check.
+The negative block nests in increasing index order.  The value is
+independent of the order of either block, which the test suite checks by
+relabelling the spec.
 
 :class:`ParametricShadow` runs the same nesting once per spec with
 *symbolic* ``beta``, for callers that ask many points of one spec (Laurent
@@ -106,18 +106,12 @@ def _in_chamber(beta: Sequence[int], spec: DomainSpec) -> bool:
     return True
 
 
-def shadow_integral_exact(
-    beta: Sequence[int],
-    spec: DomainSpec,
-    neg_order: Sequence[int] | None = None,
-) -> Fraction | None:
+def shadow_integral_exact(beta: Sequence[int], spec: DomainSpec) -> Fraction | None:
     """``Integral_T t**(beta - 1) dt`` as an exact rational, or None if infinite.
 
     ``beta`` has ``int`` entries (``TypeError`` otherwise), so the start
-    monomial ``t**(beta - 1)`` sits on the integer lattice.  ``neg_order``
-    lists the negative-block variable indices from outermost to innermost
-    nesting (default: increasing).  It must be a permutation of ``range(s,
-    n)``.
+    monomial ``t**(beta - 1)`` sits on the integer lattice.  The negative
+    block nests in increasing index order, ``t_s`` outermost.
 
     A ``beta`` outside the chamber (``_in_chamber``) returns None before
     any integration step.  A positive step that diverges at a chamber point
@@ -129,22 +123,15 @@ def shadow_integral_exact(
     for b in beta:
         if not isinstance(b, int):
             raise TypeError(f"beta entries must be ints, got {b!r}")
-    if neg_order is None:
-        neg_order = tuple(range(s, n))
-    else:
-        neg_order = tuple(neg_order)
-        if sorted(neg_order) != list(range(s, n)):
-            raise ValueError("neg_order must permute the negative-block indices")
     if not _in_chamber(beta, spec):
         return None
     abs_k = spec.abs_k
 
     f = FracExpSum.on_lattice(n, {(tuple(b - 1 for b in beta), (0,) * n): 1})
     # Negative block, innermost first; each bound is int numerators over |k_m|.
-    for pos in range(len(neg_order) - 1, -1, -1):
-        m = neg_order[pos]
+    for m in range(n - 1, s - 1, -1):
         lower = list(spec.k[:s]) + [0] * (n - s)
-        for b in neg_order[:pos]:
+        for b in range(s, m):
             lower[b] = -abs_k[b]
         f = integrate_one_var(f, m, (lower, abs_k[m]))
     # Positive block, each over (0, 1); at a chamber point no step diverges.
@@ -274,8 +261,8 @@ class ParametricShadow:
     """``beta -> Integral_T t**(beta - 1) dt`` for one spec, integrated once.
 
     Calling the object with an integer vector ``beta`` returns the same
-    ``Fraction`` or ``None`` (infinite) as :func:`shadow_integral_exact`
-    with the default nesting.  The integral is kept as one fraction
+    ``Fraction`` or ``None`` (infinite) as :func:`shadow_integral_exact`.
+    The integral is kept as one fraction
 
         I(beta) = P(beta) / (den * Q(beta)),   Q = prod(forms),
 

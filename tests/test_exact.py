@@ -156,6 +156,12 @@ def test_poly_mismatched_variable_counts():
         SparsePoly.one(2) * SparsePoly.one(3)
     with pytest.raises(ValueError):
         SparsePoly.one(2).evaluate((1, 2, 3))
+    # evaluation is exact only: float and complex coordinates are refused
+    xy = SparsePoly.linear_form(2, {0: 1, 1: 1})
+    with pytest.raises(TypeError):
+        xy.evaluate((0.5, 1))
+    with pytest.raises(TypeError):
+        xy.evaluate((1, 2j))
 
 
 # -- evaluation at integer points ----------------------------------------------
@@ -195,6 +201,8 @@ def test_integer_point_evaluation_integer_coefficients(p, pt):
 
 @given(polys3((2, 3, 4, 6)), int_points3)
 @example(SparsePoly(3, {(0, 0, 0): Fraction(1, 2), (1, 0, 2): Fraction(-5, 6), (0, 3, 0): Fraction(2, 3)}), (-1, 0, 4))
+@example(SparsePoly(3, {(0, 0, 0): Fraction(1, 2), (1, 0, 2): Fraction(-5, 6), (0, 3, 0): Fraction(2, 3)}),
+         (Fraction(-1, 2), 0, Fraction(4, 3)))
 def test_integer_point_evaluation_fractional_coefficients(p, pt):
     value = p.evaluate(pt)
     assert type(value) is Fraction

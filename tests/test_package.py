@@ -6,6 +6,7 @@ import ast
 from pathlib import Path
 
 import reinhardt
+import reinhardt.sampling
 import reinhardt.shadow
 
 
@@ -62,3 +63,10 @@ def test_shadow_oracle_shares_no_code_with_the_closed_forms():
     # the chamber is written from the shadow's cone, not from the model's
     # finiteness predicate or norm formula
     assert used.isdisjoint({"is_norm_finite", "build_RS", "monomial_norm_model"})
+
+
+def test_sampling_has_no_kernel_evaluator_of_its_own():
+    # kernel_values calls the one float evaluator in kernels; it reads no
+    # numerator term or exponent itself
+    used = used_names(Path(reinhardt.sampling.__file__))
+    assert used.isdisjoint({"sorted_terms", "numerator", "abs_k"})

@@ -26,7 +26,14 @@ from reinhardt.sampling import (
     mc_norm_estimate,
 )
 from reinhardt.shadow import monomial_norm_oracle
-from reinhardt.verify import REPRODUCING_EXPONENTS, REPRODUCING_POINT, REPRODUCING_SAMPLES
+from reinhardt.verify import (
+    BELL_PAIRS,
+    BELL_SPECS,
+    DEFAULT_SEED,
+    REPRODUCING_EXPONENTS,
+    REPRODUCING_POINT,
+    REPRODUCING_SAMPLES,
+)
 
 HARTOGS = normalize_spec((1, -1))
 SEED = 20260818
@@ -212,6 +219,17 @@ def test_bell_residuals_are_tiny_and_deterministic():
     second = bell_residuals(normalize_spec((2, -1)), 5, SEED)
     assert first == second
     assert max(first) < 1e-10
+
+
+def test_branch_sum_residuals_are_pinned():
+    # the verify residuals pin the scalar float evaluator bit for bit, as the
+    # reproducing stream pins the vectorized one
+    worst = {raw: max(bell_residuals(normalize_spec(raw), BELL_PAIRS, DEFAULT_SEED)).hex() for raw in BELL_SPECS}
+    assert worst == {
+        (2, -1): "0x1.62286dc5e0224p-50",
+        (3, -2): "0x1.a5c61918c70f0p-49",
+        (2, -3): "0x1.ccab0ae1d75bdp-49",
+    }
 
 
 def test_empty_sampling_region_raises_instead_of_hanging():
