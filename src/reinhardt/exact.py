@@ -1,12 +1,14 @@
 """Exact arithmetic building blocks: polynomials, fractional-power sums, windows.
 
-Everything here computes over the rationals with no rounding:
+Everything here computes over the integers and rationals with no rounding:
 
-* :class:`SparsePoly` — multivariate polynomials with ``Fraction``
-  coefficients, keyed by exponent tuples.  Supports ring arithmetic,
-  substitution of polynomials for variables, and exact division by a
-  variable (used by recursions that are only valid when the division is
-  exact).
+* :class:`SparsePoly` — multivariate polynomials with ``int``
+  coefficients, keyed by exponent tuples: the closed forms (kernel
+  numerators, the norm polynomials ``R`` and ``S``) are integral, so the
+  ring is Z.  Supports ring arithmetic, substitution of polynomials for
+  variables, exact division by a variable (used by recursions that are
+  only valid when the division is exact), and exact evaluation to an
+  ``int`` or ``Fraction``.
 
 * :class:`FracExpSum` — finite sums of terms ``c * prod(t_j^{q_j}) *
   prod(log(1/t_j)^{p_j})`` with rational ``c``, rational exponents ``q_j``
@@ -31,8 +33,10 @@ Everything here computes over the rationals with no rounding:
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import product as _cartesian
+from numbers import Rational
 from typing import Iterator, Mapping, Sequence
 
 
@@ -51,24 +55,35 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _integer(c) -> int:
+    """``c`` as an ``int``: an integral ``Fraction`` gives its numerator, anything else is refused."""
+    if isinstance(c, Fraction):
+        if c.denominator != 1:
+            raise ValueError(f"polynomial coefficients are integers, got {c}")
+        return c.numerator
+    return operator.index(c)
+
+
 # ---------------------------------------------------------------------------
 # SparsePoly
 # ---------------------------------------------------------------------------
 
 
 class SparsePoly:
-    """A multivariate polynomial over Q, stored sparsely.
+    """A multivariate polynomial over Z, stored sparsely.
 
     ``terms`` maps exponent tuples (nonnegative ints, length ``nvars``) to
-    nonzero ``Fraction`` coefficients.  Instances are treated as immutable;
-    all operations return new polynomials.
+    nonzero ``int`` coefficients.  The constructor also takes an integral
+    ``Fraction`` and stores its numerator; a non-integral ``Fraction`` is a
+    ``ValueError`` and any other non-integer a ``TypeError``.  Instances
+    are treated as immutable; all operations return new polynomials.
     """
 
-    __slots__ = ("nvars", "terms", "_int_form")
+    __slots__ = ("nvars", "terms", "_factors")
 
-    def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int] | None = None):
         self.nvars = int(nvars)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], int] = {}
         if terms:
             for exps, coef in terms.items():
                 exps = tuple(int(e) for e in exps)
@@ -76,9 +91,9 @@ class SparsePoly:
                     raise ValueError(f"exponent tuple {exps} has length != {self.nvars}")
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}; use LaurentChunk for Laurent data")
-                c = _frac(coef)
+                c = _integer(coef)
                 if c:
-                    clean[exps] = clean.get(exps, Fraction(0)) + c
+                    clean[exps] = clean.get(exps, 0) + c
                     if not clean[exps]:
                         del clean[exps]
         self.terms = clean
@@ -91,7 +106,7 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, nvars: int, c) -> "SparsePoly":
-        return cls(nvars, {(0,) * nvars: _frac(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def one(cls, nvars: int) -> "SparsePoly":
@@ -101,22 +116,22 @@ class SparsePoly:
     def variable(cls, nvars: int, index: int) -> "SparsePoly":
         exps = [0] * nvars
         exps[index] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls(nvars, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, nvars: int, exps: Sequence[int], coef=1) -> "SparsePoly":
-        return cls(nvars, {tuple(exps): _frac(coef)})
+        return cls(nvars, {tuple(exps): coef})
 
     @classmethod
-    def linear_form(cls, nvars: int, coeffs: Mapping[int, int | Fraction], const=0) -> "SparsePoly":
+    def linear_form(cls, nvars: int, coeffs: Mapping[int, int], const: int = 0) -> "SparsePoly":
         """``const + sum(coeffs[i] * x_i)``."""
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], int] = {}
         if const:
-            terms[(0,) * nvars] = _frac(const)
+            terms[(0,) * nvars] = const
         for i, c in coeffs.items():
             exps = [0] * nvars
             exps[i] = 1
-            terms[tuple(exps)] = _frac(c)
+            terms[tuple(exps)] = c
         return cls(nvars, terms)
 
     # -- ring operations ----------------------------------------------------
@@ -131,7 +146,7 @@ class SparsePoly:
         self._check(other)
         terms = dict(self.terms)
         for exps, coef in other.terms.items():
-            acc = terms.get(exps, Fraction(0)) + coef
+            acc = terms.get(exps, 0) + coef
             if acc:
                 terms[exps] = acc
             else:
@@ -154,11 +169,11 @@ class SparsePoly:
     def __mul__(self, other) -> "SparsePoly":
         if isinstance(other, SparsePoly):
             self._check(other)
-            terms: dict[tuple[int, ...], Fraction] = {}
+            terms: dict[tuple[int, ...], int] = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
                     exps = tuple(a + b for a, b in zip(e1, e2))
-                    acc = terms.get(exps, Fraction(0)) + c1 * c2
+                    acc = terms.get(exps, 0) + c1 * c2
                     if acc:
                         terms[exps] = acc
                     else:
@@ -166,13 +181,12 @@ class SparsePoly:
             out = SparsePoly.__new__(SparsePoly)
             out.nvars, out.terms = self.nvars, terms
             return out
-        if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            if not c:
+        if isinstance(other, int):
+            if not other:
                 return SparsePoly.zero(self.nvars)
             out = SparsePoly.__new__(SparsePoly)
             out.nvars = self.nvars
-            out.terms = {exps: coef * c for exps, coef in self.terms.items()}
+            out.terms = {exps: coef * other for exps, coef in self.terms.items()}
             return out
         return NotImplemented
 
@@ -212,59 +226,46 @@ class SparsePoly:
             return False
         return degree is None or degrees == {degree}
 
-    def content(self) -> Fraction:
+    def content(self) -> int:
         """gcd of the coefficients (positive; 0 for the zero polynomial)."""
-        if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = math.gcd(num, c.numerator)
-            den = math.lcm(den, c.denominator)
-        return Fraction(num, den)
+        return math.gcd(*self.terms.values())
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items())
 
     # -- evaluation and substitution ----------------------------------------
 
-    def _integer_form(self) -> tuple[int, list[tuple[int, tuple[tuple[int, int], ...]]]]:
-        """``(L, [(L * coef, ((var, exp), ...)), ...])``: the terms as integers over ``L``.
+    def _factored(self) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+        """``[(coef, ((var, exp), ...)), ...]``: each term with only its nonzero factors.
 
-        ``L`` is the common denominator of the coefficients and each term
-        keeps only its nonzero ``(var, exp)`` factors.  Built on first use
-        and kept, since instances are immutable.
+        Built on first use and kept, since instances are immutable.
         """
         try:
-            return self._int_form
+            return self._factors
         except AttributeError:
             pass
-        L = math.lcm(*(c.denominator for c in self.terms.values()))
-        form = (L, [
-            (c.numerator * (L // c.denominator),
-             tuple((i, e) for i, e in enumerate(exps) if e))
-            for exps, c in self.terms.items()
-        ])
-        self._int_form = form
-        return form
+        self._factors = [
+            (c, tuple((i, e) for i, e in enumerate(exps) if e)) for exps, c in self.terms.items()
+        ]
+        return self._factors
 
-    def evaluate(self, values: Sequence) -> Fraction:
+    def evaluate(self, values: Sequence) -> int | Fraction:
         """Evaluate exactly at an ``int`` or ``Fraction`` point.
 
-        The sum runs over the common coefficient denominator and one exact
-        ``Fraction`` is built at the end; at an all-``int`` point the sum
-        stays in integers.  A float or complex coordinate that enters a term
-        raises ``TypeError``.
+        At an all-``int`` point the value is an exact ``int``; once a
+        ``Fraction`` coordinate enters a term it is a ``Fraction``.  A float
+        or complex coordinate that enters a term raises ``TypeError``.
         """
         if len(values) != self.nvars:
             raise ValueError(f"point has length {len(values)}, expected {self.nvars}")
-        L, terms = self._integer_form()
         acc = 0
-        for num, factors in terms:
+        for num, factors in self._factored():
             for i, e in factors:
                 num *= values[i] ** e
             acc += num
-        return Fraction(acc, L)
+        if type(acc) is not int and not isinstance(acc, Rational):
+            raise TypeError(f"exact evaluation needs int or Fraction coordinates, got {tuple(values)}")
+        return acc
 
     def substitute(self, mapping: Mapping[int, "SparsePoly"]) -> "SparsePoly":
         """Simultaneously replace ``x_i`` by ``mapping[i]`` (same variable count)."""
@@ -291,7 +292,7 @@ class SparsePoly:
 
     def divide_exact_by_var(self, index: int) -> "SparsePoly":
         """Divide by ``x_index``, requiring every term to contain it."""
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], int] = {}
         for exps, coef in self.terms.items():
             if exps[index] == 0:
                 raise ArithmeticError(
@@ -610,16 +611,6 @@ class LaurentChunk:
         if not isinstance(other, LaurentChunk):
             return NotImplemented
         return self.box == other.box and self.terms == other.terms
-
-    def shifted(self, delta: Sequence[int]) -> "LaurentChunk":
-        """Multiply by the monomial ``x**delta``: window and exponents translate."""
-        delta = tuple(int(d) for d in delta)
-        if len(delta) != self.nvars:
-            raise ValueError("shift length disagrees with nvars")
-        moved = LaurentChunk(tuple((lo + d, hi + d) for (lo, hi), d in zip(self.box, delta)))
-        # the translated terms lie in the translated box and are already clean
-        moved.terms = {tuple(e + d for e, d in zip(exps, delta)): coef for exps, coef in self.terms.items()}
-        return moved
 
     # -- serialization -------------------------------------------------------
 

@@ -10,7 +10,7 @@ rational function of the pairings ``t_a = z_a * conj(w_a)``:
 with lcm data ``(K, ell, L)``, coefficients ``C`` from
 :mod:`reinhardt.counting`, and support box ``G``.  :class:`RationalKernel`
 stores only what ``k`` does not fix: the spec, a rational scalar and the
-numerator polynomial.  The power ``n`` of pi, the squared "main"
+integer numerator polynomial.  The power ``n`` of pi, the squared "main"
 denominator (exponents ``k_1`` and ``|k_b|``) and the squared unit factors
 ``(1 - t_b)`` are read from the spec.
 
@@ -111,7 +111,8 @@ class RationalKernel:
     def canonical(self) -> "RationalKernel":
         """Fold the numerator's content into the scalar and reduce."""
         content = self.numerator.content()
-        return RationalKernel(self.spec, self.scalar * content, self.numerator * (1 / content))
+        numerator = SparsePoly(self.n, {exps: c // content for exps, c in self.numerator.terms.items()})
+        return RationalKernel(self.spec, self.scalar * content, numerator)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalKernel):
@@ -147,16 +148,16 @@ class RationalKernel:
 
     # -- emitters -------------------------------------------------------------
 
-    def _num_terms_str(self, fmt_frac, fmt_mono, times: str) -> list[str]:
+    def _num_terms_str(self, fmt_mono, times: str) -> list[str]:
         parts = []
         for exps, coef in self.numerator.sorted_terms():
             mono = fmt_mono(exps)
             if not mono:
-                parts.append(fmt_frac(coef))
+                parts.append(str(coef))
             elif coef == 1:
                 parts.append(mono)
             else:
-                parts.append(f"{fmt_frac(coef)}{times}{mono}")
+                parts.append(f"{coef}{times}{mono}")
         return parts
 
     def _main_strs(self, var, power) -> tuple[str, str]:
@@ -169,7 +170,7 @@ class RationalKernel:
         kernel = self.canonical()
         var = lambda i: f"t{i + 1}"
         mono = lambda exps: " ".join(f"{var(i)}{_sup(e)}" for i, e in enumerate(exps) if e)
-        num = " + ".join(kernel._num_terms_str(str, mono, " "))
+        num = " + ".join(kernel._num_terms_str(mono, " "))
         if len(kernel.numerator.terms) > 1:
             num = f"({num})"
         pi = f"π{_sup(kernel.n)}"
@@ -190,12 +191,8 @@ class RationalKernel:
         kernel = self.canonical()
         var = lambda i: f"t_{{{i + 1}}}"
         power = lambda e: f"^{{{e}}}" if e != 1 else ""
-
-        def frac(c: Fraction) -> str:
-            return str(c) if c.denominator == 1 else f"\\tfrac{{{c.numerator}}}{{{c.denominator}}}"
-
         mono = lambda exps: " ".join(f"{var(i)}{power(e)}" for i, e in enumerate(exps) if e)
-        num = " + ".join(kernel._num_terms_str(frac, mono, "\\, "))
+        num = " + ".join(kernel._num_terms_str(mono, "\\, "))
         lead, sub = kernel._main_strs(var, power)
         den = [f"\\left({lead} - {sub}\\right)^{{2}}"]
         for b in range(1, kernel.n):
@@ -210,7 +207,7 @@ class RationalKernel:
         )
 
     def to_json_dict(self) -> dict:
-        """Exact machine-readable form (coefficients as rational strings)."""
+        """Exact machine-readable form (coefficients as integer strings)."""
         kernel = self.canonical()
         return {
             "pi_power": kernel.n,
@@ -240,13 +237,8 @@ def kernel_signature_one(spec: DomainSpec) -> RationalKernel:
             f"{spec} has signature {spec.s}; the closed form exists only for signature 1"
         )
     _, _, L = lcm_data(spec)
-    n = spec.n
-    terms = {}
-    for beta in index_set(spec, "full"):
-        c = coefficient_C(beta, spec)
-        if c:
-            terms[beta] = Fraction(c)
-    return RationalKernel(spec, Fraction(1, L), SparsePoly(n, terms))
+    numerator = SparsePoly(spec.n, {beta: coefficient_C(beta, spec) for beta in index_set(spec, "full")})
+    return RationalKernel(spec, Fraction(1, L), numerator)
 
 
 def kernel_model_sig1(n: int) -> RationalKernel:
@@ -285,11 +277,11 @@ def kernel_thin_hartogs(k: int) -> RationalKernel:
     """
     if k < 2:
         raise ValueError("the thin family starts at k = 2")
-    terms: dict[tuple[int, int], Fraction] = {}
+    terms: dict[tuple[int, int], int] = {}
 
     def add(e1: int, e2: int, c: int) -> None:
         if c:
-            terms[(e1, e2)] = terms.get((e1, e2), Fraction(0)) + c
+            terms[(e1, e2)] = terms.get((e1, e2), 0) + c
 
     for l in range(1, k):
         add(k + l - 1, 0, (k - l) * l)

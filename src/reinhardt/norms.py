@@ -103,4 +103,4 @@ def monomial_norm_model(alpha: Sequence[int], n: int, s: int) -> NormValue:
     q = pair.S.evaluate(beta)
     if q == 0 or r <= 0:
         raise ArithmeticError(f"R/S degenerate at beta={beta}: R={r}, S={q}")
-    return NormValue.of(Fraction(r, 1) / q, n)
+    return NormValue.of(Fraction(r, q), n)

@@ -228,33 +228,22 @@ def check_reproducing(
     )
 
 
-def check_bell_identity(
-    spec: DomainSpec,
-    z: Sequence[complex],
-    w: Sequence[complex],
-    kernel_general: RationalKernel | None = None,
-    kernel_model: RationalKernel | None = None,
-) -> float:
+def check_bell_identity(kernel: RationalKernel, z: Sequence[complex], w: Sequence[complex]) -> float:
     """Relative residual of the branch-sum identity at one point pair.
 
-    ``z`` must lie in the model domain Omega(n, 1) and ``w`` in ``H(k)``
-    with nonzero coordinates; the residual is ``|lhs - rhs| /
-    max(|lhs|, |rhs|)``.
+    ``kernel`` is the closed-form kernel of a signature-one ``H(k)``,
+    checked against the model kernel of Omega(n, 1).  ``z`` must lie in
+    the model domain and ``w`` in ``H(k)`` with nonzero coordinates; the
+    residual is ``|lhs - rhs| / max(|lhs|, |rhs|)``.
     """
-    if spec.s != 1:
-        raise ValueError("the branch-sum identity is for signature-one specs")
-    n = spec.n
-    _, ell, _ = lcm_data(spec)
-    if kernel_general is None:
-        kernel_general = kernel_signature_one(spec)
-    if kernel_model is None:
-        kernel_model = kernel_model_sig1(n)
+    _, ell, _ = lcm_data(kernel.spec)
+    kernel_model = kernel_model_sig1(kernel.n)
 
     u = 1.0 + 0.0j
     for za, la in zip(z, ell):
         u *= la * za ** (la - 1)
     phi = [za ** la for za, la in zip(z, ell)]
-    lhs = u * kernel_general.evaluate(phi, w)
+    lhs = u * kernel.evaluate(phi, w)
 
     roots = [complex(wa) ** (1.0 / la) for wa, la in zip(w, ell)]
     zetas = [cmath.exp(2j * math.pi / la) for la in ell]
@@ -287,11 +276,10 @@ def bell_residuals(spec: DomainSpec, pairs: int, seed: int) -> list[float]:
     """Branch-sum residuals at ``pairs`` random point pairs (seeded)."""
     rng = generator(seed)
     model = model_spec(spec.n, 1)
-    kernel_general = kernel_signature_one(spec)
-    kernel_model = kernel_model_sig1(spec.n)
+    kernel = kernel_signature_one(spec)
     out = []
     for _ in range(pairs):
         z = _sample_domain_point(model, rng)
         w = _sample_domain_point(spec, rng)
-        out.append(check_bell_identity(spec, z, w, kernel_general, kernel_model))
+        out.append(check_bell_identity(kernel, z, w))
     return out

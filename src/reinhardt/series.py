@@ -30,7 +30,6 @@ the support — a sharp test tying the series back to the norm recursion.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -44,10 +43,10 @@ from .shadow import ParametricShadow
 def expand_closed_form(kernel: RationalKernel, box: Sequence[tuple[int, int]]) -> LaurentChunk:
     """Exact Laurent coefficients of a closed-form kernel on a box.
 
-    Each coefficient's sum ``C(beta) * (m+1) * prod_b (p_b+1)`` runs in
-    integers over the common denominator ``L`` of the numerator's
-    coefficients; ``kernel.scalar / L`` is applied once per nonzero
-    coefficient, so the window holds exact ``Fraction`` values.
+    The numerator's coefficients ``C(beta)`` are integers, so each
+    coefficient's sum ``C(beta) * (m+1) * prod_b (p_b+1)`` runs in
+    integers; ``kernel.scalar`` is applied once per nonzero coefficient,
+    so the window holds exact ``Fraction`` values.
     """
     n = kernel.n
     if len(box) != n:
@@ -56,10 +55,7 @@ def expand_closed_form(kernel: RationalKernel, box: Sequence[tuple[int, int]]) -
     kb = kernel.spec.abs_k
     chunk = LaurentChunk(box)
     terms: dict[tuple[int, ...], Fraction] = {}
-    sorted_terms = kernel.numerator.sorted_terms()
-    L = math.lcm(*(c.denominator for _, c in sorted_terms))
-    numerator = [(beta, c.numerator * (L // c.denominator)) for beta, c in sorted_terms]
-    scale = kernel.scalar / L
+    numerator = kernel.numerator.sorted_terms()
     for alpha in chunk.box_points():
         total = 0
         for beta, c in numerator:
@@ -76,7 +72,7 @@ def expand_closed_form(kernel: RationalKernel, box: Sequence[tuple[int, int]]) -
             else:
                 total += weight
         if total:
-            terms[alpha] = scale * total
+            terms[alpha] = kernel.scalar * total
     chunk.terms = terms
     return chunk
 
@@ -93,7 +89,7 @@ def series_coefficients_model(n: int, s: int, box: Sequence[tuple[int, int]]) ->
         r = pair.R.evaluate(beta)
         if r == 0:
             raise ArithmeticError(f"R vanishes at finite-norm beta={beta}")
-        terms[alpha] = Fraction(pair.S.evaluate(beta)) / r
+        terms[alpha] = Fraction(pair.S.evaluate(beta), r)
     chunk.terms = terms
     return chunk
 
@@ -170,15 +166,16 @@ def apply_annihilating_operator(n: int, s: int, chunk: LaurentChunk) -> LaurentC
     ``gamma - 1``.  Applied to a kernel-series window of Omega(n, s) the
     output must equal ``S(gamma)`` at every ``gamma`` whose monomial lies
     in the space (and 0 at the rest) — the denominator ``R`` of the norm
-    formula is annihilated.  The window's terms are translated once, into
-    the shifted window that is returned.
+    formula is annihilated.  Each key is translated to ``gamma = alpha + 1``
+    as its coefficient is multiplied, in one pass into the shifted window.
     """
     if chunk.nvars != n:
         raise ValueError("window variable count disagrees with n")
     R = build_RS(n, s).R
-    window = chunk.shifted((1,) * n)
+    window = LaurentChunk(tuple((lo + 1, hi + 1) for lo, hi in chunk.box))
     terms: dict[tuple[int, ...], Fraction] = {}
-    for gamma, coef in window.terms.items():
+    for alpha, coef in chunk.terms.items():
+        gamma = tuple(a + 1 for a in alpha)
         value = coef * R.evaluate(gamma)
         if value:
             terms[gamma] = value

@@ -33,7 +33,7 @@ def polys(draw, nvars=2):
     terms = {}
     for _ in range(draw(st.integers(0, 5))):
         exps = tuple(draw(st.integers(0, 3)) for _ in range(nvars))
-        terms[exps] = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 3)))
+        terms[exps] = draw(st.integers(-5, 5))
     return SparsePoly(nvars, terms)
 
 
@@ -77,7 +77,7 @@ def test_poly_constructors():
     y = SparsePoly.variable(3, 1)
     assert x + y == SparsePoly.linear_form(3, {0: 1, 1: 1})
     assert SparsePoly.linear_form(3, {2: -2}, const=5).evaluate((0, 0, 3)) == -1
-    assert SparsePoly.monomial(2, (1, 2), Fraction(1, 3)).evaluate((3, 2)) == 4
+    assert SparsePoly.monomial(2, (1, 2), -3).evaluate((3, 2)) == -36
     assert SparsePoly.constant(2, 0) == SparsePoly.zero(2)
 
 
@@ -88,9 +88,24 @@ def test_poly_constructor_validation():
         SparsePoly(2, {(-1, 0): Fraction(1)})
 
 
+def test_poly_coefficients_are_integers():
+    # an integral Fraction is stored as its numerator; any other coefficient is refused
+    p = SparsePoly(2, {(1, 0): Fraction(6, 3), (0, 1): -4})
+    assert p.terms == {(1, 0): 2, (0, 1): -4}
+    assert all(type(c) is int for c in p.terms.values())
+    with pytest.raises(ValueError):
+        SparsePoly(1, {(0,): Fraction(1, 2)})
+    with pytest.raises(ValueError):
+        SparsePoly.monomial(2, (1, 0), Fraction(-5, 3))
+    with pytest.raises(TypeError):
+        SparsePoly.constant(1, 0.5)
+    with pytest.raises(TypeError):
+        SparsePoly.one(1) * Fraction(1, 2)
+
+
 def test_poly_constructor_merges_duplicate_keys():
     # dict keys are unique, but coefficients that cancel must vanish
-    p = SparsePoly(1, {(2,): Fraction(1, 2)}) + SparsePoly(1, {(2,): Fraction(-1, 2)})
+    p = SparsePoly(1, {(2,): 3}) + SparsePoly(1, {(2,): -3})
     assert p.is_zero()
     assert not p
 
@@ -106,9 +121,7 @@ def test_poly_degree_and_homogeneity():
 def test_poly_content():
     p = SparsePoly(2, {(1, 0): Fraction(6), (0, 1): Fraction(4)})
     assert p.content() == 2
-    assert (p * Fraction(1, p.content())).content() == 1
-    assert SparsePoly(1, {(0,): Fraction(2, 3)}).content() == Fraction(2, 3)
-    assert SparsePoly(1, {(0,): Fraction(3, 4), (1,): Fraction(1, 6)}).content() == Fraction(1, 12)
+    assert SparsePoly(1, {(0,): -9, (1,): 6}).content() == 3
     assert SparsePoly.zero(2).content() == 0
 
 
@@ -179,33 +192,25 @@ def reference_value(p: SparsePoly, pt) -> Fraction:
 
 
 @st.composite
-def polys3(draw, denominators):
+def polys3(draw):
     terms = {}
     for _ in range(draw(st.integers(0, 6))):
         exps = tuple(draw(st.integers(0, 4)) for _ in range(3))
-        terms[exps] = Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from(denominators)))
+        terms[exps] = draw(st.integers(-9, 9))
     return SparsePoly(3, terms)
 
 
 int_points3 = st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5))
 
 
-@given(polys3((1,)), int_points3)
+@given(polys3(), int_points3)
 @example(SparsePoly.zero(3), (0, -3, 2))
-@example(SparsePoly(3, {(0, 0, 0): Fraction(3), (2, 1, 0): Fraction(-4), (0, 0, 3): Fraction(1)}), (0, -2, -3))
+@example(SparsePoly(3, {(0, 0, 0): 3, (2, 1, 0): -4, (0, 0, 3): 1}), (0, -2, -3))
+@example(SparsePoly(3, {(0, 0, 0): 3, (1, 0, 2): -5, (0, 3, 0): 2}), (Fraction(-1, 2), 0, Fraction(4, 3)))
 def test_integer_point_evaluation_integer_coefficients(p, pt):
     value = p.evaluate(pt)
-    assert type(value) is Fraction
-    assert value == reference_value(p, pt)
-
-
-@given(polys3((2, 3, 4, 6)), int_points3)
-@example(SparsePoly(3, {(0, 0, 0): Fraction(1, 2), (1, 0, 2): Fraction(-5, 6), (0, 3, 0): Fraction(2, 3)}), (-1, 0, 4))
-@example(SparsePoly(3, {(0, 0, 0): Fraction(1, 2), (1, 0, 2): Fraction(-5, 6), (0, 3, 0): Fraction(2, 3)}),
-         (Fraction(-1, 2), 0, Fraction(4, 3)))
-def test_integer_point_evaluation_fractional_coefficients(p, pt):
-    value = p.evaluate(pt)
-    assert type(value) is Fraction
+    # an exact int at an int point; a Fraction coordinate that enters a term gives a Fraction
+    assert type(value) is (int if all(type(v) is int for v in pt) else Fraction)
     assert value == reference_value(p, pt)
 
 
@@ -216,7 +221,7 @@ def test_build_RS_evaluates_like_the_reference():
             for pt in itertools.product((-2, 0, 3), repeat=n):
                 for poly in (pair.R, pair.S):
                     value = poly.evaluate(pt)
-                    assert type(value) is Fraction
+                    assert type(value) is int
                     assert value == reference_value(poly, pt), (n, s, pt)
 
 
@@ -497,16 +502,6 @@ def test_chunk_constructor_validation():
         LaurentChunk([(0, -1), (0, 0)])
     with pytest.raises(ValueError):
         LaurentChunk([(0, 1)], {(5,): Fraction(1)})
-
-
-def test_chunk_shift():
-    chunk = LaurentChunk([(0, 2), (0, 2)], {(1, 1): Fraction(3)})
-    moved = chunk.shifted((1, -1))
-    assert moved.box == ((1, 3), (-1, 1))
-    assert moved.coefficient((2, 0)) == 3
-    assert moved.shifted((-1, 1)) == chunk
-    with pytest.raises(ValueError):
-        chunk.shifted((1,))
 
 
 def test_chunk_csv_rows():

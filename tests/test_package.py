@@ -7,6 +7,7 @@ from pathlib import Path
 
 import reinhardt
 import reinhardt.sampling
+import reinhardt.series
 import reinhardt.shadow
 
 
@@ -70,3 +71,10 @@ def test_sampling_has_no_kernel_evaluator_of_its_own():
     # numerator term or exponent itself
     used = used_names(Path(reinhardt.sampling.__file__))
     assert used.isdisjoint({"sorted_terms", "numerator", "abs_k"})
+
+
+def test_series_has_no_integer_form_of_its_own():
+    # kernel numerators are integer polynomials, so expand_closed_form sums
+    # their coefficients as they are, with no common denominator to clear
+    used = used_names(Path(reinhardt.series.__file__))
+    assert used.isdisjoint({"lcm", "denominator"})

@@ -206,12 +206,12 @@ def test_bell_identity_at_a_fixed_pair():
     spec = normalize_spec((2, -1))
     z = (0.3 + 0.2j, 0.5 - 0.1j)
     w = (0.4 + 0.1j, 0.6 + 0.2j)  # |w1^2| < |w2| holds
-    assert check_bell_identity(spec, z, w) < 1e-12
+    assert check_bell_identity(kernel_signature_one(spec), z, w) < 1e-12
 
 
 def test_bell_identity_rejects_other_signatures():
     with pytest.raises(ValueError):
-        check_bell_identity(normalize_spec((1, 1, -1)), (0.1, 0.1, 0.5), (0.1, 0.1, 0.5))
+        check_bell_identity(kernel_signature_one(normalize_spec((1, 1, -1))), (0.1, 0.1, 0.5), (0.1, 0.1, 0.5))
 
 
 def test_bell_residuals_are_tiny_and_deterministic():

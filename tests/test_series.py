@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -51,18 +50,6 @@ def test_expansion_matches_shadow_oracle_for_fat_triangle():
     spec = normalize_spec((1, -2))
     box = [(0, 4), (-4, 4)]
     assert expand_closed_form(kernel_signature_one(spec), box) == series_coefficients_oracle(spec, box)
-
-
-def test_expansion_with_fractional_numerator_coefficients():
-    # numerator terms 3/8 and 3/2: the sum runs over their common denominator 8
-    spec = normalize_spec((2, -3))
-    kernel = kernel_signature_one(spec)
-    rescaled = dataclasses.replace(
-        kernel, scalar=kernel.scalar * 8, numerator=kernel.numerator * Fraction(1, 8)
-    )
-    assert {c.denominator for c in rescaled.numerator.terms.values()} == {2, 8}
-    box = [(0, 6), (-6, 6)]
-    assert expand_closed_form(rescaled, box) == series_coefficients_oracle(spec, box)
 
 
 @st.composite
