@@ -35,15 +35,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from .exact import _check_ints
+
 
 def shifted(alpha: Sequence[int]) -> tuple[int, ...]:
     """The ubiquitous ``beta = alpha + 1``, entrywise.
 
     Raises ``TypeError`` for an entry that is not an ``int``.
     """
-    for a in alpha:
-        if not isinstance(a, int):
-            raise TypeError(f"exponent entries must be ints, got {a!r}")
+    _check_ints("exponent", alpha)
     return tuple(a + 1 for a in alpha)
 
 
@@ -107,11 +107,12 @@ def normalize_spec(entries: Sequence[int]) -> DomainSpec:
     by the gcd of the absolute values, e.g. ``(-2, 4) -> (2, -1)``.
 
     Raises ``ValueError`` for vectors with fewer than two entries, zero
-    entries, or entries of only one sign.
+    entries, or entries of only one sign, ``TypeError`` for a non-``int``.
     """
-    values = [int(e) for e in entries]
+    values = list(entries)
     if len(values) < 2:
         raise ValueError("an exponent vector needs at least two entries")
+    _check_ints("exponent", values)
     if any(e == 0 for e in values):
         raise ValueError("exponent entries must be nonzero")
     positives = [(i, e) for i, e in enumerate(values) if e > 0]
@@ -150,25 +151,32 @@ class NormValue:
     """The squared Bergman-space norm of a monomial: ``q * pi**p`` or infinite.
 
     The rational part ``coefficient`` and the power ``pi_power`` of pi are
-    stored exactly; they may only be read when ``finite`` is True.
+    stored exactly; they may only be read when ``finite`` is True, which is
+    when the coefficient is not None.  Build values with :meth:`of` and
+    :meth:`infinite`.
     """
 
-    __slots__ = ("_coefficient", "_pi_power", "finite")
+    __slots__ = ("_coefficient", "_pi_power")
 
-    def __init__(self, coefficient: Fraction | None, pi_power: int | None, finite: bool):
-        if finite and (coefficient is None or pi_power is None or coefficient <= 0):
-            raise ValueError("a finite norm needs a positive rational coefficient and a pi power")
-        self._coefficient = Fraction(coefficient) if finite else None
-        self._pi_power = int(pi_power) if finite else None
-        self.finite = finite
+    def __init__(self, coefficient: Fraction | None, pi_power: int | None):
+        if coefficient is not None:
+            if pi_power is None or coefficient <= 0:
+                raise ValueError("a finite norm needs a positive rational coefficient and a pi power")
+            _check_ints("pi power", (pi_power,))
+        self._coefficient = coefficient
+        self._pi_power = pi_power if coefficient is not None else None
 
     @classmethod
     def of(cls, coefficient, pi_power: int) -> "NormValue":
-        return cls(Fraction(coefficient), pi_power, True)
+        return cls(Fraction(coefficient), pi_power)
 
     @classmethod
     def infinite(cls) -> "NormValue":
-        return cls(None, None, False)
+        return cls(None, None)
+
+    @property
+    def finite(self) -> bool:
+        return self._coefficient is not None
 
     @property
     def coefficient(self) -> Fraction:

@@ -13,11 +13,11 @@ Everything here computes over the integers and rationals with no rounding:
 * :class:`FracExpSum` — finite sums of terms ``c * prod(t_j^{q_j}) *
   prod(log(1/t_j)^{p_j})`` with rational ``c``, rational exponents ``q_j``
   and nonnegative integer log powers ``p_j``.  Exponents sit on a lattice
-  ``(1/den) * Z`` and coefficients on ``(1/cden) * Z``: terms are keyed by
-  ``int`` exponent numerators and hold ``int`` coefficient numerators, and
-  both denominators are kept minimal so that equal sums have equal fields,
-  which makes merging like terms integer hashing and adding instead of
-  ``Fraction`` normalisation.  :func:`integrate_one_var` is the one move
+  ``(1/den) * Z`` and coefficients on ``(1/cden) * Z``: the one
+  constructor takes, and the sum stores, ``int`` exponent numerators keying
+  ``int`` coefficient numerators, and both denominators are kept minimal so
+  that equal sums have equal fields, which makes merging like terms integer
+  hashing and adding.  :func:`integrate_one_var` is the one move
   iterated monomial integration needs: the definite integral in one
   variable from a monomial lower bound (or 0) up to 1, written in one pass
   over the terms as ``F(1) - F(lower)`` of the antiderivative ``F``; a
@@ -28,16 +28,18 @@ Everything here computes over the integers and rationals with no rounding:
 
 * :class:`LaurentChunk` — a finite window of Laurent coefficients: exact
   values on a box of integer exponents, unknown outside it.
+
+An exponent, log power, bound, denominator or polynomial coefficient that
+is not an ``int`` is a ``TypeError`` naming it, never truncated.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from itertools import product as _cartesian
 from numbers import Rational
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 _ZERO = Fraction(0)
@@ -51,17 +53,11 @@ class OutsideWindow(KeyError):
     """A Laurent coefficient was requested outside the chunk's trusted box."""
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _integer(c) -> int:
-    """``c`` as an ``int``: an integral ``Fraction`` gives its numerator, anything else is refused."""
-    if isinstance(c, Fraction):
-        if c.denominator != 1:
-            raise ValueError(f"polynomial coefficients are integers, got {c}")
-        return c.numerator
-    return operator.index(c)
+def _check_ints(what: str, values: Iterable) -> None:
+    """Refuse any entry of ``values`` that is not an ``int``, naming it."""
+    for x in values:
+        if not isinstance(x, int):
+            raise TypeError(f"{what} entries must be ints, got {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -73,27 +69,28 @@ class SparsePoly:
     """A multivariate polynomial over Z, stored sparsely.
 
     ``terms`` maps exponent tuples (nonnegative ints, length ``nvars``) to
-    nonzero ``int`` coefficients.  The constructor also takes an integral
-    ``Fraction`` and stores its numerator; a non-integral ``Fraction`` is a
-    ``ValueError`` and any other non-integer a ``TypeError``.  Instances
-    are treated as immutable; all operations return new polynomials.
+    nonzero ``int`` coefficients; any other coefficient is a ``TypeError``.
+    Instances are treated as immutable; all operations return new
+    polynomials.
     """
 
     __slots__ = ("nvars", "terms", "_factors")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int] | None = None):
-        self.nvars = int(nvars)
+        _check_ints("nvars", (nvars,))
+        self.nvars = nvars
         clean: dict[tuple[int, ...], int] = {}
         if terms:
             for exps, coef in terms.items():
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != self.nvars:
-                    raise ValueError(f"exponent tuple {exps} has length != {self.nvars}")
+                exps = tuple(exps)
+                if len(exps) != nvars:
+                    raise ValueError(f"exponent tuple {exps} has length != {nvars}")
+                _check_ints("exponent", exps)
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}; use LaurentChunk for Laurent data")
-                c = _integer(coef)
-                if c:
-                    clean[exps] = clean.get(exps, 0) + c
+                _check_ints("coefficient", (coef,))
+                if coef:
+                    clean[exps] = clean.get(exps, 0) + coef
                     if not clean[exps]:
                         del clean[exps]
         self.terms = clean
@@ -346,43 +343,34 @@ class FracExpSum:
     of ``log(1/t_j)``.  Both denominators are kept minimal, ``gcd(den, *exps
     of every key) == 1`` and ``gcd(cden, *every numerator) == 1`` (the empty
     sum has ``den == cden == 1``), so equal sums have equal fields and
-    compare equal.  The constructor takes ``int`` or ``Fraction`` exponents
-    and coefficients and starts on the lcm of their denominators;
-    :meth:`on_lattice` takes the stored form.  Log factors only ever appear
-    through integration against monomial bounds; the all-zero ``logs``
-    tuple is the plain fractional-power case.
+    compare equal.  The constructor takes this stored form, ``int``
+    numerators over positive ``int`` denominators that need not be minimal,
+    and reduces it.  Log factors only ever appear through integration
+    against monomial bounds; the all-zero ``logs`` tuple is the plain
+    fractional-power case.
     """
 
     __slots__ = ("nvars", "den", "cden", "terms")
 
-    def __init__(
-        self,
-        nvars: int,
-        terms: Mapping[tuple[Sequence, Sequence[int]], int | Fraction] | None = None,
-    ):
-        self.nvars = int(nvars)
-        rows = []
-        if terms:
-            for (exps, logs), coef in terms.items():
-                exps = tuple(_frac(q) for q in exps)
-                logs = tuple(int(p) for p in logs)
-                if len(exps) != self.nvars or len(logs) != self.nvars:
-                    raise ValueError("term key length disagrees with nvars")
-                if any(p < 0 for p in logs):
-                    raise ValueError("log powers must be nonnegative")
-                c = _frac(coef)
-                if c:
-                    rows.append((exps, logs, c))
-        den = math.lcm(1, *(q.denominator for exps, _, _ in rows for q in exps))
-        cden = math.lcm(1, *(c.denominator for _, _, c in rows))
-        clean: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        for exps, logs, c in rows:
-            key = (tuple(q.numerator * (den // q.denominator) for q in exps), logs)
-            clean[key] = clean.get(key, 0) + c.numerator * (cden // c.denominator)
-        self._settle(den, cden, clean)
+    def __init__(self, nvars: int, terms: Mapping[tuple[tuple[int, ...], tuple[int, ...]], int],
+                 den: int = 1, cden: int = 1):
+        _check_ints("nvars", (nvars,))
+        _check_ints("denominator", (den, cden))
+        if den < 1 or cden < 1:
+            raise ValueError("denominators must be positive")
+        for (exps, logs), coef in terms.items():
+            if len(exps) != nvars or len(logs) != nvars:
+                raise ValueError("term key length disagrees with nvars")
+            _check_ints("exponent", exps)
+            _check_ints("log power", logs)
+            if any(p < 0 for p in logs):
+                raise ValueError("log powers must be nonnegative")
+            _check_ints("coefficient", (coef,))
+        self.nvars = nvars
+        self._settle(den, cden, terms)
 
-    def _settle(self, den: int, cden: int, terms: dict) -> "FracExpSum":
-        """Store ``terms`` (numerators over ``den`` and ``cden``) with both denominators minimal."""
+    def _settle(self, den: int, cden: int, terms: Mapping) -> "FracExpSum":
+        """Store a copy of ``terms`` (numerators over ``den`` and ``cden``) with both denominators minimal."""
         terms = {key: c for key, c in terms.items() if c}
         if den > 1:
             g = math.gcd(den, *(e for exps, _ in terms for e in exps))
@@ -396,18 +384,6 @@ class FracExpSum:
                 terms = {key: c // g for key, c in terms.items()}
         self.den, self.cden, self.terms = den, cden, terms
         return self
-
-    @classmethod
-    def on_lattice(cls, nvars: int, terms: dict, den: int = 1, cden: int = 1) -> "FracExpSum":
-        """A sum given as it is stored: ``int`` numerators over ``den`` and ``cden``.
-
-        ``terms`` maps ``(exps, logs)`` pairs of ``int`` tuples to ``int``
-        numerators; zero numerators are dropped and both denominators are
-        reduced to the minimal ones.  Nothing is converted or checked.
-        """
-        out = cls.__new__(cls)
-        out.nvars = nvars
-        return out._settle(den, cden, terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FracExpSum):
@@ -481,7 +457,8 @@ def integrate_one_var(
     linearly independent as ``t -> 0``, the divergence is genuine.
 
     Raises :class:`DivergentIntegral` for such a term under a zero lower
-    bound, and ``ValueError`` for a bad variable index or a malformed bound.
+    bound, ``TypeError`` for a bound entry that is not an ``int``, and
+    ``ValueError`` for a bad variable index or a malformed bound.
     """
     n = f.nvars
     if not 0 <= var < n:
@@ -504,6 +481,7 @@ def integrate_one_var(
     bexps, bden = lower
     if len(bexps) != n:
         raise ValueError("bound length disagrees with nvars")
+    _check_ints("bound", (*bexps, bden))
     if bexps[var]:
         raise ValueError("a bound may not involve the variable it replaces")
     if bden < 1:
@@ -540,13 +518,16 @@ def _summed(nvars: int, parts: list, den: int, cden: int) -> FracExpSum:
     """The contributions ``(key, numerator, denominator)`` over ``cden`` as one sum.
 
     Each numerator is brought to the lcm of the denominators, like keys
-    merge, and :meth:`FracExpSum.on_lattice` reduces both denominators once.
+    merge, and both denominators are reduced once.  The parts are built
+    from a checked sum and bound, so nothing is checked again.
     """
     common = math.lcm(*[d for _, _, d in parts])
     terms: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     for key, num, d in parts:
         terms[key] = terms.get(key, 0) + num * (common // d)
-    return FracExpSum.on_lattice(nvars, terms, den, cden * common)
+    out = FracExpSum.__new__(FracExpSum)
+    out.nvars = nvars
+    return out._settle(den, cden * common, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -568,20 +549,21 @@ class LaurentChunk:
     __slots__ = ("box", "terms")
 
     def __init__(self, box: Sequence[tuple[int, int]], terms: Mapping[tuple[int, ...], Fraction] | None = None):
-        box = tuple((int(lo), int(hi)) for lo, hi in box)
+        box = tuple((lo, hi) for lo, hi in box)
         for lo, hi in box:
+            _check_ints("box", (lo, hi))
             if lo > hi:
                 raise ValueError(f"empty box range ({lo}, {hi})")
         self.box = box
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for exps, coef in terms.items():
-                exps = tuple(int(e) for e in exps)
+                exps = tuple(exps)
+                _check_ints("exponent", exps)
                 if not self._inside(exps):
                     raise ValueError(f"exponent {exps} lies outside the box {self.box}")
-                c = _frac(coef)
-                if c:
-                    clean[exps] = c
+                if coef:
+                    clean[exps] = coef if isinstance(coef, Fraction) else Fraction(coef)
         self.terms = clean
 
     @property
@@ -596,12 +578,13 @@ class LaurentChunk:
         return all(lo <= e <= hi for e, (lo, hi) in zip(exps, self.box))
 
     def coefficient(self, alpha: Sequence[int]) -> Fraction:
-        exps = tuple(int(a) for a in alpha)
+        exps = tuple(alpha)
         if len(exps) != self.nvars:
             raise ValueError("exponent length disagrees with nvars")
+        _check_ints("exponent", exps)
         if not self._inside(exps):
             raise OutsideWindow(f"exponent {exps} outside trusted box {self.box}")
-        return self.terms.get(exps, Fraction(0))
+        return self.terms.get(exps, _ZERO)
 
     def box_points(self) -> Iterator[tuple[int, ...]]:
         """All exponents in the box, lexicographically."""

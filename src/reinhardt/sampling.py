@@ -184,6 +184,8 @@ def check_reproducing(
     is the monomial at ``z``; the relative error compares against it.
     """
     n = spec.n
+    if samples < 1:
+        raise ValueError("need at least one sample")
     if len(alphas) == 0:
         raise ValueError("alphas is empty, expected at least one exponent")
     for alpha in alphas:

@@ -81,7 +81,7 @@ from operator import mul
 from typing import Sequence
 
 from .domains import DomainSpec, NormValue, shifted
-from .exact import DivergentIntegral, FracExpSum, integrate_one_var
+from .exact import DivergentIntegral, FracExpSum, _check_ints, integrate_one_var
 
 
 def _in_chamber(beta: Sequence[int], spec: DomainSpec) -> bool:
@@ -120,14 +120,12 @@ def shadow_integral_exact(beta: Sequence[int], spec: DomainSpec) -> Fraction | N
     n, s = spec.n, spec.s
     if len(beta) != n:
         raise ValueError(f"beta has length {len(beta)}, expected {n}")
-    for b in beta:
-        if not isinstance(b, int):
-            raise TypeError(f"beta entries must be ints, got {b!r}")
+    _check_ints("beta", beta)
     if not _in_chamber(beta, spec):
         return None
     abs_k = spec.abs_k
 
-    f = FracExpSum.on_lattice(n, {(tuple(b - 1 for b in beta), (0,) * n): 1})
+    f = FracExpSum(n, {(tuple(b - 1 for b in beta), (0,) * n): 1})
     # Negative block, innermost first; each bound is int numerators over |k_m|.
     for m in range(n - 1, s - 1, -1):
         lower = list(spec.k[:s]) + [0] * (n - s)

@@ -6,6 +6,8 @@ import ast
 from pathlib import Path
 
 import reinhardt
+import reinhardt.domains
+import reinhardt.exact
 import reinhardt.sampling
 import reinhardt.series
 import reinhardt.shadow
@@ -78,3 +80,14 @@ def test_series_has_no_integer_form_of_its_own():
     # their coefficients as they are, with no common denominator to clear
     used = used_names(Path(reinhardt.series.__file__))
     assert used.isdisjoint({"lcm", "denominator"})
+
+
+def test_exact_layer_never_calls_int():
+    # int(1.5) is 1: entries are checked with isinstance and refused, never coerced
+    for module in (reinhardt.exact, reinhardt.domains):
+        tree = ast.parse(Path(module.__file__).read_text())
+        calls = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int"
+        ]
+        assert calls == [], (module.__name__, calls)

@@ -202,6 +202,17 @@ def test_reproducing_guards(monkeypatch, alphas, z, message):
         check_reproducing(HARTOGS, alphas, z, 1000, SEED)
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_reproducing_refuses_too_few_samples(monkeypatch, samples):
+    # zero samples divided by zero; a negative count returned an empty estimate
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the arguments")
+
+    monkeypatch.setattr(reinhardt.sampling, "generator", no_sampling)
+    with pytest.raises(ValueError, match="at least one sample"):
+        check_reproducing(HARTOGS, [(0, 1)], (0.2, 0.6), samples, SEED)
+
+
 def test_bell_identity_at_a_fixed_pair():
     spec = normalize_spec((2, -1))
     z = (0.3 + 0.2j, 0.5 - 0.1j)
