@@ -185,8 +185,7 @@ def _cmd_series(args) -> int:
             {_in_caller_order(spec, alpha): c for alpha, c in chunk.terms.items()},
         )
     if args.format == "csv":
-        for row in chunk.csv_rows():
-            print(row)
+        sys.stdout.writelines(row + "\n" for row in chunk.csv_rows())
     else:
         print(json.dumps(chunk.to_json_dict(), indent=2))
     return 0

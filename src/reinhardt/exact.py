@@ -559,6 +559,8 @@ class LaurentChunk:
         if terms:
             for exps, coef in terms.items():
                 exps = tuple(exps)
+                if len(exps) != len(box):
+                    raise ValueError(f"exponent {exps} has {len(exps)} entries for a box of {len(box)} ranges")
                 _check_ints("exponent", exps)
                 if not self._inside(exps):
                     raise ValueError(f"exponent {exps} lies outside the box {self.box}")
@@ -598,10 +600,18 @@ class LaurentChunk:
     # -- serialization -------------------------------------------------------
 
     def csv_rows(self) -> Iterator[str]:
-        """One row per box point (zeros included): ``a_1,...,a_n,coefficient``."""
-        terms = self.terms
-        for exps in self.box_points():
-            yield ",".join(map(str, exps)) + "," + str(terms.get(exps, _ZERO))
+        """One row per box point (zeros included): ``a_1,...,a_n,coefficient``.
+
+        Rows come in :meth:`box_points` order.  The last-axis fields are
+        formatted once, and the leading ``a_1,...,a_{n-1},`` once per run
+        of the last axis.
+        """
+        get = self.terms.get
+        *lead, (lo, hi) = self.box
+        tails = [(x, f"{x},") for x in range(lo, hi + 1)]
+        for prefix in _cartesian(*(range(a, b + 1) for a, b in lead)):
+            head = "".join(f"{a}," for a in prefix)
+            yield from [head + tail + str(get(prefix + (x,), _ZERO)) for x, tail in tails]
 
     def to_json_dict(self) -> dict:
         return {

@@ -12,8 +12,11 @@ so each Laurent coefficient of the kernel is a *finite* exact sum: for a
 numerator term ``C(beta) t**beta``, the exponent ``alpha`` receives
 ``C(beta) * (m+1) * prod_b (p_b+1)`` whenever ``m = (alpha_1-beta_1)/k_1``
 is a nonnegative integer and every ``p_b = alpha_b - beta_b + |k_b|(m+2)``
-is nonnegative.  :func:`expand_closed_form` evaluates this per exponent —
-no truncation error, so windows produced here are exact.
+is nonnegative.  Along the last axis a term's contributions form a ramp
+``(p_n + 1)`` whose second difference is a single mass, so
+:func:`expand_closed_form` sums a whole row of the box at once: it places
+one mass per term and takes two running sums — no truncation error, so
+windows produced here are exact.
 
 Independently, the kernel's series is the sum of ``t**alpha / ||z**alpha||^2
 * pi**n`` over finite-norm exponents; :func:`series_coefficients_model`
@@ -41,12 +44,18 @@ from .shadow import ParametricShadow
 
 
 def expand_closed_form(kernel: RationalKernel, box: Sequence[tuple[int, int]]) -> LaurentChunk:
-    """Exact Laurent coefficients of a closed-form kernel on a box.
+    """Exact Laurent coefficients of a closed-form kernel on a box, one row at a time.
 
-    The numerator's coefficients ``C(beta)`` are integers, so each
-    coefficient's sum ``C(beta) * (m+1) * prod_b (p_b+1)`` runs in
-    integers; ``kernel.scalar`` is applied once per nonzero coefficient,
-    so the window holds exact ``Fraction`` values.
+    A row fixes ``alpha_1, ..., alpha_{n-1}``; along the last axis ``x``
+    each numerator term ``beta`` then adds the ramp ``w * (x - s + 1)`` for
+    ``x >= s``, with ``w = C(beta) * (m+1) * prod_{1<b<n} (p_b+1)`` and
+    ``s = beta_n - |k_n| (m+2)``.  A ramp is the second running sum of a
+    single mass ``w`` at ``s``, so the row's masses are summed twice over
+    the last axis; a ramp already running at ``lo`` starts with its value
+    ``w * (lo - s + 1)`` at ``lo`` and ``-w * (lo - s)`` at ``lo + 1``.
+    The numerator's coefficients ``C(beta)`` are integers, so every sum
+    runs in integers and ``kernel.scalar = p/q`` turns each nonzero one
+    into the exact ``Fraction(v * p, q)``.
     """
     n = kernel.n
     if len(box) != n:
@@ -54,25 +63,41 @@ def expand_closed_form(kernel: RationalKernel, box: Sequence[tuple[int, int]]) -
     k1 = kernel.spec.k[0]
     kb = kernel.spec.abs_k
     chunk = LaurentChunk(box)
-    terms: dict[tuple[int, ...], Fraction] = {}
+    (lo0, hi0), *middle, (lo, hi) = chunk.box
+    xs = range(lo, hi + 1)
+    width = len(xs)
+    p, q = kernel.scalar.as_integer_ratio()
     numerator = kernel.numerator.sorted_terms()
-    for alpha in chunk.box_points():
-        total = 0
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for a0 in range(lo0, hi0 + 1):
+        # per term at this alpha_1: (C(beta)(m+1), the p_b offsets beta_b - |k_b|(m+2), s)
+        ramps = []
         for beta, c in numerator:
-            d = alpha[0] - beta[0]
+            d = a0 - beta[0]
             if d < 0 or d % k1:
                 continue
-            m = d // k1
-            weight = c * (m + 1)
-            for b in range(1, n):
-                p = alpha[b] - beta[b] + kb[b] * (m + 2)
-                if p < 0:
-                    break
-                weight *= p + 1
-            else:
-                total += weight
-        if total:
-            terms[alpha] = kernel.scalar * total
+            m2 = d // k1 + 2
+            s = beta[-1] - kb[-1] * m2
+            if s <= hi:
+                ramps.append((c * (m2 - 1), [beta[b] - kb[b] * m2 for b in range(1, n - 1)], s))
+        for mid in itertools.product(*(range(a, b + 1) for a, b in middle)):
+            mass = [0] * (width + 1)
+            for w, offsets, s in ramps:
+                for a, t in zip(mid, offsets):
+                    if a < t:
+                        break
+                    w *= a - t + 1
+                else:
+                    if s >= lo:
+                        mass[s - lo] += w
+                    else:
+                        mass[0] += w * (lo - s + 1)
+                        mass[1] -= w * (lo - s)
+            row = (a0, *mid)
+            terms.update({
+                row + (x,): Fraction(v * p, q)
+                for x, v in zip(xs, itertools.accumulate(itertools.accumulate(mass))) if v
+            })
     chunk.terms = terms
     return chunk
 

@@ -531,6 +531,18 @@ def test_chunk_csv_rows():
     assert rows == ["0,-1,0", "0,0,0", "1,-1,0", "1,0,5/2"]
 
 
+def test_chunk_csv_rows_of_one_variable():
+    chunk = LaurentChunk([(-2, 2)], {(-2,): Fraction(-3, 2), (1,): Fraction(4)})
+    assert list(chunk.csv_rows()) == ["-2,-3/2", "-1,0", "0,0", "1,4", "2,0"]
+
+
+def test_chunk_refuses_keys_of_the_wrong_length():
+    with pytest.raises(ValueError, match="entries"):
+        LaurentChunk([(0, 1), (0, 1)], {(0,): 1, (1, 0, 5): 2})
+    with pytest.raises(ValueError, match="entries"):
+        LaurentChunk([(0, 1), (0, 1)], {(1, 0, 5): 2})
+
+
 def test_chunk_json_dict():
     chunk = LaurentChunk([(-1, 1), (0, 0)], {(-1, 0): Fraction(1, 3)})
     payload = chunk.to_json_dict()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -69,6 +71,70 @@ def signature_one_window(draw):
 def test_expansion_equals_the_oracle_on_random_windows(case):
     spec, box = case
     assert expand_closed_form(kernel_signature_one(spec), box) == series_coefficients_oracle(spec, box)
+
+
+def coefficient_by_the_formula(kernel, alpha):
+    """The series.py docstring's sum at one exponent: ``scalar * sum C(beta) (m+1) prod_b (p_b+1)``."""
+    k1, kb = kernel.spec.k[0], kernel.spec.abs_k
+    total = 0
+    for beta, c in kernel.numerator.terms.items():
+        m, rest = divmod(alpha[0] - beta[0], k1)
+        ps = [alpha[b] - beta[b] + kb[b] * (m + 2) for b in range(1, kernel.n)]
+        if m >= 0 and rest == 0 and min(ps) >= 0:
+            total += c * (m + 1) * math.prod(p + 1 for p in ps)
+    return kernel.scalar * total
+
+
+@st.composite
+def closed_form_case(draw):
+    """A normalized signature-one spec, its leading box ranges, and where the last range lies."""
+    n = draw(st.integers(2, 4))
+    mags = draw(st.lists(st.integers(1, 7), min_size=n, max_size=n).filter(lambda m: math.gcd(*m) == 1))
+    spec = normalize_spec((mags[0],) + tuple(-m for m in mags[1:]))
+    low = draw(st.integers(-1, 3))
+    lead = [(low, low + draw(st.integers(0, 2)))]
+    for _ in range(n - 2):
+        lead.append((draw(st.integers(-4, 0)), draw(st.integers(0, 3))))
+    where = draw(st.sampled_from(["near", "above", "below", "empty"]))
+    return spec, lead, where, draw(st.integers(1, 6)), draw(st.integers(0, 8))
+
+
+@settings(max_examples=80, deadline=None)
+@given(closed_form_case())
+def test_expansion_equals_the_per_point_formula(case):
+    spec, lead, where, gap, width = case
+    kernel = kernel_signature_one(spec)
+    k1, kn = spec.k[0], spec.abs_k[-1]
+    # the last-axis starts s = beta_n - |k_n| (m+2) of every ramp the leading boxes reach
+    starts = [
+        beta[-1] - kn * ((a0 - beta[0]) // k1 + 2)
+        for beta in kernel.numerator.terms
+        for a0 in range(lead[0][0], lead[0][1] + 1)
+        if a0 >= beta[0] and (a0 - beta[0]) % k1 == 0
+    ] or [0]
+    if where == "near":
+        last = (-gap, width - gap)
+    elif where == "above":  # every ramp already runs at lo
+        last = (max(starts) + gap, max(starts) + gap + width)
+    elif where == "below":  # lo far below every ramp start
+        last = (min(starts) - 4 * gap, max(starts) + width - 4)
+    else:  # hi below every ramp start: every row is empty
+        last = (min(starts) - gap - width, min(starts) - gap)
+    box = lead + [last]
+    chunk = expand_closed_form(kernel, box)
+    points = itertools.product(*(range(lo, hi + 1) for lo, hi in box))
+    assert chunk == LaurentChunk(box, {alpha: coefficient_by_the_formula(kernel, alpha) for alpha in points})
+    if where == "empty":
+        assert not chunk.terms
+
+
+@pytest.mark.parametrize("k, box, digest", [
+    ((1, -1), [(0, 60), (-60, 60)], "2d4abdba5ac7d85e9c8735f734bdf78109d53b3ffbdae2ba963fbc679aeee655"),
+    ((3, -4, -5), [(0, 10), (-6, 6), (-6, 6)], "76b98fa081799b7b59d8465ac7ae9c0fcd24d2ae2c922f2dd404d66f6f364cb1"),
+])
+def test_closed_form_csv_text_is_pinned(k, box, digest):
+    rows = expand_closed_form(kernel_signature_one(normalize_spec(k)), box).csv_rows()
+    assert hashlib.sha256("".join(row + "\n" for row in rows).encode()).hexdigest() == digest
 
 
 def test_expansion_guards():
