@@ -65,7 +65,6 @@ def expand_closed_form(kernel: RationalKernel, box: Sequence[tuple[int, int]]) -
     chunk = LaurentChunk(box)
     (lo0, hi0), *middle, (lo, hi) = chunk.box
     xs = range(lo, hi + 1)
-    width = len(xs)
     p, q = kernel.scalar.as_integer_ratio()
     numerator = kernel.numerator.sorted_terms()
     terms: dict[tuple[int, ...], Fraction] = {}
@@ -81,7 +80,8 @@ def expand_closed_form(kernel: RationalKernel, box: Sequence[tuple[int, int]]) -
             if s <= hi:
                 ramps.append((c * (m2 - 1), [beta[b] - kb[b] * m2 for b in range(1, n - 1)], s))
         for mid in itertools.product(*(range(a, b + 1) for a, b in middle)):
-            mass = [0] * (width + 1)
+            # one slot past hi: a clamped ramp in a one-point row still writes at lo + 1
+            mass = [0] * (len(xs) + 1)
             for w, offsets, s in ramps:
                 for a, t in zip(mid, offsets):
                     if a < t:
