@@ -27,10 +27,14 @@ Everything here computes over the integers and rationals with no rounding:
   ``∫_0^1 t^q log(1/t)^p dt = p! / (q+1)^{p+1}``.
 
 * :class:`LaurentChunk` — a finite window of Laurent coefficients: exact
-  values on a box of integer exponents, unknown outside it.
+  values on a box of integer exponents, unknown outside it.  A value is an
+  ``int`` when it is integral and a reduced ``Fraction`` otherwise;
+  :func:`_exact_ratio` is the one place that picks between the two, and
+  every window producer goes through it.
 
 An exponent, log power, bound, denominator or polynomial coefficient that
-is not an ``int`` is a ``TypeError`` naming it, never truncated.
+is not an ``int`` is a ``TypeError`` naming it, never truncated; so is a
+window value that is neither an ``int`` nor a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -40,9 +44,6 @@ from fractions import Fraction
 from itertools import product as _cartesian
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping, Sequence
-
-
-_ZERO = Fraction(0)
 
 
 class DivergentIntegral(ArithmeticError):
@@ -58,6 +59,12 @@ def _check_ints(what: str, values: Iterable) -> None:
     for x in values:
         if not isinstance(x, int):
             raise TypeError(f"{what} entries must be ints, got {x!r}")
+
+
+def _exact_ratio(num: int, den: int) -> int | Fraction:
+    """``num/den`` as an ``int`` when ``den`` divides ``num``, else as a reduced ``Fraction``."""
+    whole, rest = divmod(num, den)
+    return Fraction(num, den) if rest else whole
 
 
 # ---------------------------------------------------------------------------
@@ -544,18 +551,24 @@ class LaurentChunk:
     The window holds kernel coefficients of ``H(k)`` in ``n`` variables, so
     an overall ``1/pi**n`` prefactor keeps the table rational:
     :attr:`pi_power` is :attr:`nvars`, the length of the box.
+
+    Values are exact: an ``int`` when integral, a reduced ``Fraction``
+    otherwise (both go through :func:`_exact_ratio`).  Anything else,
+    a float included, is a ``TypeError``.
     """
 
     __slots__ = ("box", "terms")
 
-    def __init__(self, box: Sequence[tuple[int, int]], terms: Mapping[tuple[int, ...], Fraction] | None = None):
+    def __init__(
+        self, box: Sequence[tuple[int, int]], terms: Mapping[tuple[int, ...], int | Fraction] | None = None
+    ):
         box = tuple((lo, hi) for lo, hi in box)
         for lo, hi in box:
             _check_ints("box", (lo, hi))
             if lo > hi:
                 raise ValueError(f"empty box range ({lo}, {hi})")
         self.box = box
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], int | Fraction] = {}
         if terms:
             for exps, coef in terms.items():
                 exps = tuple(exps)
@@ -564,8 +577,10 @@ class LaurentChunk:
                 _check_ints("exponent", exps)
                 if not self._inside(exps):
                     raise ValueError(f"exponent {exps} lies outside the box {self.box}")
+                if not isinstance(coef, (int, Fraction)):
+                    raise TypeError(f"window values must be ints or Fractions, got {coef!r} at {exps}")
                 if coef:
-                    clean[exps] = coef if isinstance(coef, Fraction) else Fraction(coef)
+                    clean[exps] = _exact_ratio(*coef.as_integer_ratio())
         self.terms = clean
 
     @property
@@ -579,14 +594,14 @@ class LaurentChunk:
     def _inside(self, exps: tuple[int, ...]) -> bool:
         return all(lo <= e <= hi for e, (lo, hi) in zip(exps, self.box))
 
-    def coefficient(self, alpha: Sequence[int]) -> Fraction:
+    def coefficient(self, alpha: Sequence[int]) -> int | Fraction:
         exps = tuple(alpha)
         if len(exps) != self.nvars:
             raise ValueError("exponent length disagrees with nvars")
         _check_ints("exponent", exps)
         if not self._inside(exps):
             raise OutsideWindow(f"exponent {exps} outside trusted box {self.box}")
-        return self.terms.get(exps, _ZERO)
+        return self.terms.get(exps, 0)
 
     def box_points(self) -> Iterator[tuple[int, ...]]:
         """All exponents in the box, lexicographically."""
@@ -611,7 +626,7 @@ class LaurentChunk:
         tails = [(x, f"{x},") for x in range(lo, hi + 1)]
         for prefix in _cartesian(*(range(a, b + 1) for a, b in lead)):
             head = "".join(f"{a}," for a in prefix)
-            yield from [head + tail + str(get(prefix + (x,), _ZERO)) for x, tail in tails]
+            yield from [head + tail + str(get(prefix + (x,), 0)) for x, tail in tails]
 
     def to_json_dict(self) -> dict:
         return {

@@ -66,6 +66,14 @@ class RSPair:
     R: SparsePoly
     S: SparsePoly
 
+    def at(self, beta: Sequence[int]) -> tuple[int, int]:
+        """``(R(beta), S(beta))`` at a finite-norm ``beta``, where both must be positive."""
+        r = self.R.evaluate(beta)
+        q = self.S.evaluate(beta)
+        if r <= 0 or q <= 0:
+            raise ArithmeticError(f"R/S degenerate at beta={beta}: R={r}, S={q}")
+        return r, q
+
 
 @lru_cache(maxsize=None)
 def build_RS(n: int, s: int) -> RSPair:
@@ -98,9 +106,5 @@ def monomial_norm_model(alpha: Sequence[int], n: int, s: int) -> NormValue:
     beta = shifted(alpha)
     if not is_norm_finite(alpha, n, s):
         return NormValue.infinite()
-    pair = build_RS(n, s)
-    r = pair.R.evaluate(beta)
-    q = pair.S.evaluate(beta)
-    if q == 0 or r <= 0:
-        raise ArithmeticError(f"R/S degenerate at beta={beta}: R={r}, S={q}")
+    r, q = build_RS(n, s).at(beta)
     return NormValue.of(Fraction(r, q), n)

@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .domains import DomainSpec
-from .exact import LaurentChunk
+from .exact import LaurentChunk, _exact_ratio
 from .kernels import RationalKernel
 from .norms import build_RS, is_norm_finite
 from .shadow import ParametricShadow
@@ -54,8 +54,9 @@ def expand_closed_form(kernel: RationalKernel, box: Sequence[tuple[int, int]]) -
     the last axis; a ramp already running at ``lo`` starts with its value
     ``w * (lo - s + 1)`` at ``lo`` and ``-w * (lo - s)`` at ``lo + 1``.
     The numerator's coefficients ``C(beta)`` are integers, so every sum
-    runs in integers and ``kernel.scalar = p/q`` turns each nonzero one
-    into the exact ``Fraction(v * p, q)``.
+    runs in integers, and with ``kernel.scalar = p/q`` each nonzero sum
+    ``v`` becomes the window value ``v * p / q``: an ``int`` when ``q``
+    divides ``v * p``, a reduced ``Fraction`` otherwise.
     """
     n = kernel.n
     if len(box) != n:
@@ -67,7 +68,7 @@ def expand_closed_form(kernel: RationalKernel, box: Sequence[tuple[int, int]]) -
     xs = range(lo, hi + 1)
     p, q = kernel.scalar.as_integer_ratio()
     numerator = kernel.numerator.sorted_terms()
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], int | Fraction] = {}
     for a0 in range(lo0, hi0 + 1):
         # per term at this alpha_1: (C(beta)(m+1), the p_b offsets beta_b - |k_b|(m+2), s)
         ramps = []
@@ -95,7 +96,7 @@ def expand_closed_form(kernel: RationalKernel, box: Sequence[tuple[int, int]]) -
                         mass[1] -= w * (lo - s)
             row = (a0, *mid)
             terms.update({
-                row + (x,): Fraction(v * p, q)
+                row + (x,): _exact_ratio(v * p, q)
                 for x, v in zip(xs, itertools.accumulate(itertools.accumulate(mass))) if v
             })
     chunk.terms = terms
@@ -106,15 +107,11 @@ def series_coefficients_model(n: int, s: int, box: Sequence[tuple[int, int]]) ->
     """Kernel series coefficients of Omega(n, s) from the norm formula R/S."""
     pair = build_RS(n, s)
     chunk = LaurentChunk(box)
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], int | Fraction] = {}
     for alpha in chunk.box_points():
-        if not is_norm_finite(alpha, n, s):
-            continue
-        beta = tuple(a + 1 for a in alpha)
-        r = pair.R.evaluate(beta)
-        if r == 0:
-            raise ArithmeticError(f"R vanishes at finite-norm beta={beta}")
-        terms[alpha] = Fraction(pair.S.evaluate(beta), r)
+        if is_norm_finite(alpha, n, s):
+            r, q = pair.at(tuple(a + 1 for a in alpha))
+            terms[alpha] = _exact_ratio(q, r)
     chunk.terms = terms
     return chunk
 
@@ -131,16 +128,17 @@ def series_coefficients_oracle(spec: DomainSpec, box: Sequence[tuple[int, int]])
     """
     chunk = LaurentChunk(box)
     shadow_integral = ParametricShadow(spec)
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], int | Fraction] = {}
     for beta in itertools.product(*(range(lo + 1, hi + 2) for lo, hi in chunk.box)):
         value = shadow_integral(beta)
         if value is not None:
-            terms[tuple(b - 1 for b in beta)] = 1 / value
+            p, q = value.as_integer_ratio()
+            terms[tuple(b - 1 for b in beta)] = _exact_ratio(q, p)
     chunk.terms = terms
     return chunk
 
 
-def slice_coefficients(n: int, count: int) -> list[Fraction]:
+def slice_coefficients(n: int, count: int) -> list[int | Fraction]:
     """The diagonal slice tail coefficients ``j / ((j+1)**(n-1) - 1)``.
 
     These arise from the model kernel of Omega(n, n-1) restricted along the
@@ -153,7 +151,7 @@ def slice_coefficients(n: int, count: int) -> list[Fraction]:
         raise ValueError("slice families need n >= 3")
     if count < 1:
         raise ValueError("need at least one coefficient")
-    return [Fraction(j, (j + 1) ** (n - 1) - 1) for j in range(1, count + 1)]
+    return [_exact_ratio(j, (j + 1) ** (n - 1) - 1) for j in range(1, count + 1)]
 
 
 _POLY_MARGIN = 10.0
@@ -198,10 +196,11 @@ def apply_annihilating_operator(n: int, s: int, chunk: LaurentChunk) -> LaurentC
         raise ValueError("window variable count disagrees with n")
     R = build_RS(n, s).R
     window = LaurentChunk(tuple((lo + 1, hi + 1) for lo, hi in chunk.box))
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], int | Fraction] = {}
     for alpha, coef in chunk.terms.items():
         gamma = tuple(a + 1 for a in alpha)
-        value = coef * R.evaluate(gamma)
+        p, q = coef.as_integer_ratio()
+        value = _exact_ratio(p * R.evaluate(gamma), q)
         if value:
             terms[gamma] = value
     window.terms = terms

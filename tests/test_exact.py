@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from reinhardt.exact import (
     LaurentChunk,
     OutsideWindow,
     SparsePoly,
+    _exact_ratio,
     integrate_one_var,
 )
 from reinhardt.domains import normalize_spec
@@ -573,3 +576,25 @@ def test_non_int_entries_are_refused_not_truncated(build, bad):
     # each of these once went through int() and silently dropped the fraction
     with pytest.raises(TypeError, match=rf"entries must be ints, got {bad}$"):
         build()
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, Decimal("0.5"), "3", 1j])
+def test_non_exact_window_values_are_refused(value):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError, match=rf"window values must be ints or Fractions, got {re.escape(repr(value))} at \(0,\)$"):
+        LaurentChunk([(0, 1)], {(0,): value})
+
+
+@pytest.mark.parametrize("num, den, want", [
+    (6, 3, 2), (6, 4, Fraction(3, 2)), (-6, 3, -2), (-6, 4, Fraction(-3, 2)),
+    (6, -4, Fraction(-3, 2)), (0, 5, 0), (7, 1, 7), (1, 3, Fraction(1, 3)),
+])
+def test_exact_ratio_is_int_when_den_divides_num(num, den, want):
+    value = _exact_ratio(num, den)
+    assert value == want and type(value) is type(want)
+
+
+def test_chunk_stores_integral_values_as_ints():
+    chunk = LaurentChunk([(0, 2)], {(0,): Fraction(5), (1,): Fraction(5, 2), (2,): 7})
+    assert [type(chunk.coefficient((x,))) for x in range(3)] == [int, Fraction, int]
+    assert type(LaurentChunk([(0, 1)]).coefficient((0,))) is int

@@ -82,12 +82,23 @@ def test_series_has_no_integer_form_of_its_own():
     assert used.isdisjoint({"lcm", "denominator"})
 
 
+def calls_to(path: Path, name: str) -> list[int]:
+    """The line of every call to the bare name ``name`` in a source file."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+    ]
+
+
 def test_exact_layer_never_calls_int():
     # int(1.5) is 1: entries are checked with isinstance and refused, never coerced
     for module in (reinhardt.exact, reinhardt.domains):
-        tree = ast.parse(Path(module.__file__).read_text())
-        calls = [
-            node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int"
-        ]
-        assert calls == [], (module.__name__, calls)
+        assert calls_to(Path(module.__file__), "int") == [], module.__name__
+
+
+def test_series_leaves_the_window_value_type_to_the_exact_layer():
+    # every window value is int-when-integral by way of exact._exact_ratio;
+    # series builds no Fraction of its own
+    path = Path(reinhardt.series.__file__)
+    assert calls_to(path, "Fraction") == []
+    assert "_exact_ratio" in used_names(path)

@@ -137,6 +137,50 @@ def test_closed_form_csv_text_is_pinned(k, box, digest):
     assert hashlib.sha256("".join(row + "\n" for row in rows).encode()).hexdigest() == digest
 
 
+def is_int_exactly_when_integral(chunk):
+    return all(type(v) is (int if v.denominator == 1 else Fraction) for v in chunk.terms.values())
+
+
+@pytest.mark.parametrize("k, box, some_fractions", [
+    ((1, -1), [(0, 20), (-20, 20)], False),  # scalar 1: every value an int
+    ((3, -4, -5), [(0, 10), (-6, 6), (-6, 6)], True),  # scalar 1/3600
+])
+def test_closed_form_values_are_int_when_integral(k, box, some_fractions):
+    kernel = kernel_signature_one(normalize_spec(k))
+    chunk = expand_closed_form(kernel, box)
+    assert chunk.terms and is_int_exactly_when_integral(chunk)
+    assert any(type(v) is Fraction for v in chunk.terms.values()) == some_fractions
+
+
+def test_series_values_are_int_when_integral_on_every_route():
+    model = series_coefficients_model(4, 2, [(-1, 2)] * 4)
+    oracle = series_coefficients_oracle(normalize_spec((2, 3, -4)), [(0, 2), (0, 2), (-3, 2)])
+    for chunk in (model, oracle):
+        kinds = {type(v) for v in chunk.terms.values()}
+        assert kinds == {int, Fraction} and is_int_exactly_when_integral(chunk)
+    # R = beta_1 + beta_2 + beta_3 on Omega(3, 2): 1/3 * R(1,1,1) is the int 1
+    window = LaurentChunk([(0, 1)] * 3, {(0, 0, 0): Fraction(1, 3), (0, 0, 1): Fraction(1, 3)})
+    flat = apply_annihilating_operator(3, 2, window)
+    assert flat.terms == {(1, 1, 1): 1, (1, 1, 2): Fraction(4, 3)}
+    assert is_int_exactly_when_integral(flat)
+    assert is_int_exactly_when_integral(apply_annihilating_operator(4, 2, model))
+
+
+def test_model_formula_refuses_a_nonpositive_R_or_S(monkeypatch):
+    pair = build_RS(3, 2)
+    assert pair.at((1, 1, 1)) == (3, 4)
+    for bad in (RSPair(3, 2, pair.R * -1, pair.S), RSPair(3, 2, pair.R, pair.S - pair.S)):
+        with pytest.raises(ArithmeticError, match="degenerate"):
+            bad.at((1, 1, 1))
+        # both users of the formula go through the one guard
+        monkeypatch.setattr(reinhardt.norms, "build_RS", lambda n, s: bad)
+        monkeypatch.setattr(reinhardt.series, "build_RS", lambda n, s: bad)
+        with pytest.raises(ArithmeticError, match="degenerate"):
+            reinhardt.norms.monomial_norm_model((0, 0, 0), 3, 2)
+        with pytest.raises(ArithmeticError, match="degenerate"):
+            series_coefficients_model(3, 2, [(0, 0)] * 3)
+
+
 def test_expansion_guards():
     with pytest.raises(ValueError):
         expand_closed_form(kernel_model_sig1(2), [(0, 4)])
