@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import itemgetter
 from typing import Sequence
 
 from .domains import DomainSpec, NormValue, normalize_spec
@@ -180,10 +181,11 @@ def _cmd_series(args) -> int:
     else:
         chunk = series_coefficients_oracle(spec, box)
     if spec.permutation != tuple(range(spec.n)):
-        chunk = LaurentChunk(
-            _in_caller_order(spec, chunk.box),
-            {_in_caller_order(spec, alpha): c for alpha, c in chunk.terms.items()},
-        )
+        # the route's keys and values are already checked: relabel them as they are
+        relabel = itemgetter(*_in_caller_order(spec, range(spec.n)))
+        terms = chunk.terms
+        chunk = LaurentChunk(_in_caller_order(spec, chunk.box))
+        chunk.terms = dict(zip(map(relabel, terms), terms.values()))
     if args.format == "csv":
         sys.stdout.writelines(row + "\n" for row in chunk.csv_rows())
     else:

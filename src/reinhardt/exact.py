@@ -8,7 +8,7 @@ Everything here computes over the integers and rationals with no rounding:
   ring is Z.  Supports ring arithmetic, substitution of polynomials for
   variables, exact division by a variable (used by recursions that are
   only valid when the division is exact), and exact evaluation to an
-  ``int`` or ``Fraction``.
+  ``int`` or ``Fraction``, at one point or along a last-axis row.
 
 * :class:`FracExpSum` — finite sums of terms ``c * prod(t_j^{q_j}) *
   prod(log(1/t_j)^{p_j})`` with rational ``c``, rational exponents ``q_j``
@@ -41,8 +41,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product as _cartesian
+from itertools import product as _cartesian, repeat
 from numbers import Rational
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -81,7 +82,7 @@ class SparsePoly:
     polynomials.
     """
 
-    __slots__ = ("nvars", "terms", "_factors")
+    __slots__ = ("nvars", "terms", "_factors", "_by_last")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int] | None = None):
         _check_ints("nvars", (nvars,))
@@ -270,6 +271,46 @@ class SparsePoly:
         if type(acc) is not int and not isinstance(acc, Rational):
             raise TypeError(f"exact evaluation needs int or Fraction coordinates, got {tuple(values)}")
         return acc
+
+    def _last_groups(self) -> list[list[tuple[int, tuple[tuple[int, int], ...]]]]:
+        """The terms grouped by the exponent of the last variable, ``0`` to the degree.
+
+        Group ``e`` holds ``(coef, ((var, exp), ...))`` with only the nonzero
+        factors in the leading variables.  Built on first use and kept.
+        """
+        try:
+            return self._by_last
+        except AttributeError:
+            pass
+        groups: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = [
+            [] for _ in range(max((exps[-1] for exps in self.terms), default=0) + 1)
+        ]
+        for exps, c in self.terms.items():
+            groups[exps[-1]].append((c, tuple((i, e) for i, e in enumerate(exps[:-1]) if e)))
+        self._by_last = groups
+        return groups
+
+    def on_row(self, lead: Sequence[int], xs: Sequence[int]) -> list[int]:
+        """The values at the ``int`` points ``(*lead, x)``, ``x`` in ``xs``.
+
+        The leading coordinates are fixed once: the polynomial restricted to
+        the last variable is the short ``int`` coefficient list ``c_0, ...,
+        c_d`` of ``P(*lead, x)``, tabulated over ``xs`` by Horner's rule.
+        """
+        if len(lead) != self.nvars - 1:
+            raise ValueError(f"a row needs {self.nvars - 1} leading coordinates, got {len(lead)}")
+        coeffs = []
+        for group in self._last_groups():
+            c = 0
+            for num, factors in group:
+                for i, e in factors:
+                    num *= lead[i] ** e
+                c += num
+            coeffs.append(c)
+        values = [coeffs[-1]] * len(xs)
+        for c in reversed(coeffs[:-1]):
+            values = list(map(add, map(mul, values, xs), repeat(c)))
+        return values
 
     def substitute(self, mapping: Mapping[int, "SparsePoly"]) -> "SparsePoly":
         """Simultaneously replace ``x_i`` by ``mapping[i]`` (same variable count)."""

@@ -57,6 +57,33 @@ def is_norm_finite(alpha: Sequence[int], n: int, s: int) -> bool:
     return m >= 0 and (s == n or m + min(alpha[s:]) > -2)
 
 
+def norm_finite_from(lead: Sequence[int], n: int, s: int) -> int | None:
+    """The row form of :func:`is_norm_finite`: the smallest finite last exponent.
+
+    Along the row ``alpha = (*lead, x)`` of Omega(n, s) the finite
+    exponents are ``x >= start``, where ``start`` is returned; ``None`` if
+    the row holds none.  For ``s == n`` the last entry joins the positive
+    block (``start = 0``); for ``s < n`` it joins the negative block, and
+    the pair condition with the smallest positive entry ``m`` reads ``x >=
+    -1 - m``.
+    """
+    _check_shape(n, s)
+    if len(lead) != n - 1:
+        raise ValueError(f"a row of Omega({n}, {s}) needs {n - 1} leading exponents, got {len(lead)}")
+    if s == n:
+        return 0 if min(lead, default=0) >= 0 else None
+    m = min(lead[:s])
+    if m < 0 or (s < n - 1 and m + min(lead[s:]) <= -2):
+        return None
+    return -1 - m
+
+
+def _check_positive(beta: Sequence[int], r: int, q: int) -> None:
+    """The one guard on the formula: ``R`` and ``S`` are positive at every finite-norm ``beta``."""
+    if r <= 0 or q <= 0:
+        raise ArithmeticError(f"R/S degenerate at beta={beta}: R={r}, S={q}")
+
+
 @dataclass(frozen=True, eq=False)
 class RSPair:
     """The polynomial pair ``(R, S)`` for Omega(n, s), in variables beta_1..beta_n."""
@@ -70,9 +97,23 @@ class RSPair:
         """``(R(beta), S(beta))`` at a finite-norm ``beta``, where both must be positive."""
         r = self.R.evaluate(beta)
         q = self.S.evaluate(beta)
-        if r <= 0 or q <= 0:
-            raise ArithmeticError(f"R/S degenerate at beta={beta}: R={r}, S={q}")
+        _check_positive(beta, r, q)
         return r, q
+
+    def row(self, lead: Sequence[int], xs: range) -> tuple[list[int], list[int]]:
+        """The values ``R`` and ``S`` at ``beta = (*lead, x)`` for every ``x`` of ``xs``.
+
+        The row form of :meth:`at`: each polynomial is restricted to the last
+        variable once and tabulated over ``xs``
+        (:meth:`~reinhardt.exact.SparsePoly.on_row`).  Every point must have
+        finite norm, and both values must be positive there.
+        """
+        rs = self.R.on_row(lead, xs)
+        qs = self.S.on_row(lead, xs)
+        if rs and (min(rs) <= 0 or min(qs) <= 0):
+            for x, r, q in zip(xs, rs, qs):
+                _check_positive((*lead, x), r, q)
+        return rs, qs
 
 
 @lru_cache(maxsize=None)

@@ -21,13 +21,23 @@ windows produced here are exact.
 Independently, the kernel's series is the sum of ``t**alpha / ||z**alpha||^2
 * pi**n`` over finite-norm exponents; :func:`series_coefficients_model`
 (via the R/S formula) and :func:`series_coefficients_oracle` (via exact
-shadow integration) tabulate that route for comparison.
+shadow integration) tabulate that route for comparison.  Both work one
+last-axis row at a time too.  A row fixes ``alpha_1, ..., alpha_{n-1}``,
+so the chamber's forms are affine in the last exponent and the row's finite
+exponents are one interval, found by floor division; each polynomial of
+the ratio is restricted to the last variable once per row, to a short
+``int`` coefficient list, and tabulated by Horner's rule over that interval
+only (Knuth, TAOCP vol. 2, 4.6.4).  The model route takes the interval and
+``R``, ``S`` from :mod:`~reinhardt.norms`, the oracle route takes both from
+:class:`~reinhardt.shadow.ParametricShadow`, which shares no code with
+them.
 
 The module also carries the diagonal differential check: the operator
 "multiply by ``t_1 ... t_n``, then apply ``R(t_1 d_1, ..., t_n d_n)``"
 sends ``t**gamma`` to ``R(gamma) t**gamma`` after the shift, so applied to
 the model kernel series it must reproduce the plain values ``S(gamma)`` on
 the support — a sharp test tying the series back to the norm recursion.
+It too tabulates ``R`` one row at a time.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from typing import Sequence
 from .domains import DomainSpec
 from .exact import LaurentChunk, _exact_ratio
 from .kernels import RationalKernel
-from .norms import build_RS, is_norm_finite
+from .norms import build_RS, norm_finite_from
 from .shadow import ParametricShadow
 
 
@@ -104,36 +114,52 @@ def expand_closed_form(kernel: RationalKernel, box: Sequence[tuple[int, int]]) -
 
 
 def series_coefficients_model(n: int, s: int, box: Sequence[tuple[int, int]]) -> LaurentChunk:
-    """Kernel series coefficients of Omega(n, s) from the norm formula R/S."""
+    """Kernel series coefficients of Omega(n, s) from the norm formula, one row at a time.
+
+    The coefficient at a finite-norm ``alpha`` is ``S(beta) / R(beta)`` with
+    ``beta = alpha + 1``.  A row fixes ``alpha_1, ..., alpha_{n-1}``; its
+    finite exponents are ``x >= start`` (:func:`~reinhardt.norms.norm_finite_from`),
+    and ``R`` and ``S`` are tabulated over that part of the row only
+    (:meth:`~reinhardt.norms.RSPair.row`, which refuses a nonpositive value).
+    """
     pair = build_RS(n, s)
     chunk = LaurentChunk(box)
+    *lead_box, (lo, hi) = chunk.box
+    tails = [(x,) for x in range(lo, hi + 1)]
     terms: dict[tuple[int, ...], int | Fraction] = {}
-    for alpha in chunk.box_points():
-        if is_norm_finite(alpha, n, s):
-            r, q = pair.at(tuple(a + 1 for a in alpha))
-            terms[alpha] = _exact_ratio(q, r)
+    for lead in itertools.product(*(range(a, b + 1) for a, b in lead_box)):
+        start = norm_finite_from(lead, n, s)
+        if start is None or start > hi:
+            continue
+        start = max(start, lo)
+        rs, qs = pair.row(tuple(a + 1 for a in lead), range(start + 1, hi + 2))
+        terms.update(zip(map(lead.__add__, tails[start - lo:]), map(_exact_ratio, qs, rs)))
     chunk.terms = terms
     return chunk
 
 
 def series_coefficients_oracle(spec: DomainSpec, box: Sequence[tuple[int, int]]) -> LaurentChunk:
-    """Kernel series coefficients of ``H(k)`` from exact shadow integrals.
+    """Kernel series coefficients of ``H(k)`` from exact shadow integrals, one row at a time.
 
     The coefficient at ``alpha`` is ``pi**n / ||z**alpha||^2``, i.e. the
     reciprocal of the shadow integral; exponents with infinite norm
     contribute nothing.  Works for every signature.  The integral is taken
     once per spec as one fraction ``P/Q`` in symbolic ``beta``
-    (:class:`~reinhardt.shadow.ParametricShadow`) and evaluated in ints at
-    every ``beta = alpha + 1`` of the shifted box.
+    (:class:`~reinhardt.shadow.ParametricShadow`), and each last-axis row
+    of the shifted box ``beta = alpha + 1`` is evaluated at once on its
+    finite interval, as unreduced ``int`` pairs ``(p, q)``; each value is
+    reduced once, as ``q / p``.
     """
     chunk = LaurentChunk(box)
     shadow_integral = ParametricShadow(spec)
+    *lead_box, (lo, hi) = chunk.box
+    tails = [(x,) for x in range(lo, hi + 1)]
     terms: dict[tuple[int, ...], int | Fraction] = {}
-    for beta in itertools.product(*(range(lo + 1, hi + 2) for lo, hi in chunk.box)):
-        value = shadow_integral(beta)
-        if value is not None:
-            p, q = value.as_integer_ratio()
-            terms[tuple(b - 1 for b in beta)] = _exact_ratio(q, p)
+    for lead in itertools.product(*(range(a, b + 1) for a, b in lead_box)):
+        xs, ps, qs = shadow_integral.row(tuple(a + 1 for a in lead), lo + 1, hi + 1)
+        if xs:
+            keys = tails[xs.start - 1 - lo:xs.stop - 1 - lo]
+            terms.update(zip(map(lead.__add__, keys), map(_exact_ratio, qs, ps)))
     chunk.terms = terms
     return chunk
 
@@ -189,19 +215,25 @@ def apply_annihilating_operator(n: int, s: int, chunk: LaurentChunk) -> LaurentC
     ``gamma - 1``.  Applied to a kernel-series window of Omega(n, s) the
     output must equal ``S(gamma)`` at every ``gamma`` whose monomial lies
     in the space (and 0 at the rest) — the denominator ``R`` of the norm
-    formula is annihilated.  Each key is translated to ``gamma = alpha + 1``
-    as its coefficient is multiplied, in one pass into the shifted window.
+    formula is annihilated.  The window's terms are taken in runs that
+    share a last-axis row, as the series routes store them, and ``R`` is
+    tabulated once per run at that run's exponents
+    (:meth:`~reinhardt.exact.SparsePoly.on_row`); rows without terms cost
+    nothing.
     """
     if chunk.nvars != n:
         raise ValueError("window variable count disagrees with n")
     R = build_RS(n, s).R
     window = LaurentChunk(tuple((lo + 1, hi + 1) for lo, hi in chunk.box))
     terms: dict[tuple[int, ...], int | Fraction] = {}
-    for alpha, coef in chunk.terms.items():
-        gamma = tuple(a + 1 for a in alpha)
-        p, q = coef.as_integer_ratio()
-        value = _exact_ratio(p * R.evaluate(gamma), q)
-        if value:
-            terms[gamma] = value
+    for lead, run in itertools.groupby(chunk.terms.items(), key=lambda term: term[0][:-1]):
+        run = list(run)
+        lead = tuple(a + 1 for a in lead)
+        xs = [alpha[-1] + 1 for alpha, _ in run]
+        for x, (_, coef), r in zip(xs, run, R.on_row(lead, xs)):
+            p, q = coef.as_integer_ratio()
+            value = _exact_ratio(p * r, q)
+            if value:
+                terms[lead + (x,)] = value
     window.terms = terms
     return window

@@ -67,8 +67,12 @@ coefficients:
   when the object is built.  Log-degenerate points, where a negative-step
   form vanishes, need no special case.
 
-Evaluation at a point is ``int`` arithmetic on the positive-step forms and
-``P``, and one ``Fraction`` at the end.  The per-point integrator stays the
+Evaluation runs one last-axis row at a time, in ``int`` arithmetic: the
+positive-step forms are affine along the row, so its finite points are an
+interval found by floor division, where ``Q`` is a product of arithmetic
+progressions and ``P``, restricted to the last variable, is tabulated by
+Horner's rule.  A single point is a row of one, reduced to one
+``Fraction`` at the end.  The per-point integrator stays the
 reference the parametric route is tested against, and serves single
 queries, for which building the parametric object does not pay.
 """
@@ -268,7 +272,8 @@ class ParametricShadow:
     c_n)``, each the primitive integer affine form ``c_0 + sum_j c_j *
     beta_j``, ``numerator`` is ``P`` as ``{exponent tuple: int}`` and
     ``den`` is a positive int.  ``I`` is finite exactly where every form is
-    ``> 0``.
+    ``> 0``.  :meth:`row` evaluates one last-axis row at a time in ints; a
+    call is its one-point case.
     """
 
     def __init__(self, spec: DomainSpec):
@@ -285,26 +290,65 @@ class ParametricShadow:
         numerator, den, _, _ = nodes[0]
         self.numerator = numerator
         self.den = den
-        self._rows = tuple((f[0], f[1:]) for f in self.forms)
-        self._monomials = tuple(
-            (coef, tuple((j, e) for j, e in enumerate(exps) if e)) for exps, coef in sorted(numerator.items())
-        )
+        # forms as (c_0, leading coefficients, last coefficient)
+        self._form_parts = tuple((f[0], f[1:-1], f[-1]) for f in self.forms)
+        # the monomials of P grouped by the exponent of the last variable
+        self._by_last = [[] for _ in range(max((exps[-1] for exps in numerator), default=0) + 1)]
+        for exps, coef in sorted(numerator.items()):
+            self._by_last[exps[-1]].append((coef, tuple((j, e) for j, e in enumerate(exps[:-1]) if e)))
+
+    def row(self, lead: Sequence[int], lo: int, hi: int) -> tuple[range, list[int], list[int]]:
+        """``I(*lead, x) = p / q`` at the finite points ``lo <= x <= hi`` of one row.
+
+        With the leading coordinates fixed, every form is affine in the last
+        one, ``a + b * x``, with ``b >= 0``: the forms are the chamber's
+        ``beta_a`` and ``|k_b| * beta_a + k_a * beta_b`` (``_in_chamber``).
+        So the row's finite points are ``x > -a / b`` for every form with
+        ``b > 0``, found by floor division, and all or none of the row for
+        a form with ``b == 0``.  Returns them as a range ``xs`` with the
+        unreduced ``int`` pairs as two lists: ``p = P(*lead, x)``,
+        tabulated from ``P``'s restriction to the last variable by Horner's
+        rule, and ``q = den * Q(*lead, x)``, the product of the forms'
+        arithmetic progressions.
+        """
+        if len(lead) != self.n - 1:
+            raise ValueError(f"a row needs {self.n - 1} leading coordinates, got {len(lead)}")
+        q = self.den
+        moving = []
+        for c0, coefs, b in self._form_parts:
+            a = c0 + sum(map(mul, coefs, lead))
+            if b:
+                lo = max(lo, -a // b + 1)
+                moving.append((a, b))
+            elif a <= 0:
+                return range(0), [], []
+            else:
+                q *= a
+        xs = range(lo, hi + 1)
+        if not xs:
+            return xs, [], []
+        qs = [q] * len(xs)
+        for a, b in moving:
+            qs = list(map(mul, qs, range(a + b * lo, a + b * (hi + 1), b)))
+        coeffs = []
+        for group in self._by_last:
+            c = 0
+            for coef, factors in group:
+                for j, e in factors:
+                    coef *= lead[j] ** e
+                c += coef
+            coeffs.append(c)
+        ps = [coeffs[-1]] * len(xs)
+        for c in reversed(coeffs[:-1]):
+            ps = [p * x + c for p, x in zip(ps, xs)]
+        return xs, ps, qs
 
     def __call__(self, beta: Sequence[int]) -> Fraction | None:
+        """The one-point case of :meth:`row`, as a reduced ``Fraction``."""
         if len(beta) != self.n:
             raise ValueError(f"beta has length {len(beta)}, expected {self.n}")
-        q = self.den
-        for c0, coefs in self._rows:
-            v = c0 + sum(map(mul, coefs, beta))
-            if v <= 0:
-                return None
-            q *= v
-        p = 0
-        for c, factors in self._monomials:
-            for j, e in factors:
-                c *= beta[j] ** e
-            p += c
-        return Fraction(p, q)
+        xs, ps, qs = self.row(beta[:-1], beta[-1], beta[-1])
+        return Fraction(ps[0], qs[0]) if xs else None
 
 
 def monomial_norm_oracle(alpha: Sequence[int], spec: DomainSpec) -> NormValue:

@@ -24,14 +24,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as _cartesian
+from itertools import product as _cartesian, repeat
 from typing import Callable, Sequence
 
 from .counting import coefficient_C, index_set, pair_count, pair_count_bruteforce
 from .domains import DomainSpec, model_spec, normalize_spec
 from .exact import SparsePoly
 from .kernels import kernel_fat_hartogs, kernel_signature_one, kernel_thin_hartogs
-from .norms import build_RS, is_norm_finite, monomial_norm_model
+from .norms import build_RS, is_norm_finite, monomial_norm_model, norm_finite_from
 from .sampling import bell_residuals, check_reproducing
 from .series import (
     apply_annihilating_operator,
@@ -283,17 +283,28 @@ def _annihilator_failures(n: int, s: int, box: Sequence[tuple[int, int]]) -> tup
     """``(points, failures)`` of the annihilating operator on the oracle series of Omega(n, s).
 
     The series comes from shadow integration, not from ``R/S``, so a wrong
-    ``R`` or ``S`` makes the flattened window miss ``S`` somewhere.
+    ``R`` or ``S`` makes the flattened window miss ``S`` somewhere.  Every
+    point of the box is compared, one last-axis row at a time: the wanted
+    row is ``S`` on its finite part (:func:`norm_finite_from`) and 0 on the
+    rest.
     """
     flattened = apply_annihilating_operator(n, s, series_coefficients_oracle(model_spec(n, s), box))
     S = build_RS(n, s).S
+    get = flattened.terms.get
+    *lead_box, (lo, hi) = flattened.box
+    tails = [(x,) for x in range(lo, hi + 1)]
     failures = []
     points = 0
-    for gamma in flattened.box_points():
-        points += 1
-        want = S.evaluate(gamma) if is_norm_finite([g - 1 for g in gamma], n, s) else 0
-        if flattened.terms.get(gamma, 0) != want:
-            failures.append((n, s, gamma))
+    for lead in _cartesian(*(range(a, b + 1) for a, b in lead_box)):
+        want = [0] * len(tails)
+        start = norm_finite_from([g - 1 for g in lead], n, s)
+        if start is not None and start + 1 <= hi:
+            first = max(start + 1, lo)
+            want[first - lo:] = S.on_row(lead, range(first, hi + 1))
+        got = list(map(get, map(lead.__add__, tails), repeat(0)))
+        points += len(tails)
+        if got != want:
+            failures.extend((n, s, lead + x) for x, g, w in zip(tails, got, want) if g != w)
     return points, failures
 
 

@@ -216,6 +216,27 @@ def test_integer_point_evaluation_integer_coefficients(p, pt):
     assert value == reference_value(p, pt)
 
 
+@given(polys3(), st.tuples(st.integers(-5, 5), st.integers(-5, 5)), st.integers(-6, 6), st.integers(0, 6))
+@example(SparsePoly.zero(3), (1, -2), 0, 3)
+@example(SparsePoly(3, {(2, 1, 0): -4, (1, 0, 0): 7}), (3, 2), -1, 4)  # constant along the row
+@example(SparsePoly(3, {(0, 0, 4): 2, (1, 1, 1): -1}), (0, 0), 5, 1)  # a one-point row
+def test_row_values_equal_evaluation_at_every_point(p, lead, lo, width):
+    # the restriction to the last variable, tabulated by Horner, against
+    # evaluating the whole polynomial once per point
+    xs = range(lo, lo + width)
+    values = p.on_row(lead, xs)
+    assert values == [p.evaluate((*lead, x)) for x in xs]
+    assert all(type(v) is int for v in values)
+    # any sequence of last coordinates, not only a range
+    assert p.on_row(lead, [x * x for x in xs]) == [p.evaluate((*lead, x * x)) for x in xs]
+
+
+def test_row_values_need_every_leading_coordinate():
+    p = SparsePoly(3, {(1, 1, 1): 1})
+    with pytest.raises(ValueError, match="2 leading"):
+        p.on_row((1,), range(3))
+
+
 def test_build_RS_evaluates_like_the_reference():
     for n in range(1, 6):
         for s in range(1, n + 1):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from reinhardt.domains import NormValue
 from reinhardt.exact import SparsePoly
-from reinhardt.norms import RSPair, build_RS, is_norm_finite, monomial_norm_model
+from reinhardt.norms import RSPair, build_RS, is_norm_finite, monomial_norm_model, norm_finite_from
 
 
 # -- finiteness -----------------------------------------------------------------
@@ -30,6 +30,62 @@ def test_finiteness_polydisc():
     assert is_norm_finite((0, 0, 0), 3, 3)
     assert not is_norm_finite((-1, 0, 0), 3, 3)
     assert is_norm_finite((7, 0, 2), 3, 3)
+
+
+@st.composite
+def model_row(draw):
+    """A model shape ``(n, s)``, ``s == n`` included, and the leading exponents of one row."""
+    n = draw(st.integers(1, 5))
+    s = draw(st.integers(1, n))
+    lead = tuple(draw(st.lists(st.integers(-4, 4), min_size=n - 1, max_size=n - 1)))
+    return n, s, lead
+
+
+@settings(max_examples=100, deadline=None)
+@given(model_row())
+def test_row_start_is_the_row_form_of_is_norm_finite(case):
+    # the finite exponents of a row are exactly x >= start, point by point
+    n, s, lead = case
+    start = norm_finite_from(lead, n, s)
+    for x in range(-9, 10):
+        assert is_norm_finite(lead + (x,), n, s) == (start is not None and x >= start)
+
+
+def test_row_start_on_worked_rows():
+    assert norm_finite_from((0,), 2, 1) == -1  # Hartogs: beta_1 + beta_2 > 0
+    assert norm_finite_from((3,), 2, 1) == -4
+    assert norm_finite_from((-1,), 2, 1) is None  # beta_1 = 0: the whole row diverges
+    assert norm_finite_from((1, 0), 3, 3) == 0  # polydisc
+    assert norm_finite_from((1, -1), 3, 3) is None
+    assert norm_finite_from((), 1, 1) == 0  # the disc
+    assert norm_finite_from((2, 0, -2), 4, 2) is None  # a middle pair already fails
+    with pytest.raises(ValueError, match="2 leading"):
+        norm_finite_from((0,), 3, 1)
+    with pytest.raises(ValueError):
+        norm_finite_from((0,), 2, 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(model_row(), st.integers(0, 5))
+def test_row_of_R_and_S_equals_the_pointwise_formula(case, width):
+    n, s, lead = case
+    start = norm_finite_from(lead, n, s)
+    if start is None:
+        return
+    pair = build_RS(n, s)
+    beta_lead = tuple(a + 1 for a in lead)
+    xs = range(start + 1, start + 1 + width)  # beta along the finite part of the row
+    rs, qs = pair.row(beta_lead, xs)
+    assert list(zip(rs, qs)) == [pair.at(beta_lead + (x,)) for x in xs]
+
+
+def test_row_of_R_and_S_has_the_one_positivity_guard():
+    pair = build_RS(3, 2)
+    assert pair.row((1, 1), range(1, 3)) == ([3, 4], [4, 9])
+    flipped = RSPair(3, 2, pair.R * -1, pair.S)
+    with pytest.raises(ArithmeticError, match=r"degenerate at beta=\(1, 1, 1\): R=-3, S=4"):
+        flipped.row((1, 1), range(1, 3))
+    assert flipped.row((1, 1), range(1, 1)) == ([], [])  # an empty row checks nothing
 
 
 @pytest.mark.parametrize("n,s", [(n, s) for n in range(1, 6) for s in range(1, n + 1)])

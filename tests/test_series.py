@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reinhardt.norms
 import reinhardt.series
@@ -16,7 +16,7 @@ import reinhardt.verify
 from reinhardt.domains import model_spec, normalize_spec
 from reinhardt.exact import LaurentChunk, OutsideWindow, SparsePoly
 from reinhardt.kernels import kernel_model_sig1, kernel_signature_one
-from reinhardt.norms import RSPair, build_RS
+from reinhardt.norms import RSPair, build_RS, is_norm_finite
 from reinhardt.series import (
     apply_annihilating_operator,
     expand_closed_form,
@@ -25,6 +25,7 @@ from reinhardt.series import (
     series_coefficients_oracle,
     slice_coefficients,
 )
+from reinhardt.shadow import shadow_integral_exact
 from reinhardt.verify import _annihilator_failures
 
 def test_hartogs_expansion_values():
@@ -137,6 +138,20 @@ def test_closed_form_csv_text_is_pinned(k, box, digest):
     assert hashlib.sha256("".join(row + "\n" for row in rows).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("route, k, box, digest", [
+    ("model", (1, 1, -1, -1), [(-3, 3)] * 4, "1234156c479834a7f597c9bbd8413f906bfadcad7041b9ef16abd13e5936081d"),
+    ("oracle", (2, 3, -4), [(0, 4), (0, 4), (-4, 4)], "204b406b84974af0eb4672c9610b78f2364508dfa818c001325dc6062c264753"),
+])
+def test_model_and_oracle_csv_text_is_pinned(route, k, box, digest):
+    spec = normalize_spec(k)
+    if route == "model":
+        chunk = series_coefficients_model(spec.n, spec.s, box)
+    else:
+        chunk = series_coefficients_oracle(spec, box)
+    rows = chunk.csv_rows()
+    assert hashlib.sha256("".join(row + "\n" for row in rows).encode()).hexdigest() == digest
+
+
 def is_int_exactly_when_integral(chunk):
     return all(type(v) is (int if v.denominator == 1 else Fraction) for v in chunk.terms.values())
 
@@ -214,6 +229,75 @@ def model_window(draw):
 def test_model_series_equals_the_oracle_on_random_windows(case):
     n, s, box = case
     assert series_coefficients_model(n, s, box) == series_coefficients_oracle(model_spec(n, s), box)
+
+
+def box_points(box):
+    return itertools.product(*(range(lo, hi + 1) for lo, hi in box))
+
+
+@st.composite
+def model_row_window(draw):
+    """A model shape, ``s == n`` included, and a box whose last range may be a single point."""
+    n = draw(st.integers(2, 4))
+    s = draw(st.integers(1, n))
+    box = []
+    for _ in range(n - 1):
+        lo = draw(st.integers(-4, 2))
+        box.append((lo, lo + draw(st.integers(0, 3))))
+    lo = draw(st.integers(-7, 3))
+    box.append((lo, lo + draw(st.sampled_from([0, 0, 1, 4, 8]))))
+    return n, s, box
+
+
+@settings(max_examples=100, deadline=None)
+@given(model_row_window())
+@example((3, 2, [(-2, -1), (0, 1), (4, 4)]))  # every row wholly outside the chamber
+@example((3, 3, [(0, 1), (-1, 2), (-3, 3)]))  # s == n
+@example((4, 2, [(0, 2), (0, 1), (-3, 0), (-6, 6)]))  # rows that start inside the box
+def test_model_rows_equal_the_pointwise_formula(case):
+    n, s, box = case
+    pair = build_RS(n, s)
+    per_point = {}
+    for alpha in box_points(box):
+        if is_norm_finite(alpha, n, s):
+            r, q = pair.at(tuple(a + 1 for a in alpha))
+            per_point[alpha] = Fraction(q, r)
+    chunk = series_coefficients_model(n, s, box)
+    assert chunk == LaurentChunk(box, per_point)
+    assert is_int_exactly_when_integral(chunk)
+
+
+@st.composite
+def oracle_window(draw):
+    n = draw(st.integers(2, 4))
+    s = draw(st.integers(1, n - 1))
+    mags = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n).filter(lambda m: math.gcd(*m) == 1))
+    spec = normalize_spec(tuple(mags[:s]) + tuple(-m for m in mags[s:]))
+    box = []
+    for _ in range(n - 1):
+        lo = draw(st.integers(-3, 2))
+        box.append((lo, lo + draw(st.integers(0, 2))))
+    lo = draw(st.integers(-8, 3))
+    box.append((lo, lo + draw(st.sampled_from([0, 0, 2, 5, 9]))))
+    return spec, box
+
+
+@settings(max_examples=80, deadline=None)
+@given(oracle_window())
+@example((normalize_spec((2, 3, -4)), [(-1, 0), (0, 1), (-4, 4)]))  # beta_1 = 0: empty rows
+@example((normalize_spec((3, 1, -2, -5)), [(0, 1), (0, 0), (-1, 1), (2, 2)]))  # one-point rows
+def test_oracle_rows_equal_the_per_point_integral(case):
+    # the oracle's parametric rows against the iterated integral at every point;
+    # every spec has the forms beta_a, which do not move along a row
+    spec, box = case
+    per_point = {}
+    for alpha in box_points(box):
+        value = shadow_integral_exact(tuple(a + 1 for a in alpha), spec)
+        if value is not None:
+            per_point[alpha] = 1 / value
+    chunk = series_coefficients_oracle(spec, box)
+    assert chunk == LaurentChunk(box, per_point)
+    assert is_int_exactly_when_integral(chunk)
 
 
 def test_series_skips_infinite_norms():
@@ -299,6 +383,63 @@ def test_annihilator_check_catches_a_wrong_R_or_S(monkeypatch, wrong):
     for n, s in [(3, 2), (3, 1)]:
         points, failures = _annihilator_failures(n, s, box)
         assert points == 7 ** 3 and failures
+
+
+@st.composite
+def sparse_window(draw):
+    """A window of Omega(n, s) with a few scattered values: most rows are empty."""
+    n = draw(st.integers(2, 4))
+    s = draw(st.integers(1, n))
+    box = [(-3, 3)] * (n - 1) + [(draw(st.integers(-4, 0)), draw(st.integers(0, 4)))]
+    terms = {}
+    for _ in range(draw(st.integers(0, 8))):
+        alpha = tuple(draw(st.integers(lo, hi)) for lo, hi in box)
+        terms[alpha] = Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from([1, 1, 2, 3, 7])))
+    return n, s, LaurentChunk(box, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_window())
+@example((3, 2, LaurentChunk([(-3, 3), (-3, 3), (0, 0)])))  # no values at all
+@example((3, 2, LaurentChunk([(-3, 3)] * 3, {(0, 0, 0): 1, (1, 0, 0): Fraction(1, 2), (0, 0, 2): 3})))  # a row in two runs
+def test_annihilator_rows_equal_the_pointwise_product(case):
+    n, s, chunk = case
+    R = build_RS(n, s).R
+    per_point = {}
+    for alpha, coef in chunk.terms.items():
+        gamma = tuple(a + 1 for a in alpha)
+        per_point[gamma] = coef * R.evaluate(gamma)
+    out = apply_annihilating_operator(n, s, chunk)
+    assert out == LaurentChunk([(lo + 1, hi + 1) for lo, hi in chunk.box], per_point)
+    assert is_int_exactly_when_integral(out)
+
+
+@pytest.mark.parametrize("wrong", ["R", "S"])
+@pytest.mark.parametrize("last", [(-3, 2), (-4, -1)])  # the second ends where some rows start
+def test_annihilator_failures_are_every_box_point_that_misses_S(monkeypatch, wrong, last):
+    # with a wrong R or S the failures are exactly the points, in box order,
+    # where the flattened window differs from S on the support and 0 off it;
+    # S + 1 is nonzero where the support ends, so a row that starts one
+    # point early fails there
+    n, s, box = 3, 2, [(-2, 2), (-1, 3), last]
+    points = 5 * 5 * (last[1] - last[0] + 1)
+    assert _annihilator_failures(n, s, box) == (points, [])
+    real = build_RS(n, s)
+    if wrong == "R":
+        pair = RSPair(n, s, real.R + SparsePoly.one(n), real.S)
+    else:
+        pair = RSPair(n, s, real.R, real.S + SparsePoly.one(n))
+    for module in (reinhardt.series, reinhardt.verify):
+        monkeypatch.setattr(module, "build_RS", lambda n, s: pair)
+    flattened = apply_annihilating_operator(n, s, series_coefficients_oracle(model_spec(n, s), box))
+    shifted_box = [(lo + 1, hi + 1) for lo, hi in box]
+    expected = []
+    for gamma in box_points(shifted_box):
+        want = pair.S.evaluate(gamma) if is_norm_finite([g - 1 for g in gamma], n, s) else 0
+        if flattened.coefficient(gamma) != want:
+            expected.append((n, s, gamma))
+    assert expected
+    assert _annihilator_failures(n, s, box) == (points, expected)
 
 
 def test_annihilator_keeps_window_metadata():

@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reinhardt.shadow
 from reinhardt.domains import NormValue, model_spec, normalize_spec, shifted
@@ -360,3 +360,40 @@ def test_value_is_independent_of_nesting_and_labels(case):
     if spec.is_model:
         expected = monomial_norm_model(tuple(b - 1 for b in beta), n, s)
         assert expected == (NormValue.infinite() if value is None else NormValue.of(value, n))
+
+
+@st.composite
+def spec_and_row(draw):
+    """A spec, the leading coordinates of one row of ``beta``, and the row's ``lo <= x <= hi``."""
+    spec, beta = draw(spec_and_beta(max_n=4, max_k=7, low=-3, high=6))
+    lo = draw(st.integers(-9, 5))
+    return spec, beta[:-1], lo, lo + draw(st.integers(-1, 9))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec_and_row())
+@example((HARTOGS, (0,), -3, 3))  # beta_1 = 0: the row lies wholly outside the chamber
+@example((HARTOGS, (2,), 5, 5))  # a one-point row
+@example((HARTOGS, (2,), -4, -3))  # every point of the row diverges
+@example((normalize_spec((2, 3, -4)), (1, 1), 0, -1))  # lo > hi: an empty row
+def test_parametric_row_equals_the_per_point_integral(case):
+    spec, lead, lo, hi = case
+    shadow_integral = ParametricShadow(spec)
+    # the forms beta_a (a <= s) do not move along a row: they decide all of it
+    # or none; the rest grow along it, so a row's finite part starts somewhere
+    assert any(form[-1] == 0 for form in shadow_integral.forms)
+    assert all(form[-1] >= 0 for form in shadow_integral.forms)
+    xs, ps, qs = shadow_integral.row(lead, lo, hi)
+    assert xs.step == 1 and len(ps) == len(qs) == len(xs)
+    assert all(type(v) is int for v in ps + qs) and all(q > 0 for q in qs)
+    per_point = {x: shadow_integral_exact(lead + (x,), spec) for x in range(lo, hi + 1)}
+    assert {x: Fraction(p, q) for x, p, q in zip(xs, ps, qs)} == {
+        x: v for x, v in per_point.items() if v is not None
+    }
+    # the call is the one-point case of the row
+    assert all(shadow_integral(lead + (x,)) == v for x, v in per_point.items())
+
+
+def test_parametric_row_needs_every_leading_coordinate():
+    with pytest.raises(ValueError, match="2 leading"):
+        ParametricShadow(normalize_spec((2, 3, -4))).row((1,), 0, 3)
