@@ -16,7 +16,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import dblquad, quad
 
 from reinhardt.exact import (
@@ -216,6 +216,7 @@ def test_integer_point_evaluation_integer_coefficients(p, pt):
     assert value == reference_value(p, pt)
 
 
+@settings(max_examples=60, deadline=None)
 @given(polys3(), st.tuples(st.integers(-5, 5), st.integers(-5, 5)), st.integers(-6, 6), st.integers(0, 6))
 @example(SparsePoly.zero(3), (1, -2), 0, 3)
 @example(SparsePoly(3, {(2, 1, 0): -4, (1, 0, 0): 7}), (3, 2), -1, 4)  # constant along the row

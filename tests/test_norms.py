@@ -41,7 +41,7 @@ def model_row(draw):
     return n, s, lead
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(model_row())
 def test_row_start_is_the_row_form_of_is_norm_finite(case):
     # the finite exponents of a row are exactly x >= start, point by point
@@ -65,7 +65,7 @@ def test_row_start_on_worked_rows():
         norm_finite_from((0,), 2, 3)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(model_row(), st.integers(0, 5))
 def test_row_of_R_and_S_equals_the_pointwise_formula(case, width):
     n, s, lead = case

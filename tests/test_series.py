@@ -249,7 +249,7 @@ def model_row_window(draw):
     return n, s, box
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(model_row_window())
 @example((3, 2, [(-2, -1), (0, 1), (4, 4)]))  # every row wholly outside the chamber
 @example((3, 3, [(0, 1), (-1, 2), (-3, 3)]))  # s == n
@@ -282,7 +282,7 @@ def oracle_window(draw):
     return spec, box
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(oracle_window())
 @example((normalize_spec((2, 3, -4)), [(-1, 0), (0, 1), (-4, 4)]))  # beta_1 = 0: empty rows
 @example((normalize_spec((3, 1, -2, -5)), [(0, 1), (0, 0), (-1, 1), (2, 2)]))  # one-point rows
@@ -398,7 +398,7 @@ def sparse_window(draw):
     return n, s, LaurentChunk(box, terms)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(sparse_window())
 @example((3, 2, LaurentChunk([(-3, 3), (-3, 3), (0, 0)])))  # no values at all
 @example((3, 2, LaurentChunk([(-3, 3)] * 3, {(0, 0, 0): 1, (1, 0, 0): Fraction(1, 2), (0, 0, 2): 3})))  # a row in two runs

@@ -370,7 +370,7 @@ def spec_and_row(draw):
     return spec, beta[:-1], lo, lo + draw(st.integers(-1, 9))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(spec_and_row())
 @example((HARTOGS, (0,), -3, 3))  # beta_1 = 0: the row lies wholly outside the chamber
 @example((HARTOGS, (2,), 5, 5))  # a one-point row
