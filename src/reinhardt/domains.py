@@ -152,23 +152,29 @@ class NormValue:
 
     The rational part ``coefficient`` and the power ``pi_power`` of pi are
     stored exactly; they may only be read when ``finite`` is True, which is
-    when the coefficient is not None.  Build values with :meth:`of` and
+    when the coefficient is not None.  A coefficient is an ``int`` or a
+    ``Fraction``, stored as a ``Fraction``; anything else, a float or a
+    string included, is a ``TypeError``.  Build values with :meth:`of` and
     :meth:`infinite`.
     """
 
     __slots__ = ("_coefficient", "_pi_power")
 
-    def __init__(self, coefficient: Fraction | None, pi_power: int | None):
+    def __init__(self, coefficient: int | Fraction | None, pi_power: int | None):
         if coefficient is not None:
+            if not isinstance(coefficient, (int, Fraction)):
+                raise TypeError(f"norm coefficients must be ints or Fractions, got {coefficient!r}")
             if pi_power is None or coefficient <= 0:
                 raise ValueError("a finite norm needs a positive rational coefficient and a pi power")
             _check_ints("pi power", (pi_power,))
+            if isinstance(coefficient, int):
+                coefficient = Fraction(coefficient)
         self._coefficient = coefficient
         self._pi_power = pi_power if coefficient is not None else None
 
     @classmethod
-    def of(cls, coefficient, pi_power: int) -> "NormValue":
-        return cls(Fraction(coefficient), pi_power)
+    def of(cls, coefficient: int | Fraction, pi_power: int) -> "NormValue":
+        return cls(coefficient, pi_power)
 
     @classmethod
     def infinite(cls) -> "NormValue":

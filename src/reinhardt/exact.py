@@ -2,13 +2,14 @@
 
 Everything here computes over the integers and rationals with no rounding:
 
-* :class:`SparsePoly` — multivariate polynomials with ``int``
-  coefficients, keyed by exponent tuples: the closed forms (kernel
-  numerators, the norm polynomials ``R`` and ``S``) are integral, so the
-  ring is Z.  Supports ring arithmetic, substitution of polynomials for
-  variables, exact division by a variable (used by recursions that are
-  only valid when the division is exact), and exact evaluation to an
-  ``int`` or ``Fraction``, at one point or along a last-axis row.
+* :class:`SparsePoly` — multivariate polynomials in at least one
+  variable with ``int`` coefficients, keyed by exponent tuples: the closed
+  forms (kernel numerators, the norm polynomials ``R`` and ``S``) are
+  integral, so the ring is Z.  Supports ring arithmetic, substitution of
+  polynomials for variables, exact division by a variable (used by
+  recursions that are only valid when the division is exact), and exact
+  evaluation along a last-axis row by Horner's rule, a point being the
+  one-point row.
 
 * :class:`FracExpSum` — finite sums of terms ``c * prod(t_j^{q_j}) *
   prod(log(1/t_j)^{p_j})`` with rational ``c``, rational exponents ``q_j``
@@ -78,14 +79,19 @@ class SparsePoly:
 
     ``terms`` maps exponent tuples (nonnegative ints, length ``nvars``) to
     nonzero ``int`` coefficients; any other coefficient is a ``TypeError``.
+    There is at least one variable, the last axis that rows run along.
     Instances are treated as immutable; all operations return new
-    polynomials.
+    polynomials.  Evaluation keeps one term layout, the restriction to the
+    last variable (:meth:`_restricted`): :meth:`on_row` tabulates it, and
+    :meth:`evaluate` is the one-point row.
     """
 
-    __slots__ = ("nvars", "terms", "_factors", "_by_last")
+    __slots__ = ("nvars", "terms", "_by_last")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int] | None = None):
         _check_ints("nvars", (nvars,))
+        if nvars < 1:
+            raise ValueError(f"a polynomial needs at least one variable, got nvars={nvars}")
         self.nvars = nvars
         clean: dict[tuple[int, ...], int] = {}
         if terms:
@@ -240,76 +246,62 @@ class SparsePoly:
 
     # -- evaluation and substitution ----------------------------------------
 
-    def _factored(self) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
-        """``[(coef, ((var, exp), ...)), ...]``: each term with only its nonzero factors.
+    def _restricted(self, lead: Sequence) -> list:
+        """The coefficients ``c_0, ..., c_d`` of ``P(*lead, x)`` in the last variable ``x``.
 
-        Built on first use and kept, since instances are immutable.
+        Reads only the leading coordinates, so a whole point will do.  The
+        layout, each term's coefficient and nonzero leading factors grouped
+        by its last exponent, is built on first use and kept.
         """
         try:
-            return self._factors
+            groups = self._by_last
         except AttributeError:
-            pass
-        self._factors = [
-            (c, tuple((i, e) for i, e in enumerate(exps) if e)) for exps, c in self.terms.items()
-        ]
-        return self._factors
-
-    def evaluate(self, values: Sequence) -> int | Fraction:
-        """Evaluate exactly at an ``int`` or ``Fraction`` point.
-
-        At an all-``int`` point the value is an exact ``int``; once a
-        ``Fraction`` coordinate enters a term it is a ``Fraction``.  A float
-        or complex coordinate that enters a term raises ``TypeError``.
-        """
-        if len(values) != self.nvars:
-            raise ValueError(f"point has length {len(values)}, expected {self.nvars}")
-        acc = 0
-        for num, factors in self._factored():
-            for i, e in factors:
-                num *= values[i] ** e
-            acc += num
-        if type(acc) is not int and not isinstance(acc, Rational):
-            raise TypeError(f"exact evaluation needs int or Fraction coordinates, got {tuple(values)}")
-        return acc
-
-    def _last_groups(self) -> list[list[tuple[int, tuple[tuple[int, int], ...]]]]:
-        """The terms grouped by the exponent of the last variable, ``0`` to the degree.
-
-        Group ``e`` holds ``(coef, ((var, exp), ...))`` with only the nonzero
-        factors in the leading variables.  Built on first use and kept.
-        """
-        try:
-            return self._by_last
-        except AttributeError:
-            pass
-        groups: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = [
-            [] for _ in range(max((exps[-1] for exps in self.terms), default=0) + 1)
-        ]
-        for exps, c in self.terms.items():
-            groups[exps[-1]].append((c, tuple((i, e) for i, e in enumerate(exps[:-1]) if e)))
-        self._by_last = groups
-        return groups
-
-    def on_row(self, lead: Sequence[int], xs: Sequence[int]) -> list[int]:
-        """The values at the ``int`` points ``(*lead, x)``, ``x`` in ``xs``.
-
-        The leading coordinates are fixed once: the polynomial restricted to
-        the last variable is the short ``int`` coefficient list ``c_0, ...,
-        c_d`` of ``P(*lead, x)``, tabulated over ``xs`` by Horner's rule.
-        """
-        if len(lead) != self.nvars - 1:
-            raise ValueError(f"a row needs {self.nvars - 1} leading coordinates, got {len(lead)}")
+            groups = self._by_last = [[] for _ in range(max((e[-1] for e in self.terms), default=0) + 1)]
+            for exps, c in self.terms.items():
+                groups[exps[-1]].append((c, tuple((i, e) for i, e in enumerate(exps[:-1]) if e)))
         coeffs = []
-        for group in self._last_groups():
+        for group in groups:
             c = 0
             for num, factors in group:
                 for i, e in factors:
                     num *= lead[i] ** e
                 c += num
             coeffs.append(c)
-        values = [coeffs[-1]] * len(xs)
-        for c in reversed(coeffs[:-1]):
-            values = list(map(add, map(mul, values, xs), repeat(c)))
+        return coeffs
+
+    def evaluate(self, values: Sequence) -> int | Fraction:
+        """Evaluate exactly at an ``int`` or ``Fraction`` point: the one-point row.
+
+        One Horner pass at ``values[-1]`` from the top coefficient of
+        :meth:`_restricted`, so a last coordinate that no term uses is never
+        multiplied in.  At an all-``int`` point the value is an ``int``;
+        once a ``Fraction`` coordinate enters a term it is a ``Fraction``.
+        A float or complex coordinate that enters a term is a ``TypeError``.
+        """
+        if len(values) != self.nvars:
+            raise ValueError(f"point has length {len(values)}, expected {self.nvars}")
+        coeffs = self._restricted(values)
+        acc = coeffs.pop()
+        x = values[-1]
+        while coeffs:
+            acc = acc * x + coeffs.pop()
+        if type(acc) is not int and not isinstance(acc, Rational):
+            raise TypeError(f"exact evaluation needs int or Fraction coordinates, got {tuple(values)}")
+        return acc
+
+    def on_row(self, lead: Sequence[int], xs: Sequence[int]) -> list[int]:
+        """The values at the ``int`` points ``(*lead, x)``, ``x`` in ``xs``.
+
+        The leading coordinates are fixed once: the polynomial restricted to
+        the last variable (:meth:`_restricted`) is a short ``int``
+        coefficient list, tabulated over ``xs`` by Horner's rule.
+        """
+        if len(lead) != self.nvars - 1:
+            raise ValueError(f"a row needs {self.nvars - 1} leading coordinates, got {len(lead)}")
+        coeffs = self._restricted(lead)
+        values = [coeffs.pop()] * len(xs)
+        while coeffs:
+            values = list(map(add, map(mul, values, xs), repeat(coeffs.pop())))
         return values
 
     def substitute(self, mapping: Mapping[int, "SparsePoly"]) -> "SparsePoly":
@@ -591,7 +583,8 @@ class LaurentChunk:
     outside it nothing is known, and :meth:`coefficient` refuses to guess.
     The window holds kernel coefficients of ``H(k)`` in ``n`` variables, so
     an overall ``1/pi**n`` prefactor keeps the table rational:
-    :attr:`pi_power` is :attr:`nvars`, the length of the box.
+    :attr:`pi_power` is :attr:`nvars`, the length of the box.  The box has
+    at least one range, the last axis that rows run along.
 
     Values are exact: an ``int`` when integral, a reduced ``Fraction``
     otherwise (both go through :func:`_exact_ratio`).  Anything else,
@@ -604,6 +597,8 @@ class LaurentChunk:
         self, box: Sequence[tuple[int, int]], terms: Mapping[tuple[int, ...], int | Fraction] | None = None
     ):
         box = tuple((lo, hi) for lo, hi in box)
+        if not box:
+            raise ValueError("a window needs at least one range")
         for lo, hi in box:
             _check_ints("box", (lo, hi))
             if lo > hi:

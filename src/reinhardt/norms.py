@@ -47,25 +47,22 @@ def _check_shape(n: int, s: int) -> None:
 
 
 def is_norm_finite(alpha: Sequence[int], n: int, s: int) -> bool:
-    """Whether ``z**alpha`` is square-integrable on Omega(n, s)."""
-    _check_shape(n, s)
+    """Whether ``z**alpha`` is square-integrable on Omega(n, s): :func:`norm_finite_from` at one point."""
     if len(alpha) != n:
         raise ValueError(f"alpha has length {len(alpha)}, expected {n}")
-    # beta_j > 0 and beta_j + beta_l > 0 for every pair hold iff they hold
-    # for the smallest entry of each block
-    m = min(alpha[:s])
-    return m >= 0 and (s == n or m + min(alpha[s:]) > -2)
+    start = norm_finite_from(alpha[:-1], n, s)
+    return start is not None and alpha[-1] >= start
 
 
 def norm_finite_from(lead: Sequence[int], n: int, s: int) -> int | None:
-    """The row form of :func:`is_norm_finite`: the smallest finite last exponent.
+    """The smallest finite last exponent along the row ``alpha = (*lead, x)`` of Omega(n, s).
 
-    Along the row ``alpha = (*lead, x)`` of Omega(n, s) the finite
-    exponents are ``x >= start``, where ``start`` is returned; ``None`` if
-    the row holds none.  For ``s == n`` the last entry joins the positive
-    block (``start = 0``); for ``s < n`` it joins the negative block, and
-    the pair condition with the smallest positive entry ``m`` reads ``x >=
-    -1 - m``.
+    The finite exponents are ``x >= start``, where ``start`` is returned;
+    ``None`` if the row holds none.  The conditions on ``beta = alpha + 1``
+    hold for every pair iff they hold for the smallest entry of each block.
+    For ``s == n`` the last entry joins the positive block (``start = 0``);
+    for ``s < n`` it joins the negative block, and the pair condition with
+    the smallest positive entry ``m`` reads ``x >= -1 - m``.
     """
     _check_shape(n, s)
     if len(lead) != n - 1:

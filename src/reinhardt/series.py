@@ -53,6 +53,13 @@ from .norms import build_RS, norm_finite_from
 from .shadow import ParametricShadow
 
 
+def _empty_window(box: Sequence[tuple[int, int]], n: int) -> LaurentChunk:
+    """The window every series route fills: ``box`` must hold one range per variable."""
+    if len(box) != n:
+        raise ValueError(f"box needs {n} ranges")
+    return LaurentChunk(box)
+
+
 def expand_closed_form(kernel: RationalKernel, box: Sequence[tuple[int, int]]) -> LaurentChunk:
     """Exact Laurent coefficients of a closed-form kernel on a box, one row at a time.
 
@@ -69,11 +76,9 @@ def expand_closed_form(kernel: RationalKernel, box: Sequence[tuple[int, int]]) -
     divides ``v * p``, a reduced ``Fraction`` otherwise.
     """
     n = kernel.n
-    if len(box) != n:
-        raise ValueError(f"box needs {n} ranges")
+    chunk = _empty_window(box, n)
     k1 = kernel.spec.k[0]
     kb = kernel.spec.abs_k
-    chunk = LaurentChunk(box)
     (lo0, hi0), *middle, (lo, hi) = chunk.box
     xs = range(lo, hi + 1)
     p, q = kernel.scalar.as_integer_ratio()
@@ -122,8 +127,8 @@ def series_coefficients_model(n: int, s: int, box: Sequence[tuple[int, int]]) ->
     and ``R`` and ``S`` are tabulated over that part of the row only
     (:meth:`~reinhardt.norms.RSPair.row`, which refuses a nonpositive value).
     """
+    chunk = _empty_window(box, n)
     pair = build_RS(n, s)
-    chunk = LaurentChunk(box)
     *lead_box, (lo, hi) = chunk.box
     tails = [(x,) for x in range(lo, hi + 1)]
     terms: dict[tuple[int, ...], int | Fraction] = {}
@@ -150,7 +155,7 @@ def series_coefficients_oracle(spec: DomainSpec, box: Sequence[tuple[int, int]])
     finite interval, as unreduced ``int`` pairs ``(p, q)``; each value is
     reduced once, as ``q / p``.
     """
-    chunk = LaurentChunk(box)
+    chunk = _empty_window(box, spec.n)
     shadow_integral = ParametricShadow(spec)
     *lead_box, (lo, hi) = chunk.box
     tails = [(x,) for x in range(lo, hi + 1)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,14 @@ def test_norm_value_rejects_nonpositive():
         NormValue.of(Fraction(0), 2)
     with pytest.raises(ValueError):
         NormValue.of(Fraction(-1, 3), 1)
+
+
+@pytest.mark.parametrize("coefficient", [0.5, 0.1, "1/2", 1j])
+def test_norm_value_holds_exact_coefficients_only(coefficient):
+    # Fraction(0.1) is 3602879701896397/36028797018963968 and Fraction("1/2") parses text
+    for build in (NormValue, NormValue.of):
+        with pytest.raises(TypeError, match=rf"ints or Fractions, got {re.escape(repr(coefficient))}$"):
+            build(coefficient, 2)
 
 
 def test_norm_value_pi_free_str():

@@ -179,6 +179,39 @@ def test_poly_mismatched_variable_counts():
         xy.evaluate((1, 2j))
 
 
+def test_evaluation_is_exact_where_no_inexact_coordinate_enters_a_term():
+    # a coordinate that no term uses is never multiplied in, whatever its type
+    p = SparsePoly(2, {(1, 0): 3})
+    for last in (0.5, Fraction(1, 3)):
+        value = p.evaluate((2, last))
+        assert value == 6 and type(value) is int
+    q = SparsePoly(2, {(0, 2): 3, (0, 0): -1})
+    value = q.evaluate((0.5, 2))
+    assert value == 11 and type(value) is int
+    value = q.evaluate((1j, Fraction(1, 2)))
+    assert value == Fraction(-1, 4) and type(value) is Fraction
+
+
+def test_evaluation_of_a_constant_last_axis_and_of_zero():
+    p = SparsePoly(3, {(2, 0, 0): 3, (0, 1, 0): 1})  # degree 0 in the last variable
+    value = p.evaluate((2, -1, 0.5))
+    assert value == 11 and type(value) is int
+    value = p.evaluate((Fraction(1, 2), 0, 7))
+    assert value == Fraction(3, 4) and type(value) is Fraction
+    zero = SparsePoly.zero(2)
+    value = zero.evaluate((0.5, 2j))
+    assert value == 0 and type(value) is int
+    assert zero.on_row((4,), range(-1, 2)) == [0, 0, 0]
+    with pytest.raises(ValueError):
+        zero.evaluate((1,))
+
+
+@pytest.mark.parametrize("nvars", [0, -1])
+def test_poly_needs_a_last_axis(nvars):
+    with pytest.raises(ValueError, match="at least one variable"):
+        SparsePoly(nvars)
+
+
 # -- evaluation at integer points ----------------------------------------------
 
 
@@ -230,6 +263,16 @@ def test_row_values_equal_evaluation_at_every_point(p, lead, lo, width):
     assert all(type(v) is int for v in values)
     # any sequence of last coordinates, not only a range
     assert p.on_row(lead, [x * x for x in xs]) == [p.evaluate((*lead, x * x)) for x in xs]
+
+
+@settings(max_examples=25, deadline=None)
+@given(polys3(), st.tuples(st.integers(-5, 5), st.integers(-5, 5)), st.integers(-6, 6), st.integers(0, 5))
+@example(SparsePoly(3, {(0, 0, 4): 2, (1, 1, 1): -1, (0, 2, 0): 3}), (-2, 3), -3, 5)
+def test_row_values_equal_the_reference_sum(p, lead, lo, width):
+    # evaluate and on_row share the restriction to the last variable, so the
+    # row is checked against the term-by-term sum as well
+    xs = range(lo, lo + width)
+    assert p.on_row(lead, xs) == [reference_value(p, (*lead, x)) for x in xs]
 
 
 def test_row_values_need_every_leading_coordinate():
@@ -548,6 +591,11 @@ def test_chunk_constructor_validation():
         LaurentChunk([(0, -1), (0, 0)])
     with pytest.raises(ValueError):
         LaurentChunk([(0, 1)], {(5,): Fraction(1)})
+
+
+def test_chunk_needs_a_last_axis():
+    with pytest.raises(ValueError, match="at least one range"):
+        LaurentChunk(())
 
 
 def test_chunk_csv_rows():

@@ -201,6 +201,17 @@ def test_expansion_guards():
         expand_closed_form(kernel_model_sig1(2), [(0, 4)])
 
 
+@pytest.mark.parametrize("route", [
+    lambda box: expand_closed_form(kernel_model_sig1(2), box),
+    lambda box: series_coefficients_model(2, 1, box),
+    lambda box: series_coefficients_oracle(model_spec(2, 1), box),
+], ids=["closed-form", "model", "oracle"])
+@pytest.mark.parametrize("box", [[(0, 1)] * 3, [(0, 1)]], ids=["too-long", "too-short"])
+def test_every_route_refuses_a_box_of_the_wrong_length(route, box):
+    with pytest.raises(ValueError, match="^box needs 2 ranges$"):
+        route(box)
+
+
 def test_model_series_signature_two():
     chunk = series_coefficients_model(3, 2, [(0, 0), (0, 0), (-1, 0)])
     assert chunk.coefficient((0, 0, 0)) == Fraction(4, 3)
