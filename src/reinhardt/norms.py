@@ -28,6 +28,11 @@ on it and aborts otherwise, since a failed division can only mean a bug.
 ``R`` is homogeneous of degree ``(n - s)(s - 1)``, symmetric in each block
 separately, and shares no factor with ``S`` — in particular ``R = 1``
 whenever ``s = 1`` or ``s = n``, and ``R_{3,2} = beta_1 + beta_2 + beta_3``.
+
+Rows are taken in ``beta``: :meth:`RSPair.row` tabulates ``R`` and ``S``
+on a row's finite part only (:func:`norm_finite_from`, the rule stated
+once), and the point forms, which shift ``alpha`` once, are its one-point
+cases.
 """
 
 from __future__ import annotations
@@ -48,37 +53,32 @@ def _check_shape(n: int, s: int) -> None:
 
 def is_norm_finite(alpha: Sequence[int], n: int, s: int) -> bool:
     """Whether ``z**alpha`` is square-integrable on Omega(n, s): :func:`norm_finite_from` at one point."""
-    if len(alpha) != n:
-        raise ValueError(f"alpha has length {len(alpha)}, expected {n}")
-    start = norm_finite_from(alpha[:-1], n, s)
-    return start is not None and alpha[-1] >= start
+    beta = shifted(alpha)
+    if len(beta) != n:
+        raise ValueError(f"alpha has length {len(beta)}, expected {n}")
+    start = norm_finite_from(beta[:-1], n, s)
+    return start is not None and beta[-1] >= start
 
 
 def norm_finite_from(lead: Sequence[int], n: int, s: int) -> int | None:
-    """The smallest finite last exponent along the row ``alpha = (*lead, x)`` of Omega(n, s).
+    """The smallest finite ``beta_n`` along the row ``beta = (*lead, x)`` of Omega(n, s).
 
-    The finite exponents are ``x >= start``, where ``start`` is returned;
-    ``None`` if the row holds none.  The conditions on ``beta = alpha + 1``
-    hold for every pair iff they hold for the smallest entry of each block.
-    For ``s == n`` the last entry joins the positive block (``start = 0``);
-    for ``s < n`` it joins the negative block, and the pair condition with
-    the smallest positive entry ``m`` reads ``x >= -1 - m``.
+    The finite points are ``x >= start``, where ``start`` is returned;
+    ``None`` if the row holds none.  The conditions on ``beta`` hold for
+    every pair iff they hold for the smallest entry of each block.  For
+    ``s == n`` the last entry joins the positive block (``start = 1``); for
+    ``s < n`` it joins the negative block, and the pair condition with the
+    smallest positive entry ``m`` reads ``x >= 1 - m``.
     """
     _check_shape(n, s)
     if len(lead) != n - 1:
-        raise ValueError(f"a row of Omega({n}, {s}) needs {n - 1} leading exponents, got {len(lead)}")
+        raise ValueError(f"a row of Omega({n}, {s}) needs {n - 1} leading coordinates, got {len(lead)}")
     if s == n:
-        return 0 if min(lead, default=0) >= 0 else None
+        return 1 if min(lead, default=1) >= 1 else None
     m = min(lead[:s])
-    if m < 0 or (s < n - 1 and m + min(lead[s:]) <= -2):
+    if m < 1 or (s < n - 1 and m + min(lead[s:]) <= 0):
         return None
-    return -1 - m
-
-
-def _check_positive(beta: Sequence[int], r: int, q: int) -> None:
-    """The one guard on the formula: ``R`` and ``S`` are positive at every finite-norm ``beta``."""
-    if r <= 0 or q <= 0:
-        raise ArithmeticError(f"R/S degenerate at beta={beta}: R={r}, S={q}")
+    return 1 - m
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,27 +90,28 @@ class RSPair:
     R: SparsePoly
     S: SparsePoly
 
-    def at(self, beta: Sequence[int]) -> tuple[int, int]:
-        """``(R(beta), S(beta))`` at a finite-norm ``beta``, where both must be positive."""
-        r = self.R.evaluate(beta)
-        q = self.S.evaluate(beta)
-        _check_positive(beta, r, q)
-        return r, q
+    def row(self, lead: Sequence[int], lo: int, hi: int) -> tuple[range, list[int], list[int]]:
+        """``R`` and ``S`` at the finite points ``beta = (*lead, x)``, ``lo <= x <= hi``, of one row.
 
-    def row(self, lead: Sequence[int], xs: range) -> tuple[list[int], list[int]]:
-        """The values ``R`` and ``S`` at ``beta = (*lead, x)`` for every ``x`` of ``xs``.
-
-        The row form of :meth:`at`: each polynomial is restricted to the last
-        variable once and tabulated over ``xs``
-        (:meth:`~reinhardt.exact.SparsePoly.on_row`).  Every point must have
-        finite norm, and both values must be positive there.
+        Returns the finite points ``x >= start`` (:func:`norm_finite_from`)
+        as a range ``xs``, with each polynomial tabulated over it
+        (:meth:`~reinhardt.exact.SparsePoly.on_row`); a row without them
+        does no polynomial work.  The one guard on the formula: both values
+        must be positive at every finite point.
         """
+        start = norm_finite_from(lead, self.n, self.s)
+        if start is None:
+            return range(0), [], []
+        xs = range(max(start, lo), hi + 1)
+        if not xs:
+            return xs, [], []
         rs = self.R.on_row(lead, xs)
         qs = self.S.on_row(lead, xs)
-        if rs and (min(rs) <= 0 or min(qs) <= 0):
+        if min(rs) <= 0 or min(qs) <= 0:
             for x, r, q in zip(xs, rs, qs):
-                _check_positive((*lead, x), r, q)
-        return rs, qs
+                if r <= 0 or q <= 0:
+                    raise ArithmeticError(f"R/S degenerate at beta={(*lead, x)}: R={r}, S={q}")
+        return xs, rs, qs
 
 
 @lru_cache(maxsize=None)
@@ -140,9 +141,9 @@ def build_RS(n: int, s: int) -> RSPair:
 
 
 def monomial_norm_model(alpha: Sequence[int], n: int, s: int) -> NormValue:
-    """The exact squared norm of ``z**alpha`` on Omega(n, s)."""
+    """The exact squared norm of ``z**alpha`` on Omega(n, s): the one-point case of :meth:`RSPair.row`."""
     beta = shifted(alpha)
-    if not is_norm_finite(alpha, n, s):
-        return NormValue.infinite()
-    r, q = build_RS(n, s).at(beta)
-    return NormValue.of(Fraction(r, q), n)
+    if len(beta) != n:
+        raise ValueError(f"alpha has length {len(beta)}, expected {n}")
+    xs, rs, qs = build_RS(n, s).row(beta[:-1], beta[-1], beta[-1])
+    return NormValue.of(Fraction(rs[0], qs[0]), n) if xs else NormValue.infinite()

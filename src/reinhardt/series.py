@@ -27,10 +27,11 @@ so the chamber's forms are affine in the last exponent and the row's finite
 exponents are one interval, found by floor division; each polynomial of
 the ratio is restricted to the last variable once per row, to a short
 ``int`` coefficient list, and tabulated by Horner's rule over that interval
-only (Knuth, TAOCP vol. 2, 4.6.4).  The model route takes the interval and
-``R``, ``S`` from :mod:`~reinhardt.norms`, the oracle route takes both from
-:class:`~reinhardt.shadow.ParametricShadow`, which shares no code with
-them.
+only (Knuth, TAOCP vol. 2, 4.6.4).  The two routes share that loop,
+``_reciprocal_window``, and nothing else: each passes its own row, the
+model route :meth:`~reinhardt.norms.RSPair.row` and the oracle route
+:meth:`~reinhardt.shadow.ParametricShadow.row`, so each keeps its own
+finiteness rule and values, and the shadow shares no code with the norms.
 
 The module also carries the diagonal differential check: the operator
 "multiply by ``t_1 ... t_n``, then apply ``R(t_1 d_1, ..., t_n d_n)``"
@@ -49,7 +50,7 @@ from typing import Sequence
 from .domains import DomainSpec
 from .exact import LaurentChunk, _exact_ratio
 from .kernels import RationalKernel
-from .norms import build_RS, norm_finite_from
+from .norms import build_RS
 from .shadow import ParametricShadow
 
 
@@ -118,29 +119,37 @@ def expand_closed_form(kernel: RationalKernel, box: Sequence[tuple[int, int]]) -
     return chunk
 
 
+def _reciprocal_window(chunk: LaurentChunk, row) -> LaurentChunk:
+    """Fill ``chunk`` with reciprocals of the norm ratio, one last-axis row at a time.
+
+    ``row(lead, lo, hi)`` answers the row ``beta = (*lead, x)`` of the
+    shifted box ``beta = alpha + 1`` with its finite points ``xs`` and the
+    ratio's ``int`` parts ``ps`` and ``qs`` there; each coefficient is
+    ``q / p``, reduced once.  The rule and the values are the row's.
+    """
+    *lead_box, (lo, hi) = chunk.box
+    tails = [(x,) for x in range(lo, hi + 1)]
+    terms: dict[tuple[int, ...], int | Fraction] = {}
+    for lead, beta_lead in zip(
+        itertools.product(*(range(a, b + 1) for a, b in lead_box)),
+        itertools.product(*(range(a + 1, b + 2) for a, b in lead_box)),
+    ):
+        xs, ps, qs = row(beta_lead, lo + 1, hi + 1)
+        if xs:
+            keys = tails[xs.start - 1 - lo:xs.stop - 1 - lo]
+            terms.update(zip(map(lead.__add__, keys), map(_exact_ratio, qs, ps)))
+    chunk.terms = terms
+    return chunk
+
+
 def series_coefficients_model(n: int, s: int, box: Sequence[tuple[int, int]]) -> LaurentChunk:
     """Kernel series coefficients of Omega(n, s) from the norm formula, one row at a time.
 
     The coefficient at a finite-norm ``alpha`` is ``S(beta) / R(beta)`` with
-    ``beta = alpha + 1``.  A row fixes ``alpha_1, ..., alpha_{n-1}``; its
-    finite exponents are ``x >= start`` (:func:`~reinhardt.norms.norm_finite_from`),
-    and ``R`` and ``S`` are tabulated over that part of the row only
-    (:meth:`~reinhardt.norms.RSPair.row`, which refuses a nonpositive value).
+    ``beta = alpha + 1``; each row's finite part and its values come from
+    :meth:`~reinhardt.norms.RSPair.row`, which refuses a nonpositive value.
     """
-    chunk = _empty_window(box, n)
-    pair = build_RS(n, s)
-    *lead_box, (lo, hi) = chunk.box
-    tails = [(x,) for x in range(lo, hi + 1)]
-    terms: dict[tuple[int, ...], int | Fraction] = {}
-    for lead in itertools.product(*(range(a, b + 1) for a, b in lead_box)):
-        start = norm_finite_from(lead, n, s)
-        if start is None or start > hi:
-            continue
-        start = max(start, lo)
-        rs, qs = pair.row(tuple(a + 1 for a in lead), range(start + 1, hi + 2))
-        terms.update(zip(map(lead.__add__, tails[start - lo:]), map(_exact_ratio, qs, rs)))
-    chunk.terms = terms
-    return chunk
+    return _reciprocal_window(_empty_window(box, n), build_RS(n, s).row)
 
 
 def series_coefficients_oracle(spec: DomainSpec, box: Sequence[tuple[int, int]]) -> LaurentChunk:
@@ -150,23 +159,11 @@ def series_coefficients_oracle(spec: DomainSpec, box: Sequence[tuple[int, int]])
     reciprocal of the shadow integral; exponents with infinite norm
     contribute nothing.  Works for every signature.  The integral is taken
     once per spec as one fraction ``P/Q`` in symbolic ``beta``
-    (:class:`~reinhardt.shadow.ParametricShadow`), and each last-axis row
-    of the shifted box ``beta = alpha + 1`` is evaluated at once on its
-    finite interval, as unreduced ``int`` pairs ``(p, q)``; each value is
-    reduced once, as ``q / p``.
+    (:class:`~reinhardt.shadow.ParametricShadow`), and each row is evaluated
+    at once on its finite interval, as unreduced ``int`` pairs ``(p, q)``
+    (:meth:`~reinhardt.shadow.ParametricShadow.row`).
     """
-    chunk = _empty_window(box, spec.n)
-    shadow_integral = ParametricShadow(spec)
-    *lead_box, (lo, hi) = chunk.box
-    tails = [(x,) for x in range(lo, hi + 1)]
-    terms: dict[tuple[int, ...], int | Fraction] = {}
-    for lead in itertools.product(*(range(a, b + 1) for a, b in lead_box)):
-        xs, ps, qs = shadow_integral.row(tuple(a + 1 for a in lead), lo + 1, hi + 1)
-        if xs:
-            keys = tails[xs.start - 1 - lo:xs.stop - 1 - lo]
-            terms.update(zip(map(lead.__add__, keys), map(_exact_ratio, qs, ps)))
-    chunk.terms = terms
-    return chunk
+    return _reciprocal_window(_empty_window(box, spec.n), ParametricShadow(spec).row)
 
 
 def slice_coefficients(n: int, count: int) -> list[int | Fraction]:

@@ -31,7 +31,7 @@ from .counting import coefficient_C, index_set, pair_count, pair_count_bruteforc
 from .domains import DomainSpec, model_spec, normalize_spec
 from .exact import SparsePoly
 from .kernels import kernel_fat_hartogs, kernel_signature_one, kernel_thin_hartogs
-from .norms import build_RS, is_norm_finite, monomial_norm_model, norm_finite_from
+from .norms import build_RS, is_norm_finite, monomial_norm_model
 from .sampling import bell_residuals, check_reproducing
 from .series import (
     apply_annihilating_operator,
@@ -284,23 +284,21 @@ def _annihilator_failures(n: int, s: int, box: Sequence[tuple[int, int]]) -> tup
 
     The series comes from shadow integration, not from ``R/S``, so a wrong
     ``R`` or ``S`` makes the flattened window miss ``S`` somewhere.  Every
-    point of the box is compared, one last-axis row at a time: the wanted
-    row is ``S`` on its finite part (:func:`norm_finite_from`) and 0 on the
-    rest.
+    point of the box is compared, one last-axis row at a time: the flattened
+    window's coordinates are ``beta`` already, and the wanted row is ``S``
+    on its finite part, as :meth:`~reinhardt.norms.RSPair.row` reads it,
+    and 0 on the rest.
     """
     flattened = apply_annihilating_operator(n, s, series_coefficients_oracle(model_spec(n, s), box))
-    S = build_RS(n, s).S
+    pair = build_RS(n, s)
     get = flattened.terms.get
     *lead_box, (lo, hi) = flattened.box
     tails = [(x,) for x in range(lo, hi + 1)]
     failures = []
     points = 0
     for lead in _cartesian(*(range(a, b + 1) for a, b in lead_box)):
-        want = [0] * len(tails)
-        start = norm_finite_from([g - 1 for g in lead], n, s)
-        if start is not None and start + 1 <= hi:
-            first = max(start + 1, lo)
-            want[first - lo:] = S.on_row(lead, range(first, hi + 1))
+        _, _, qs = pair.row(lead, lo, hi)
+        want = [0] * (len(tails) - len(qs)) + qs
         got = list(map(get, map(lead.__add__, tails), repeat(0)))
         points += len(tails)
         if got != want:

@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reinhardt.domains import NormValue
 from reinhardt.exact import SparsePoly
@@ -32,9 +32,20 @@ def test_finiteness_polydisc():
     assert is_norm_finite((7, 0, 2), 3, 3)
 
 
+def pairwise_finite(beta, s):
+    """The finiteness rule from its definition, in ``beta = alpha + 1``.
+
+    ``beta_j > 0`` on the positive block and ``beta_j + beta_l > 0`` for
+    every cross pair ``j <= s < l``.
+    """
+    return all(beta[j] > 0 for j in range(s)) and all(
+        beta[j] + beta[l] > 0 for j in range(s) for l in range(s, len(beta))
+    )
+
+
 @st.composite
 def model_row(draw):
-    """A model shape ``(n, s)``, ``s == n`` included, and the leading exponents of one row."""
+    """A model shape ``(n, s)``, ``s == n`` included, and the leading ``beta`` entries of one row."""
     n = draw(st.integers(1, 5))
     s = draw(st.integers(1, n))
     lead = tuple(draw(st.lists(st.integers(-4, 4), min_size=n - 1, max_size=n - 1)))
@@ -44,60 +55,65 @@ def model_row(draw):
 @settings(max_examples=60, deadline=None)
 @given(model_row())
 def test_row_start_is_the_row_form_of_is_norm_finite(case):
-    # the finite exponents of a row are exactly x >= start, point by point
+    # the finite points of a row are exactly beta_n >= start, point by point
     n, s, lead = case
     start = norm_finite_from(lead, n, s)
     for x in range(-9, 10):
-        assert is_norm_finite(lead + (x,), n, s) == (start is not None and x >= start)
+        alpha = tuple(b - 1 for b in lead + (x,))
+        assert is_norm_finite(alpha, n, s) == (start is not None and x >= start)
 
 
 def test_row_start_on_worked_rows():
-    assert norm_finite_from((0,), 2, 1) == -1  # Hartogs: beta_1 + beta_2 > 0
-    assert norm_finite_from((3,), 2, 1) == -4
-    assert norm_finite_from((-1,), 2, 1) is None  # beta_1 = 0: the whole row diverges
-    assert norm_finite_from((1, 0), 3, 3) == 0  # polydisc
-    assert norm_finite_from((1, -1), 3, 3) is None
-    assert norm_finite_from((), 1, 1) == 0  # the disc
-    assert norm_finite_from((2, 0, -2), 4, 2) is None  # a middle pair already fails
+    # rows in beta = alpha + 1
+    assert norm_finite_from((1,), 2, 1) == 0  # Hartogs: beta_1 + beta_2 > 0
+    assert norm_finite_from((4,), 2, 1) == -3
+    assert norm_finite_from((0,), 2, 1) is None  # beta_1 = 0: the whole row diverges
+    assert norm_finite_from((2, 1), 3, 3) == 1  # polydisc
+    assert norm_finite_from((2, 0), 3, 3) is None
+    assert norm_finite_from((), 1, 1) == 1  # the disc
+    assert norm_finite_from((3, 1, -1), 4, 2) is None  # a middle pair already fails
     with pytest.raises(ValueError, match="2 leading"):
-        norm_finite_from((0,), 3, 1)
+        norm_finite_from((1,), 3, 1)
     with pytest.raises(ValueError):
-        norm_finite_from((0,), 2, 3)
+        norm_finite_from((1,), 2, 3)
 
 
-@settings(max_examples=50, deadline=None)
-@given(model_row(), st.integers(0, 5))
-def test_row_of_R_and_S_equals_the_pointwise_formula(case, width):
+@settings(max_examples=80, deadline=None)
+@given(model_row(), st.integers(-8, 6), st.integers(-2, 8))
+@example((3, 2, (1, 1)), 2, -1)  # lo > hi
+@example((3, 2, (0, 1)), -3, 6)  # beta_1 = 0: infinite everywhere
+@example((4, 2, (2, 3, -1)), -3, 6)  # the finite part starts inside [lo, hi]
+@example((3, 3, (1, 2)), -2, 4)  # s == n
+@example((1, 1, ()), -3, 5)  # n == 1
+def test_row_of_R_and_S_equals_the_pointwise_formula(case, lo, width):
     n, s, lead = case
-    start = norm_finite_from(lead, n, s)
-    if start is None:
-        return
+    hi = lo + width
     pair = build_RS(n, s)
-    beta_lead = tuple(a + 1 for a in lead)
-    xs = range(start + 1, start + 1 + width)  # beta along the finite part of the row
-    rs, qs = pair.row(beta_lead, xs)
-    assert list(zip(rs, qs)) == [pair.at(beta_lead + (x,)) for x in xs]
+    xs, rs, qs = pair.row(lead, lo, hi)
+    finite = [x for x in range(lo, hi + 1) if pairwise_finite(lead + (x,), s)]
+    assert list(xs) == finite
+    assert rs == [pair.R.evaluate(lead + (x,)) for x in finite]
+    assert qs == [pair.S.evaluate(lead + (x,)) for x in finite]
 
 
 def test_row_of_R_and_S_has_the_one_positivity_guard():
     pair = build_RS(3, 2)
-    assert pair.row((1, 1), range(1, 3)) == ([3, 4], [4, 9])
+    assert pair.row((1, 1), 1, 2) == (range(1, 3), [3, 4], [4, 9])
     flipped = RSPair(3, 2, pair.R * -1, pair.S)
     with pytest.raises(ArithmeticError, match=r"degenerate at beta=\(1, 1, 1\): R=-3, S=4"):
-        flipped.row((1, 1), range(1, 3))
-    assert flipped.row((1, 1), range(1, 1)) == ([], [])  # an empty row checks nothing
+        flipped.row((1, 1), 1, 2)
+    with pytest.raises(ArithmeticError, match=r"degenerate at beta=\(1, 1, 2\): R=-4, S=9"):
+        flipped.row((1, 1), 2, 2)  # a one-point row
+    # rows without finite points check nothing
+    assert flipped.row((1, 1), 2, 1) == (range(0), [], [])  # lo > hi
+    assert flipped.row((1, 1), -5, -1) == (range(0), [], [])  # the finite part starts past hi
+    assert flipped.row((0, 1), -5, 5) == (range(0), [], [])  # beta_1 = 0: an infinite row
 
 
 @pytest.mark.parametrize("n,s", [(n, s) for n in range(1, 6) for s in range(1, n + 1)])
 def test_finiteness_is_the_pairwise_definition(n, s):
-    # beta_j > 0 on the positive block and beta_j + beta_l > 0 for every
-    # cross pair, with beta = alpha + 1
     for alpha in itertools.product(range(-4, 4), repeat=n):
-        beta = [a + 1 for a in alpha]
-        pairwise = all(beta[j] > 0 for j in range(s)) and all(
-            beta[j] + beta[l] > 0 for j in range(s) for l in range(s, n)
-        )
-        assert is_norm_finite(alpha, n, s) == pairwise
+        assert is_norm_finite(alpha, n, s) == pairwise_finite([a + 1 for a in alpha], s)
 
 
 def test_finiteness_guards():
@@ -107,6 +123,12 @@ def test_finiteness_guards():
         is_norm_finite((0, 0), 2, 3)
     with pytest.raises(ValueError):
         is_norm_finite((0, 0, 0), 2, 1)
+
+
+@pytest.mark.parametrize("alpha", [(0.5, 0), (Fraction(1), 0), (-1.0, 0)])
+def test_finiteness_rejects_non_int_exponents(alpha):
+    with pytest.raises(TypeError):
+        is_norm_finite(alpha, 2, 1)
 
 
 # -- the (R, S) pair ---------------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 import reinhardt
 import reinhardt.domains
 import reinhardt.exact
+import reinhardt.norms
 import reinhardt.sampling
 import reinhardt.series
 import reinhardt.shadow
@@ -66,6 +67,15 @@ def test_shadow_oracle_shares_no_code_with_the_closed_forms():
     # the chamber is written from the shadow's cone, not from the model's
     # finiteness predicate or norm formula
     assert used.isdisjoint({"is_norm_finite", "build_RS", "monomial_norm_model"})
+
+
+def test_the_model_finiteness_rule_is_named_in_norms_only():
+    # series and verify read a row's finite part from RSPair.row, in beta;
+    # no other module restates the rule or shifts its coordinates around it
+    paths = sorted(Path(reinhardt.__file__).parent.glob("*.py"))
+    assert "norm_finite_from" in used_names(Path(reinhardt.norms.__file__))
+    naming = [path.name for path in paths if path.name != "norms.py" and "norm_finite_from" in used_names(path)]
+    assert naming == []
 
 
 def test_sampling_has_no_kernel_evaluator_of_its_own():

@@ -183,10 +183,10 @@ def test_series_values_are_int_when_integral_on_every_route():
 
 def test_model_formula_refuses_a_nonpositive_R_or_S(monkeypatch):
     pair = build_RS(3, 2)
-    assert pair.at((1, 1, 1)) == (3, 4)
+    assert pair.row((1, 1), 1, 1) == (range(1, 2), [3], [4])
     for bad in (RSPair(3, 2, pair.R * -1, pair.S), RSPair(3, 2, pair.R, pair.S - pair.S)):
         with pytest.raises(ArithmeticError, match="degenerate"):
-            bad.at((1, 1, 1))
+            bad.row((1, 1), 1, 1)
         # both users of the formula go through the one guard
         monkeypatch.setattr(reinhardt.norms, "build_RS", lambda n, s: bad)
         monkeypatch.setattr(reinhardt.series, "build_RS", lambda n, s: bad)
@@ -266,13 +266,15 @@ def model_row_window(draw):
 @example((3, 3, [(0, 1), (-1, 2), (-3, 3)]))  # s == n
 @example((4, 2, [(0, 2), (0, 1), (-3, 0), (-6, 6)]))  # rows that start inside the box
 def test_model_rows_equal_the_pointwise_formula(case):
+    # the reference is the formula point by point, through neither the
+    # shared window loop nor RSPair.row
     n, s, box = case
     pair = build_RS(n, s)
     per_point = {}
     for alpha in box_points(box):
         if is_norm_finite(alpha, n, s):
-            r, q = pair.at(tuple(a + 1 for a in alpha))
-            per_point[alpha] = Fraction(q, r)
+            beta = tuple(a + 1 for a in alpha)
+            per_point[alpha] = Fraction(pair.S.evaluate(beta), pair.R.evaluate(beta))
     chunk = series_coefficients_model(n, s, box)
     assert chunk == LaurentChunk(box, per_point)
     assert is_int_exactly_when_integral(chunk)
