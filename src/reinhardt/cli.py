@@ -100,6 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_kernel.add_argument("--k", required=True, type=lambda s: _parse_ints(s, "--k"),
                           help="exponent vector, e.g. 1,-2")
     p_kernel.add_argument("--format", choices=("plain", "latex", "json"), default="plain")
+    p_kernel.set_defaults(run=_cmd_kernel)
 
     p_norm = sub.add_parser("norm", help="squared monomial norm")
     p_norm.add_argument("--k", required=True, type=lambda s: _parse_ints(s, "--k"))
@@ -108,17 +109,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--oracle", choices=("exact", "mc"), default="exact")
     p_norm.add_argument("--samples", type=int, default=10 ** 6)
     p_norm.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
+    p_norm.set_defaults(run=_cmd_norm)
 
     p_series = sub.add_parser("series", help="exact Laurent coefficients on a box")
     p_series.add_argument("--k", required=True, type=lambda s: _parse_ints(s, "--k"))
     p_series.add_argument("--box", required=True, type=_parse_box,
                           help="per-coordinate ranges, e.g. 0:4,-4:4")
     p_series.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_series.set_defaults(run=_cmd_series)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("--suite", required=True, choices=tuple(SUITES) + ("all",))
     p_verify.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
     p_verify.add_argument("--report", help="write the JSON report to this path")
+    p_verify.set_defaults(run=_cmd_verify)
     return parser
 
 
@@ -254,13 +258,7 @@ def _absorb_negative_values(argv: list[str]) -> list[str]:
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _build_parser().parse_args(_absorb_negative_values(argv))
-    if args.command == "kernel":
-        return _cmd_kernel(args)
-    if args.command == "norm":
-        return _cmd_norm(args)
-    if args.command == "series":
-        return _cmd_series(args)
-    return _cmd_verify(args)
+    return args.run(args)
 
 
 if __name__ == "__main__":

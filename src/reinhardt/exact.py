@@ -112,10 +112,6 @@ class SparsePoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int) -> "SparsePoly":
-        return cls(nvars)
-
-    @classmethod
     def constant(cls, nvars: int, c) -> "SparsePoly":
         return cls(nvars, {(0,) * nvars: c})
 
@@ -130,15 +126,13 @@ class SparsePoly:
         return cls(nvars, {tuple(exps): 1})
 
     @classmethod
-    def monomial(cls, nvars: int, exps: Sequence[int], coef=1) -> "SparsePoly":
-        return cls(nvars, {tuple(exps): coef})
+    def monomial(cls, nvars: int, exps: Sequence[int]) -> "SparsePoly":
+        return cls(nvars, {tuple(exps): 1})
 
     @classmethod
-    def linear_form(cls, nvars: int, coeffs: Mapping[int, int], const: int = 0) -> "SparsePoly":
-        """``const + sum(coeffs[i] * x_i)``."""
+    def linear_form(cls, nvars: int, coeffs: Mapping[int, int]) -> "SparsePoly":
+        """``sum(coeffs[i] * x_i)``."""
         terms: dict[tuple[int, ...], int] = {}
-        if const:
-            terms[(0,) * nvars] = const
         for i, c in coeffs.items():
             exps = [0] * nvars
             exps[i] = 1
@@ -194,7 +188,7 @@ class SparsePoly:
             return out
         if isinstance(other, int):
             if not other:
-                return SparsePoly.zero(self.nvars)
+                return SparsePoly(self.nvars)
             out = SparsePoly.__new__(SparsePoly)
             out.nvars = self.nvars
             out.terms = {exps: coef * other for exps, coef in self.terms.items()}
@@ -220,9 +214,6 @@ class SparsePoly:
         if not isinstance(other, SparsePoly):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -318,7 +309,7 @@ class SparsePoly:
                 power_cache[key] = mapping[i] ** e
             return power_cache[key]
 
-        total = SparsePoly.zero(self.nvars)
+        total = SparsePoly(self.nvars)
         for exps, coef in self.terms.items():
             term = SparsePoly.constant(self.nvars, coef)
             for i, e in enumerate(exps):

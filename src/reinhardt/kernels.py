@@ -99,7 +99,7 @@ class RationalKernel:
             raise ValueError(f"{self.spec} has signature {self.spec.s}; closed-form kernels need signature 1")
         if self.numerator.nvars != self.spec.n:
             raise ValueError("numerator variable count disagrees with the spec")
-        if self.scalar <= 0 or self.numerator.is_zero():
+        if self.scalar <= 0 or not self.numerator:
             raise ValueError("kernels have positive scalar and nonzero numerator")
 
     @property

@@ -43,7 +43,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .domains import NormValue, shifted
-from .exact import SparsePoly
+from .exact import SparsePoly, _check_ints
 
 
 def _check_shape(n: int, s: int) -> None:
@@ -97,8 +97,10 @@ class RSPair:
         as a range ``xs``, with each polynomial tabulated over it
         (:meth:`~reinhardt.exact.SparsePoly.on_row`); a row without them
         does no polynomial work.  The one guard on the formula: both values
-        must be positive at every finite point.
+        must be positive at every finite point.  A ``lead``, ``lo`` or ``hi``
+        entry that is not an ``int`` is a ``TypeError``.
         """
+        _check_ints("row", (*lead, lo, hi))
         start = norm_finite_from(lead, self.n, self.s)
         if start is None:
             return range(0), [], []

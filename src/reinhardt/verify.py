@@ -8,7 +8,8 @@ against the annihilating operator applied to the oracle series, the kernel
 against its own reproducing property (Monte-Carlo), and the proper-map
 branch sum tying general domains to their models.  Each check is a
 function returning a :class:`CheckResult` with a human-readable detail
-line; the CLI groups them into suites:
+line.  One table, :data:`SUITES`, groups them into the suites that
+:func:`run_suites` and the CLI run:
 
 * ``combinatorics``          — pair counts, numerator support pruning.
 * ``norms``                  — norms vs oracle, fold-in recursion, R structure.
@@ -222,10 +223,10 @@ def check_R_structure() -> CheckResult:
                 if R.permuted(perm) != R:
                     issues.append(f"R({n},{s}) asymmetric in negative block at {l}")
             for j in range(s):
-                if R.substitute({j: SparsePoly.zero(n)}).is_zero():
+                if not R.substitute({j: SparsePoly(n)}):
                     issues.append(f"beta_{j+1} divides R({n},{s})")
                 for l in range(s, n):
-                    if R.substitute({j: -SparsePoly.variable(n, l)}).is_zero():
+                    if not R.substitute({j: -SparsePoly.variable(n, l)}):
                         issues.append(f"(beta_{j+1}+beta_{l+1}) divides R({n},{s})")
     if build_RS(3, 2).R != SparsePoly.linear_form(3, {0: 1, 1: 1, 2: 1}):
         issues.append("R(3,2) != beta_1+beta_2+beta_3")
@@ -385,49 +386,26 @@ def check_slice_diagnostics() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def suite_combinatorics(seed: int = DEFAULT_SEED) -> SuiteReport:
-    return SuiteReport("combinatorics", seed, [
+#: Each suite's checks for a seed, in report order; :func:`run_suites` names them.
+SUITES: dict[str, Callable[[int], list[CheckResult]]] = {
+    "combinatorics": lambda seed: [
         check_pair_count_closed_form(),
         check_pair_count_total(),
         check_support_pruning(),
-    ])
-
-
-def suite_norms(seed: int = DEFAULT_SEED) -> SuiteReport:
-    return SuiteReport("norms", seed, [
+    ],
+    "norms": lambda seed: [
         check_model_norms_vs_oracle(),
         check_fold_in_recursion(seed),
         check_R_structure(),
-    ])
-
-
-def suite_coefficient_match(seed: int = DEFAULT_SEED) -> SuiteReport:
-    return SuiteReport("coefficient-match", seed, [
+    ],
+    "coefficient-match": lambda seed: [
         check_special_case_kernels(),
         check_expansion_vs_oracle(),
         check_annihilating_operator(),
-    ])
-
-
-def suite_bell(seed: int = DEFAULT_SEED) -> SuiteReport:
-    return SuiteReport("bell", seed, check_branch_sums(seed))
-
-
-def suite_reproducing(seed: int = DEFAULT_SEED) -> SuiteReport:
-    return SuiteReport("reproducing", seed, check_reproducing_monomials(seed))
-
-
-def suite_rationality(seed: int = DEFAULT_SEED) -> SuiteReport:
-    return SuiteReport("rationality-diagnostic", seed, check_slice_diagnostics())
-
-
-SUITES: dict[str, Callable[[int], SuiteReport]] = {
-    "combinatorics": suite_combinatorics,
-    "norms": suite_norms,
-    "coefficient-match": suite_coefficient_match,
-    "bell": suite_bell,
-    "reproducing": suite_reproducing,
-    "rationality-diagnostic": suite_rationality,
+    ],
+    "bell": check_branch_sums,
+    "reproducing": check_reproducing_monomials,
+    "rationality-diagnostic": lambda seed: check_slice_diagnostics(),
 }
 
 
@@ -441,4 +419,4 @@ def run_suites(names: Sequence[str], seed: int = DEFAULT_SEED) -> list[SuiteRepo
             expanded.append(name)
         else:
             raise KeyError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
-    return [SUITES[name](seed) for name in expanded]
+    return [SuiteReport(name, seed, SUITES[name](seed)) for name in expanded]

@@ -54,7 +54,7 @@ def test_poly_ring_laws(a, b, c):
     assert a + b == b + a
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
-    assert a + (-a) == SparsePoly.zero(2)
+    assert a + (-a) == SparsePoly(2)
     assert a * SparsePoly.one(2) == a
 
 
@@ -81,9 +81,9 @@ def test_poly_constructors():
     x = SparsePoly.variable(3, 0)
     y = SparsePoly.variable(3, 1)
     assert x + y == SparsePoly.linear_form(3, {0: 1, 1: 1})
-    assert SparsePoly.linear_form(3, {2: -2}, const=5).evaluate((0, 0, 3)) == -1
-    assert SparsePoly.monomial(2, (1, 2), -3).evaluate((3, 2)) == -36
-    assert SparsePoly.constant(2, 0) == SparsePoly.zero(2)
+    assert (SparsePoly.linear_form(3, {2: -2}) + SparsePoly.constant(3, 5)).evaluate((0, 0, 3)) == -1
+    assert (-3 * SparsePoly.monomial(2, (1, 2))).evaluate((3, 2)) == -36
+    assert SparsePoly.constant(2, 0) == SparsePoly(2)
 
 
 def test_poly_constructor_validation():
@@ -98,7 +98,7 @@ def test_poly_coefficients_are_integers():
     with pytest.raises(TypeError):
         SparsePoly(1, {(0,): Fraction(1, 2)})
     with pytest.raises(TypeError):
-        SparsePoly.monomial(2, (1, 0), Fraction(-5, 3))
+        SparsePoly(2, {(1, 0): Fraction(-5, 3)})
     with pytest.raises(TypeError):
         SparsePoly.constant(1, 0.5)
     with pytest.raises(TypeError):
@@ -108,7 +108,7 @@ def test_poly_coefficients_are_integers():
 def test_poly_constructor_merges_duplicate_keys():
     # dict keys are unique, but coefficients that cancel must vanish
     p = SparsePoly(1, {(2,): 3}) + SparsePoly(1, {(2,): -3})
-    assert p.is_zero()
+    assert p == SparsePoly(1)
     assert not p
 
 
@@ -117,14 +117,14 @@ def test_poly_degree_and_homogeneity():
     assert p.is_homogeneous() and p.is_homogeneous(3) and not p.is_homogeneous(2)
     q = p + SparsePoly.one(2)
     assert not q.is_homogeneous()
-    assert SparsePoly.zero(2).is_homogeneous(17)
+    assert SparsePoly(2).is_homogeneous(17)
 
 
 def test_poly_content():
     p = SparsePoly(2, {(1, 0): 6, (0, 1): 4})
     assert p.content() == 2
     assert SparsePoly(1, {(0,): -9, (1,): 6}).content() == 3
-    assert SparsePoly.zero(2).content() == 0
+    assert SparsePoly(2).content() == 0
 
 
 @given(polys(), polys(), points)
@@ -142,14 +142,14 @@ def test_poly_substitute_example():
 @given(polys())
 def test_poly_exact_division_undoes_multiplication(p):
     x = SparsePoly.variable(2, 0)
-    assert (x * p).divide_exact_by_var(0) == p or p.is_zero()
+    assert (x * p).divide_exact_by_var(0) == p or not p
 
 
 def test_poly_exact_division_refuses_remainders():
     with pytest.raises(ArithmeticError):
         SparsePoly.one(2).divide_exact_by_var(0)
     with pytest.raises(ArithmeticError):
-        SparsePoly.linear_form(2, {0: 1}, const=1).divide_exact_by_var(0)
+        (SparsePoly.linear_form(2, {0: 1}) + SparsePoly.one(2)).divide_exact_by_var(0)
 
 
 def test_poly_extended_and_permuted():
@@ -198,7 +198,7 @@ def test_evaluation_of_a_constant_last_axis_and_of_zero():
     assert value == 11 and type(value) is int
     value = p.evaluate((Fraction(1, 2), 0, 7))
     assert value == Fraction(3, 4) and type(value) is Fraction
-    zero = SparsePoly.zero(2)
+    zero = SparsePoly(2)
     value = zero.evaluate((0.5, 2j))
     assert value == 0 and type(value) is int
     assert zero.on_row((4,), range(-1, 2)) == [0, 0, 0]
@@ -239,7 +239,7 @@ int_points3 = st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 
 
 
 @given(polys3(), int_points3)
-@example(SparsePoly.zero(3), (0, -3, 2))
+@example(SparsePoly(3), (0, -3, 2))
 @example(SparsePoly(3, {(0, 0, 0): 3, (2, 1, 0): -4, (0, 0, 3): 1}), (0, -2, -3))
 @example(SparsePoly(3, {(0, 0, 0): 3, (1, 0, 2): -5, (0, 3, 0): 2}), (Fraction(-1, 2), 0, Fraction(4, 3)))
 def test_integer_point_evaluation_integer_coefficients(p, pt):
@@ -251,7 +251,7 @@ def test_integer_point_evaluation_integer_coefficients(p, pt):
 
 @settings(max_examples=60, deadline=None)
 @given(polys3(), st.tuples(st.integers(-5, 5), st.integers(-5, 5)), st.integers(-6, 6), st.integers(0, 6))
-@example(SparsePoly.zero(3), (1, -2), 0, 3)
+@example(SparsePoly(3), (1, -2), 0, 3)
 @example(SparsePoly(3, {(2, 1, 0): -4, (1, 0, 0): 7}), (3, 2), -1, 4)  # constant along the row
 @example(SparsePoly(3, {(0, 0, 4): 2, (1, 1, 1): -1}), (0, 0), 5, 1)  # a one-point row
 def test_row_values_equal_evaluation_at_every_point(p, lead, lo, width):

@@ -39,7 +39,7 @@ def test_general_construction_matches_special_cases():
 
 def test_canonical_folds_content_into_scalar():
     # scalar 1/2 with numerator 2 t2 is the Hartogs kernel in disguise
-    doubled = RationalKernel(HARTOGS, Fraction(1, 2), SparsePoly.monomial(2, (0, 1), 2))
+    doubled = RationalKernel(HARTOGS, Fraction(1, 2), 2 * SparsePoly.monomial(2, (0, 1)))
     assert doubled == kernel_model_sig1(2)
     assert doubled.canonical().scalar == 1
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,18 @@ def test_row_of_R_and_S_has_the_one_positivity_guard():
     assert flipped.row((0, 1), -5, 5) == (range(0), [], [])  # beta_1 = 0: an infinite row
 
 
+@pytest.mark.parametrize("lead,lo,hi,bad", [
+    ((1.5,), 0, 3, "1.5"),  # once gave float S values [2.25, 3.75, 5.25, 6.75]
+    ((0.5,), 0, 3, "0.5"),  # once gave an empty row
+    ((Fraction(1),), 0, 3, "Fraction(1, 1)"),
+    ((1,), 0.0, 3, "0.0"),
+    ((1,), 0, 3.5, "3.5"),
+])
+def test_row_refuses_non_int_leads_and_bounds(lead, lo, hi, bad):
+    with pytest.raises(TypeError, match=re.escape(f"row entries must be ints, got {bad}")):
+        build_RS(2, 1).row(lead, lo, hi)
+
+
 @pytest.mark.parametrize("n,s", [(n, s) for n in range(1, 6) for s in range(1, n + 1)])
 def test_finiteness_is_the_pairwise_definition(n, s):
     for alpha in itertools.product(range(-4, 4), repeat=n):
@@ -169,9 +182,9 @@ def test_R_homogeneity_and_symmetry(n, s):
 def test_R_shares_no_linear_factor_with_S(n, s):
     R = build_RS(n, s).R
     for j in range(s):
-        assert not R.substitute({j: SparsePoly.zero(n)}).is_zero()
+        assert R.substitute({j: SparsePoly(n)})
         for l in range(s, n):
-            assert not R.substitute({j: -SparsePoly.variable(n, l)}).is_zero()
+            assert R.substitute({j: -SparsePoly.variable(n, l)})
 
 
 @given(

@@ -298,7 +298,7 @@ def test_parametric_integral_is_the_model_formula_for_every_beta(n, s):
     shadow = ParametricShadow(model_spec(n, s))
     Q = SparsePoly.constant(n, shadow.den)
     for f in shadow.forms:
-        Q = Q * SparsePoly.linear_form(n, {j: c for j, c in enumerate(f[1:]) if c}, f[0])
+        Q = Q * (SparsePoly.linear_form(n, {j: c for j, c in enumerate(f[1:]) if c}) + SparsePoly.constant(n, f[0]))
     pair = build_RS(n, s)
     assert SparsePoly(n, shadow.numerator) * pair.S == Q * pair.R
     # and the chamber of the positive-step forms is the finiteness predicate
