@@ -25,7 +25,7 @@ from .kernels import (
     kernel_signature_one,
     kernel_thin_hartogs,
 )
-from .norms import RSPair, build_RS, is_norm_finite, monomial_norm_model
+from .norms import RSPair, build_RS, monomial_norm_model
 from .sampling import (
     McNormEstimate,
     ReproducingCheck,
@@ -70,7 +70,6 @@ __all__ = [
     "expand_closed_form",
     "index_set",
     "integrate_one_var",
-    "is_norm_finite",
     "kernel_fat_hartogs",
     "kernel_model_sig1",
     "kernel_signature_one",

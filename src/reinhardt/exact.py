@@ -8,8 +8,8 @@ Everything here computes over the integers and rationals with no rounding:
   integral, so the ring is Z.  Supports ring arithmetic, substitution of
   polynomials for variables, exact division by a variable (used by
   recursions that are only valid when the division is exact), and exact
-  evaluation along a last-axis row by Horner's rule, a point being the
-  one-point row.
+  evaluation at ``int`` points along a last-axis row by Horner's rule, a
+  point being the one-point row.
 
 * :class:`FracExpSum` — finite sums of terms ``c * prod(t_j^{q_j}) *
   prod(log(1/t_j)^{p_j})`` with rational ``c``, rational exponents ``q_j``
@@ -33,9 +33,10 @@ Everything here computes over the integers and rationals with no rounding:
   :func:`_exact_ratio` is the one place that picks between the two, and
   every window producer goes through it.
 
-An exponent, log power, bound, denominator or polynomial coefficient that
-is not an ``int`` is a ``TypeError`` naming it, never truncated; so is a
-window value that is neither an ``int`` nor a ``Fraction``.
+An exponent, log power, bound, denominator, polynomial coefficient or row
+coordinate that is not an ``int`` is a ``TypeError`` naming it, never
+truncated; so is a window value that is neither an ``int`` nor a
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product as _cartesian, repeat
-from numbers import Rational
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -81,9 +81,9 @@ class SparsePoly:
     nonzero ``int`` coefficients; any other coefficient is a ``TypeError``.
     There is at least one variable, the last axis that rows run along.
     Instances are treated as immutable; all operations return new
-    polynomials.  Evaluation keeps one term layout, the restriction to the
-    last variable (:meth:`_restricted`): :meth:`on_row` tabulates it, and
-    :meth:`evaluate` is the one-point row.
+    polynomials.  :meth:`on_row` is the one evaluator: it restricts the
+    polynomial to the last variable and tabulates that along a row; a point
+    is the one-point row.
     """
 
     __slots__ = ("nvars", "terms", "_by_last")
@@ -237,13 +237,22 @@ class SparsePoly:
 
     # -- evaluation and substitution ----------------------------------------
 
-    def _restricted(self, lead: Sequence) -> list:
-        """The coefficients ``c_0, ..., c_d`` of ``P(*lead, x)`` in the last variable ``x``.
+    def on_row(self, lead: Sequence[int], xs: Sequence[int]) -> list[int]:
+        """The values at the ``int`` points ``(*lead, x)``, ``x`` in ``xs``.
 
-        Reads only the leading coordinates, so a whole point will do.  The
-        layout, each term's coefficient and nonzero leading factors grouped
-        by its last exponent, is built on first use and kept.
+        The leading coordinates are fixed once: the polynomial restricted to
+        the last variable is a short ``int`` coefficient list, tabulated over
+        ``xs`` by Horner's rule.  Its layout, each term's coefficient and
+        nonzero leading factors grouped by its last exponent, is built on
+        first use and kept.  A ``lead`` or ``xs`` entry that is not an
+        ``int`` is a ``TypeError`` naming it (a ``range`` holds only ints,
+        so it is not scanned).
         """
+        if len(lead) != self.nvars - 1:
+            raise ValueError(f"a row needs {self.nvars - 1} leading coordinates, got {len(lead)}")
+        _check_ints("row", lead)
+        if not isinstance(xs, range):
+            _check_ints("row", xs)
         try:
             groups = self._by_last
         except AttributeError:
@@ -258,38 +267,6 @@ class SparsePoly:
                     num *= lead[i] ** e
                 c += num
             coeffs.append(c)
-        return coeffs
-
-    def evaluate(self, values: Sequence) -> int | Fraction:
-        """Evaluate exactly at an ``int`` or ``Fraction`` point: the one-point row.
-
-        One Horner pass at ``values[-1]`` from the top coefficient of
-        :meth:`_restricted`, so a last coordinate that no term uses is never
-        multiplied in.  At an all-``int`` point the value is an ``int``;
-        once a ``Fraction`` coordinate enters a term it is a ``Fraction``.
-        A float or complex coordinate that enters a term is a ``TypeError``.
-        """
-        if len(values) != self.nvars:
-            raise ValueError(f"point has length {len(values)}, expected {self.nvars}")
-        coeffs = self._restricted(values)
-        acc = coeffs.pop()
-        x = values[-1]
-        while coeffs:
-            acc = acc * x + coeffs.pop()
-        if type(acc) is not int and not isinstance(acc, Rational):
-            raise TypeError(f"exact evaluation needs int or Fraction coordinates, got {tuple(values)}")
-        return acc
-
-    def on_row(self, lead: Sequence[int], xs: Sequence[int]) -> list[int]:
-        """The values at the ``int`` points ``(*lead, x)``, ``x`` in ``xs``.
-
-        The leading coordinates are fixed once: the polynomial restricted to
-        the last variable (:meth:`_restricted`) is a short ``int``
-        coefficient list, tabulated over ``xs`` by Horner's rule.
-        """
-        if len(lead) != self.nvars - 1:
-            raise ValueError(f"a row needs {self.nvars - 1} leading coordinates, got {len(lead)}")
-        coeffs = self._restricted(lead)
         values = [coeffs.pop()] * len(xs)
         while coeffs:
             values = list(map(add, map(mul, values, xs), repeat(coeffs.pop())))

@@ -31,8 +31,8 @@ whenever ``s = 1`` or ``s = n``, and ``R_{3,2} = beta_1 + beta_2 + beta_3``.
 
 Rows are taken in ``beta``: :meth:`RSPair.row` tabulates ``R`` and ``S``
 on a row's finite part only (:func:`norm_finite_from`, the rule stated
-once), and the point forms, which shift ``alpha`` once, are its one-point
-cases.
+once), and :func:`monomial_norm_model`, which shifts ``alpha`` once, is its
+one-point case; its ``finite`` flag answers whether a norm is finite.
 """
 
 from __future__ import annotations
@@ -49,15 +49,6 @@ from .exact import SparsePoly, _check_ints
 def _check_shape(n: int, s: int) -> None:
     if not 1 <= s <= n:
         raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
-
-
-def is_norm_finite(alpha: Sequence[int], n: int, s: int) -> bool:
-    """Whether ``z**alpha`` is square-integrable on Omega(n, s): :func:`norm_finite_from` at one point."""
-    beta = shifted(alpha)
-    if len(beta) != n:
-        raise ValueError(f"alpha has length {len(beta)}, expected {n}")
-    start = norm_finite_from(beta[:-1], n, s)
-    return start is not None and beta[-1] >= start
 
 
 def norm_finite_from(lead: Sequence[int], n: int, s: int) -> int | None:

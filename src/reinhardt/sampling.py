@@ -45,7 +45,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from itertools import product as _cartesian
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -77,6 +77,21 @@ def _shadow_mask(spec: DomainSpec, t: np.ndarray) -> np.ndarray:
     return lhs < rhs
 
 
+def _draws(spec: DomainSpec, rng: np.random.Generator, samples: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``samples`` uniform points of the unit cube, in chunks of at most ``_CHUNK``.
+
+    Yields ``(t, mask)`` per chunk, ``mask`` marking the points in the
+    shadow.  Each chunk is drawn only when asked for, so a caller that draws
+    from ``rng`` between chunks keeps its draws interleaved with them.
+    """
+    done = 0
+    while done < samples:
+        count = min(_CHUNK, samples - done)
+        t = rng.random((count, spec.n))
+        yield t, _shadow_mask(spec, t)
+        done += count
+
+
 @dataclass(frozen=True)
 class McNormEstimate:
     estimate: float
@@ -97,27 +112,20 @@ def mc_norm_estimate(alpha: Sequence[int], spec: DomainSpec, samples: int, seed:
         raise DivergentIntegral(f"||z**{tuple(alpha)}||^2 is infinite on {spec}; there is nothing to estimate")
     if samples < 2:
         raise ValueError("need at least two samples")
-    n = spec.n
-    rng = generator(seed)
     a = np.array(alpha, dtype=np.float64)
     total = 0.0
     total_sq = 0.0
     accepted = 0
-    done = 0
-    while done < samples:
-        count = min(_CHUNK, samples - done)
-        t = rng.random((count, n))
-        mask = _shadow_mask(spec, t)
+    for t, mask in _draws(spec, generator(seed), samples):
         with np.errstate(divide="ignore", invalid="ignore"):
             powered = np.prod(t ** a, axis=1)
         g = np.where(mask, powered, 0.0)
         total += float(np.sum(g))
         total_sq += float(np.sum(g * g))
         accepted += int(np.count_nonzero(mask))
-        done += count
     if accepted == 0:
         raise ArithmeticError("no sample landed in the shadow; cannot estimate")
-    scale = math.pi ** n
+    scale = math.pi ** spec.n
     mean = total / samples
     variance = max(total_sq / samples - mean * mean, 0.0) * samples / (samples - 1)
     return McNormEstimate(
@@ -201,12 +209,8 @@ def check_reproducing(
     totals = [0.0 + 0.0j] * len(powers)
     accepted = 0
     discarded = 0
-    done = 0
-    while done < samples:
-        count = min(_CHUNK, samples - done)
-        t = rng.random((count, n))
-        theta = rng.random((count, n)) * (2.0 * math.pi)
-        mask = _shadow_mask(spec, t)
+    for t, mask in _draws(spec, rng, samples):
+        theta = rng.random(t.shape) * (2.0 * math.pi)
         W = np.sqrt(t) * np.exp(1j * theta)
         k_vals, ok = kernel_values(kernel, z, W)
         use = mask & ok
@@ -216,7 +220,6 @@ def check_reproducing(
             totals[i] += complex(np.sum(np.where(use, f_vals * k_vals, 0.0)))
         accepted += int(np.count_nonzero(use))
         discarded += int(np.count_nonzero(mask & ~ok))
-        done += count
     estimates = tuple(math.pi ** n / samples * total for total in totals)
     return ReproducingCheck(
         alphas=tuple(tuple(alpha) for alpha in alphas),

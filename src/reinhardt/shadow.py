@@ -71,10 +71,10 @@ Evaluation runs one last-axis row at a time, in ``int`` arithmetic: the
 positive-step forms are affine along the row, so its finite points are an
 interval found by floor division, where ``Q`` is a product of arithmetic
 progressions and ``P``, restricted to the last variable, is tabulated by
-Horner's rule.  A single point is a row of one, reduced to one
-``Fraction`` at the end.  The per-point integrator stays the
-reference the parametric route is tested against, and serves single
-queries, for which building the parametric object does not pay.
+Horner's rule.  The parametric object has no point form: the per-point
+integrator stays the reference the parametric route is tested against, and
+serves single queries, for which building the parametric object does not
+pay.
 """
 
 from __future__ import annotations
@@ -262,8 +262,6 @@ def _sum_of_halves(upper: tuple, lower: tuple) -> tuple:
 class ParametricShadow:
     """``beta -> Integral_T t**(beta - 1) dt`` for one spec, integrated once.
 
-    Calling the object with an integer vector ``beta`` returns the same
-    ``Fraction`` or ``None`` (infinite) as :func:`shadow_integral_exact`.
     The integral is kept as one fraction
 
         I(beta) = P(beta) / (den * Q(beta)),   Q = prod(forms),
@@ -272,8 +270,8 @@ class ParametricShadow:
     c_n)``, each the primitive integer affine form ``c_0 + sum_j c_j *
     beta_j``, ``numerator`` is ``P`` as ``{exponent tuple: int}`` and
     ``den`` is a positive int.  ``I`` is finite exactly where every form is
-    ``> 0``.  :meth:`row` evaluates one last-axis row at a time in ints; a
-    call is its one-point case.
+    ``> 0``.  :meth:`row` evaluates one last-axis row at a time in ints,
+    with the values of :func:`shadow_integral_exact` at its finite points.
     """
 
     def __init__(self, spec: DomainSpec):
@@ -342,13 +340,6 @@ class ParametricShadow:
         for c in reversed(coeffs[:-1]):
             ps = [p * x + c for p, x in zip(ps, xs)]
         return xs, ps, qs
-
-    def __call__(self, beta: Sequence[int]) -> Fraction | None:
-        """The one-point case of :meth:`row`, as a reduced ``Fraction``."""
-        if len(beta) != self.n:
-            raise ValueError(f"beta has length {len(beta)}, expected {self.n}")
-        xs, ps, qs = self.row(beta[:-1], beta[-1], beta[-1])
-        return Fraction(ps[0], qs[0]) if xs else None
 
 
 def monomial_norm_oracle(alpha: Sequence[int], spec: DomainSpec) -> NormValue:

@@ -11,26 +11,32 @@ from hypothesis import example, given, settings, strategies as st
 
 from reinhardt.domains import NormValue
 from reinhardt.exact import SparsePoly
-from reinhardt.norms import RSPair, build_RS, is_norm_finite, monomial_norm_model, norm_finite_from
+from reinhardt.norms import RSPair, build_RS, monomial_norm_model, norm_finite_from
+
+from test_exact import reference_value
 
 
 # -- finiteness -----------------------------------------------------------------
 
 
+def norm_is_finite(alpha, n, s) -> bool:
+    return monomial_norm_model(alpha, n, s).finite
+
+
 def test_finiteness_hartogs():
-    assert is_norm_finite((0, 0), 2, 1)
-    assert is_norm_finite((0, -1), 2, 1)
-    assert is_norm_finite((5, -3), 2, 1)
-    assert not is_norm_finite((-1, 0), 2, 1)  # beta_1 = 0
-    assert not is_norm_finite((0, -2), 2, 1)  # beta_1 + beta_2 = 0
-    assert not is_norm_finite((1, -4), 2, 1)
+    assert norm_is_finite((0, 0), 2, 1)
+    assert norm_is_finite((0, -1), 2, 1)
+    assert norm_is_finite((5, -3), 2, 1)
+    assert not norm_is_finite((-1, 0), 2, 1)  # beta_1 = 0
+    assert not norm_is_finite((0, -2), 2, 1)  # beta_1 + beta_2 = 0
+    assert not norm_is_finite((1, -4), 2, 1)
 
 
 def test_finiteness_polydisc():
     # s = n: no cross conditions, just beta_j > 0
-    assert is_norm_finite((0, 0, 0), 3, 3)
-    assert not is_norm_finite((-1, 0, 0), 3, 3)
-    assert is_norm_finite((7, 0, 2), 3, 3)
+    assert norm_is_finite((0, 0, 0), 3, 3)
+    assert not norm_is_finite((-1, 0, 0), 3, 3)
+    assert norm_is_finite((7, 0, 2), 3, 3)
 
 
 def pairwise_finite(beta, s):
@@ -55,13 +61,13 @@ def model_row(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(model_row())
-def test_row_start_is_the_row_form_of_is_norm_finite(case):
+def test_row_start_is_the_row_form_of_the_point_finiteness(case):
     # the finite points of a row are exactly beta_n >= start, point by point
     n, s, lead = case
     start = norm_finite_from(lead, n, s)
     for x in range(-9, 10):
         alpha = tuple(b - 1 for b in lead + (x,))
-        assert is_norm_finite(alpha, n, s) == (start is not None and x >= start)
+        assert norm_is_finite(alpha, n, s) == (start is not None and x >= start)
 
 
 def test_row_start_on_worked_rows():
@@ -93,8 +99,8 @@ def test_row_of_R_and_S_equals_the_pointwise_formula(case, lo, width):
     xs, rs, qs = pair.row(lead, lo, hi)
     finite = [x for x in range(lo, hi + 1) if pairwise_finite(lead + (x,), s)]
     assert list(xs) == finite
-    assert rs == [pair.R.evaluate(lead + (x,)) for x in finite]
-    assert qs == [pair.S.evaluate(lead + (x,)) for x in finite]
+    assert rs == [reference_value(pair.R, lead + (x,)) for x in finite]
+    assert qs == [reference_value(pair.S, lead + (x,)) for x in finite]
 
 
 def test_row_of_R_and_S_has_the_one_positivity_guard():
@@ -125,23 +131,26 @@ def test_row_refuses_non_int_leads_and_bounds(lead, lo, hi, bad):
 
 @pytest.mark.parametrize("n,s", [(n, s) for n in range(1, 6) for s in range(1, n + 1)])
 def test_finiteness_is_the_pairwise_definition(n, s):
-    for alpha in itertools.product(range(-4, 4), repeat=n):
-        assert is_norm_finite(alpha, n, s) == pairwise_finite([a + 1 for a in alpha], s)
+    # in beta = alpha + 1, every row of the cube [-3, 4]^n
+    for lead in itertools.product(range(-3, 5), repeat=n - 1):
+        start = norm_finite_from(lead, n, s)
+        for x in range(-3, 5):
+            assert (start is not None and x >= start) == pairwise_finite(lead + (x,), s)
 
 
 def test_finiteness_guards():
     with pytest.raises(ValueError):
-        is_norm_finite((0, 0), 2, 0)
+        monomial_norm_model((0, 0), 2, 0)
     with pytest.raises(ValueError):
-        is_norm_finite((0, 0), 2, 3)
+        monomial_norm_model((0, 0), 2, 3)
     with pytest.raises(ValueError):
-        is_norm_finite((0, 0, 0), 2, 1)
+        monomial_norm_model((0, 0, 0), 2, 1)
 
 
 @pytest.mark.parametrize("alpha", [(0.5, 0), (Fraction(1), 0), (-1.0, 0)])
 def test_finiteness_rejects_non_int_exponents(alpha):
     with pytest.raises(TypeError):
-        is_norm_finite(alpha, 2, 1)
+        monomial_norm_model(alpha, 2, 1)
 
 
 # -- the (R, S) pair ---------------------------------------------------------------
@@ -150,10 +159,10 @@ def test_finiteness_rejects_non_int_exponents(alpha):
 def test_S_collects_the_linear_factors():
     S = build_RS(3, 2).S
     # beta_1 beta_2 (beta_1 + beta_3)(beta_2 + beta_3)
-    assert S.evaluate((2, 3, 5)) == 2 * 3 * 7 * 8
-    assert S.evaluate((1, 1, 1)) == 4
+    assert reference_value(S, (2, 3, 5)) == 2 * 3 * 7 * 8
+    assert reference_value(S, (1, 1, 1)) == 4
     S21 = build_RS(2, 1).S
-    assert S21.evaluate((1, 1)) == 2  # beta_1 (beta_1 + beta_2)
+    assert reference_value(S21, (1, 1)) == 2  # beta_1 (beta_1 + beta_2)
 
 
 def test_R_base_cases():
@@ -200,13 +209,13 @@ def test_R_recursion_identity_at_points(n, data):
     R_small = build_RS(n, s).R
     R_big = build_RS(n + 1, s).R
     star = tuple(x + b if j < s else x - b for j, x in enumerate(beta))
-    lhs = b * R_big.evaluate(beta + (b,))
+    lhs = b * reference_value(R_big, beta + (b,))
     grow = 1
     shrink = 1
     for j in range(s):
         grow *= beta[j] + b
         shrink *= beta[j]
-    assert lhs == R_small.evaluate(beta) * grow - R_small.evaluate(star) * shrink
+    assert lhs == reference_value(R_small, beta) * grow - reference_value(R_small, star) * shrink
 
 
 def test_build_RS_guards_and_type():

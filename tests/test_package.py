@@ -66,7 +66,7 @@ def test_shadow_oracle_shares_no_code_with_the_closed_forms():
     assert used.isdisjoint({"SparsePoly", "substitute", "divide_exact_by_var"})
     # the chamber is written from the shadow's cone, not from the model's
     # finiteness predicate or norm formula
-    assert used.isdisjoint({"is_norm_finite", "build_RS", "monomial_norm_model"})
+    assert used.isdisjoint({"norm_finite_from", "build_RS", "monomial_norm_model"})
 
 
 def test_the_model_finiteness_rule_is_named_in_norms_only():

@@ -16,7 +16,7 @@ import reinhardt.verify
 from reinhardt.domains import model_spec, normalize_spec
 from reinhardt.exact import LaurentChunk, OutsideWindow, SparsePoly
 from reinhardt.kernels import kernel_model_sig1, kernel_signature_one
-from reinhardt.norms import RSPair, build_RS, is_norm_finite
+from reinhardt.norms import RSPair, build_RS, norm_finite_from
 from reinhardt.series import (
     apply_annihilating_operator,
     expand_closed_form,
@@ -27,6 +27,9 @@ from reinhardt.series import (
 )
 from reinhardt.shadow import shadow_integral_exact
 from reinhardt.verify import _annihilator_failures
+
+from test_exact import reference_value
+
 
 def test_hartogs_expansion_values():
     chunk = expand_closed_form(kernel_model_sig1(2), [(0, 4), (-4, 4)])
@@ -246,6 +249,12 @@ def box_points(box):
     return itertools.product(*(range(lo, hi + 1) for lo, hi in box))
 
 
+def finite_at(beta, n, s) -> bool:
+    """Whether the norm at ``beta = alpha + 1`` on Omega(n, s) is finite, from its row's start."""
+    start = norm_finite_from(beta[:-1], n, s)
+    return start is not None and beta[-1] >= start
+
+
 @st.composite
 def model_row_window(draw):
     """A model shape, ``s == n`` included, and a box whose last range may be a single point."""
@@ -272,9 +281,9 @@ def test_model_rows_equal_the_pointwise_formula(case):
     pair = build_RS(n, s)
     per_point = {}
     for alpha in box_points(box):
-        if is_norm_finite(alpha, n, s):
-            beta = tuple(a + 1 for a in alpha)
-            per_point[alpha] = Fraction(pair.S.evaluate(beta), pair.R.evaluate(beta))
+        beta = tuple(a + 1 for a in alpha)
+        if finite_at(beta, n, s):
+            per_point[alpha] = reference_value(pair.S, beta) / reference_value(pair.R, beta)
     chunk = series_coefficients_model(n, s, box)
     assert chunk == LaurentChunk(box, per_point)
     assert is_int_exactly_when_integral(chunk)
@@ -340,7 +349,7 @@ def test_slice_coefficients_split_off_the_norm_ratio(n):
     tail = slice_coefficients(n, 30)
     for j in range(1, 31):
         beta = (1,) * (n - 1) + (j,)
-        ratio = Fraction(pair.S.evaluate(beta), pair.R.evaluate(beta))
+        ratio = reference_value(pair.S, beta) / reference_value(pair.R, beta)
         assert ratio - j == tail[j - 1]
 
 
@@ -372,7 +381,7 @@ def test_annihilator_flattens_hartogs_series():
     assert flat.box == ((-2, 4), (-2, 4))
     for gamma in flat.box_points():
         beta = gamma  # after the shift, gamma plays the role of beta
-        expected = S.evaluate(beta) if beta[0] > 0 and beta[0] + beta[1] > 0 else 0
+        expected = reference_value(S, beta) if beta[0] > 0 and beta[0] + beta[1] > 0 else 0
         assert flat.coefficient(gamma) == expected
 
 
@@ -421,7 +430,7 @@ def test_annihilator_rows_equal_the_pointwise_product(case):
     per_point = {}
     for alpha, coef in chunk.terms.items():
         gamma = tuple(a + 1 for a in alpha)
-        per_point[gamma] = coef * R.evaluate(gamma)
+        per_point[gamma] = coef * reference_value(R, gamma)
     out = apply_annihilating_operator(n, s, chunk)
     assert out == LaurentChunk([(lo + 1, hi + 1) for lo, hi in chunk.box], per_point)
     assert is_int_exactly_when_integral(out)
@@ -448,7 +457,7 @@ def test_annihilator_failures_are_every_box_point_that_misses_S(monkeypatch, wro
     shifted_box = [(lo + 1, hi + 1) for lo, hi in box]
     expected = []
     for gamma in box_points(shifted_box):
-        want = pair.S.evaluate(gamma) if is_norm_finite([g - 1 for g in gamma], n, s) else 0
+        want = reference_value(pair.S, gamma) if finite_at(gamma, n, s) else 0
         if flattened.coefficient(gamma) != want:
             expected.append((n, s, gamma))
     assert expected

@@ -11,12 +11,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reinhardt.shadow
-from reinhardt.domains import NormValue, model_spec, normalize_spec, shifted
+from reinhardt.domains import NormValue, model_spec, normalize_spec
 from reinhardt.exact import SparsePoly
-from reinhardt.norms import build_RS, is_norm_finite, monomial_norm_model
+from reinhardt.norms import build_RS, monomial_norm_model
 from reinhardt.shadow import ParametricShadow, _in_chamber, monomial_norm_oracle, shadow_integral_exact
 
 HARTOGS = normalize_spec((1, -1))
+
+
+def at_point(shadow: ParametricShadow, beta) -> Fraction | None:
+    """The integral at one point, from a one-point row: a ``Fraction``, or None where infinite."""
+    xs, ps, qs = shadow.row(beta[:-1], beta[-1], beta[-1])
+    return Fraction(ps[0], qs[0]) if xs else None
 
 
 def test_hartogs_worked_examples():
@@ -93,7 +99,7 @@ def test_oracle_finiteness_matches_predicate_on_a_model():
         for a2 in range(-2, 2):
             for a3 in range(-2, 2):
                 alpha = (a1, a2, a3)
-                assert monomial_norm_oracle(alpha, spec).finite == is_norm_finite(alpha, 3, 1)
+                assert monomial_norm_oracle(alpha, spec).finite == monomial_norm_model(alpha, 3, 1).finite
 
 
 @pytest.mark.parametrize("alpha", [(0, 0.5), (Fraction(1), 0)])
@@ -152,7 +158,7 @@ def test_values_match_the_pinned_digest():
         if k not in shadows:
             shadows[k] = ParametricShadow(spec)
         per_point.update(repr((k, beta, shadow_integral_exact(beta, spec))).encode())
-        parametric.update(repr((k, beta, shadows[k](beta))).encode())
+        parametric.update(repr((k, beta, at_point(shadows[k], beta))).encode())
     assert per_point.hexdigest() == PINNED_DIGEST
     assert parametric.hexdigest() == PINNED_DIGEST
 
@@ -253,14 +259,14 @@ def test_parametric_route_on_worked_examples():
     # negative-step form beta_2 cancelled
     assert shadow.forms == ((0, 1, 0), (0, 1, 1))
     assert shadow.numerator == {(0, 0): 1} and shadow.den == 1
-    assert shadow((1, 1)) == Fraction(1, 2)
-    assert shadow((1, 0)) == Fraction(1)  # beta_2 = 0: the cancelled pole
-    assert shadow((2, -1)) == Fraction(1, 2)
-    assert shadow((1, -1)) is None
-    assert shadow((0, 5)) is None
-    assert ParametricShadow(normalize_spec((1, 2, -3)))((1, 1, 1)) == Fraction(11, 20)
-    with pytest.raises(ValueError, match="beta has length 3, expected 2"):
-        shadow((1, 1, 1))
+    assert at_point(shadow, (1, 1)) == Fraction(1, 2)
+    assert at_point(shadow, (1, 0)) == Fraction(1)  # beta_2 = 0: the cancelled pole
+    assert at_point(shadow, (2, -1)) == Fraction(1, 2)
+    assert at_point(shadow, (1, -1)) is None
+    assert at_point(shadow, (0, 5)) is None
+    assert at_point(ParametricShadow(normalize_spec((1, 2, -3))), (1, 1, 1)) == Fraction(11, 20)
+    with pytest.raises(ValueError, match="a row needs 1 leading coordinates, got 2"):
+        at_point(shadow, (1, 1, 1))
 
 
 def test_poles_that_do_not_cancel_are_an_error(monkeypatch):
@@ -301,9 +307,10 @@ def test_parametric_integral_is_the_model_formula_for_every_beta(n, s):
         Q = Q * (SparsePoly.linear_form(n, {j: c for j, c in enumerate(f[1:]) if c}) + SparsePoly.constant(n, f[0]))
     pair = build_RS(n, s)
     assert SparsePoly(n, shadow.numerator) * pair.S == Q * pair.R
-    # and the chamber of the positive-step forms is the finiteness predicate
-    for alpha in itertools.product(range(-3, 4), repeat=n):
-        assert (shadow(shifted(alpha)) is None) == (not is_norm_finite(alpha, n, s))
+    # and the chamber of the positive-step forms is the finiteness predicate:
+    # every row of the cube [-2, 4]^n in beta has the same finite points
+    for lead in itertools.product(range(-2, 5), repeat=n - 1):
+        assert shadow.row(lead, -2, 4)[0] == pair.row(lead, -2, 4)[0], lead
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -320,7 +327,7 @@ def test_diagonal_slice_of_omega_n_n_minus_1_for_every_j(n):
         lhs = shadow.den * forms_product(shadow, beta) * ((j + 1) ** (n - 1) - 1)
         assert lhs == evaluated(shadow.numerator, beta) * j * (j + 1) ** (n - 1)
     for j in range(1, 6):
-        assert 1 / shadow((1,) * (n - 1) + (j,)) == j + Fraction(j, (j + 1) ** (n - 1) - 1)
+        assert 1 / at_point(shadow, (1,) * (n - 1) + (j,)) == j + Fraction(j, (j + 1) ** (n - 1) - 1)
 
 
 # -- differential properties ---------------------------------------------------
@@ -343,7 +350,7 @@ def spec_and_beta(draw, max_n=4, max_k=7, low=-2, high=8):
 @given(spec_and_beta(max_n=5, max_k=9, low=-3, high=8))
 def test_parametric_value_equals_the_per_point_integral(case):
     spec, beta = case
-    assert ParametricShadow(spec)(beta) == shadow_integral_exact(beta, spec)
+    assert at_point(ParametricShadow(spec), beta) == shadow_integral_exact(beta, spec)
 
 
 @settings(max_examples=300, deadline=None)
@@ -390,8 +397,8 @@ def test_parametric_row_equals_the_per_point_integral(case):
     assert {x: Fraction(p, q) for x, p, q in zip(xs, ps, qs)} == {
         x: v for x, v in per_point.items() if v is not None
     }
-    # the call is the one-point case of the row
-    assert all(shadow_integral(lead + (x,)) == v for x, v in per_point.items())
+    # a one-point row at every point of the row, finite or not
+    assert all(at_point(shadow_integral, lead + (x,)) == v for x, v in per_point.items())
 
 
 def test_parametric_row_needs_every_leading_coordinate():
