@@ -1,7 +1,11 @@
 """Command-line interface.
 
 Four subcommands, exit codes 0 (success), 1 (verification failure),
-2 (usage or domain error — argparse's own convention):
+2 (usage or domain error — argparse's own convention — and output that
+cannot be written: a full disk, a closed pipe, an unwritable report).
+``main`` alone turns a handler's ``ValueError`` or ``OSError`` into one
+``error:`` line on stderr and exit 2; any other exception is a bug and
+keeps its traceback.
 
 * ``kernel --k 1,-2 [--format plain|latex|json]`` — the closed-form kernel
   of a signature-one domain, printed in normalized coordinates: ``t1`` is
@@ -13,8 +17,9 @@ Four subcommands, exit codes 0 (success), 1 (verification failure),
   coefficients of the kernel on a box; CSV emits one row per box point
   (``alpha_1,...,alpha_n,coefficient``), zeros included, no header.
 * ``verify --suite all [--seed N] [--report out.json]`` — named
-  verification suites with a pass/fail report; the report path is opened
-  before any suite runs, so an unwritable one is a usage error (exit 2).
+  verification suites with a pass/fail report; the report is opened before
+  any suite runs and written before any line is printed, so an unwritable
+  one costs no work and prints nothing to stdout.
 
 ``--alpha``, ``--box`` and the exponents that ``series`` prints follow the
 caller's order of ``--k``; they are moved into normalized order (positive
@@ -25,7 +30,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import nullcontext
 from operator import itemgetter
 from typing import Sequence
 
@@ -66,14 +73,6 @@ def _parse_seed(text: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-
-
-def _spec_or_exit(entries: tuple[int, ...]) -> DomainSpec:
-    try:
-        return normalize_spec(entries)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        raise SystemExit(2)
 
 
 def _normalized(spec: DomainSpec, values: Sequence) -> tuple:
@@ -127,14 +126,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_kernel(args) -> int:
-    spec = _spec_or_exit(args.k)
+    spec = normalize_spec(args.k)
     if spec.s != 1:
-        print(
-            f"error: {spec} has signature {spec.s}; the closed form exists only for "
-            "signature 1 — the `series` subcommand covers every signature",
-            file=sys.stderr,
+        raise ValueError(
+            f"{spec} has signature {spec.s}; the closed form exists only for "
+            "signature 1 — the `series` subcommand covers every signature"
         )
-        return 2
     kernel = kernel_signature_one(spec)
     if args.format == "plain":
         print(kernel.to_plain())
@@ -146,10 +143,9 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    spec = _spec_or_exit(args.k)
+    spec = normalize_spec(args.k)
     if len(args.alpha) != spec.n:
-        print(f"error: --alpha needs {spec.n} entries for {spec}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--alpha needs {spec.n} entries for {spec}")
     alpha = _normalized(spec, args.alpha)
     if args.oracle == "exact":
         print(monomial_norm_oracle(alpha, spec))
@@ -159,9 +155,8 @@ def _cmd_norm(args) -> int:
     except DivergentIntegral:
         print(NormValue.infinite())
         return 0
-    except (ValueError, ArithmeticError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    except ArithmeticError as err:  # the sampler's refusal: no sample landed
+        raise ValueError(str(err)) from err
     print(
         f"{result.estimate:.8g} ± {result.std_error:.2g} "
         f"(samples={result.samples}, accepted={result.accepted}, seed={result.seed})"
@@ -170,13 +165,11 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    spec = _spec_or_exit(args.k)
+    spec = normalize_spec(args.k)
     if len(args.box) != spec.n:
-        print(f"error: --box needs {spec.n} ranges for {spec}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--box needs {spec.n} ranges for {spec}")
     if any(lo > hi for lo, hi in args.box):
-        print("error: box ranges must satisfy lo <= hi", file=sys.stderr)
-        return 2
+        raise ValueError("box ranges must satisfy lo <= hi")
     box = _normalized(spec, args.box)
     if spec.s == 1:
         chunk = expand_closed_form(kernel_signature_one(spec), box)
@@ -198,41 +191,28 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # open the report first, so an unwritable path is a usage error before any suite runs
-    if not args.report:
-        return _run_verify(args, None)
+    # the report is opened before any suite runs and closed before anything is
+    # printed, so an unwritable path costs no work and prints no check lines
     try:
-        handle = open(args.report, "w", encoding="utf-8")
+        with open(args.report, "w", encoding="utf-8") if args.report else nullcontext() as handle:
+            reports = run_suites([args.suite], seed=args.seed)
+            failed = [not check.passed for report in reports for check in report.checks]
+            if handle is not None:
+                suites = [r.to_json_dict() for r in reports]
+                json.dump({"seed": args.seed, "passed": not any(failed), "suites": suites}, handle, indent=2)
+                handle.write("\n")
     except OSError as err:
-        print(f"error: cannot write the report: {err}", file=sys.stderr)
-        return 2
-    with handle:
-        return _run_verify(args, handle)
-
-
-def _run_verify(args, handle) -> int:
-    reports = run_suites([args.suite], seed=args.seed)
+        raise OSError(f"cannot write the report: {err}") from err
     print(f"seed {args.seed}")
-    failures = 0
     for report in reports:
         print(f"suite {report.name}:")
         for check in report.checks:
             mark = "ok  " if check.passed else "FAIL"
             print(f"  {mark} {check.name}: {check.detail}")
-            failures += 0 if check.passed else 1
-    total = sum(len(r.checks) for r in reports)
-    if handle is not None:
-        payload = {
-            "seed": args.seed,
-            "passed": failures == 0,
-            "suites": [r.to_json_dict() for r in reports],
-        }
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    if failures:
-        print(f"{failures} of {total} checks failed")
+    if any(failed):
+        print(f"{sum(failed)} of {len(failed)} checks failed")
         return 1
-    print(f"all {total} checks passed")
+    print(f"all {len(failed)} checks passed")
     return 0
 
 
@@ -255,10 +235,25 @@ def _absorb_negative_values(argv: list[str]) -> list[str]:
     return merged
 
 
+def _flush_stdout() -> None:
+    if sys.stdout is not None:  # None in a process started without one
+        sys.stdout.flush()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _build_parser().parse_args(_absorb_negative_values(argv))
-    return args.run(args)
+    try:
+        code = args.run(args)
+        _flush_stdout()
+    except (ValueError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        try:
+            _flush_stdout()
+        except OSError:  # stdout is gone: what it still holds goes to devnull, not to an exit-time error
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ from .series import (
     series_coefficients_oracle,
     slice_coefficients,
 )
-from .shadow import monomial_norm_oracle
+from .shadow import shadow_integral_exact
 
 DEFAULT_SEED = 20260818
 
@@ -160,11 +160,12 @@ def check_model_norms_vs_oracle() -> CheckResult:
     cases = 0
     for n in (2, 3, 4):
         for s in range(1, n):
-            spec = model_spec(n, s)
-            for alpha in _cartesian(range(-3, 4), repeat=n):
+            pair, spec = build_RS(n, s), model_spec(n, s)
+            for beta in _cartesian(range(-2, 5), repeat=n):
                 cases += 1
-                if monomial_norm_model(alpha, n, s) != monomial_norm_oracle(alpha, spec):
-                    mismatches.append((n, s, alpha))
+                xs, rs, qs = pair.row(beta[:-1], beta[-1], beta[-1])
+                if (Fraction(rs[0], qs[0]) if xs else None) != shadow_integral_exact(beta, spec):
+                    mismatches.append((n, s, tuple(b - 1 for b in beta)))
     return CheckResult(
         "model-norms-vs-oracle",
         not mismatches,

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reinhardt.cli
 from reinhardt.cli import _absorb_negative_values, main
@@ -48,9 +55,10 @@ def test_kernel_signature_two_points_to_series(capsys):
 
 
 def test_kernel_rejects_degenerate_vector(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(capsys, "kernel", "--k", "1,0,-1")
-    assert exc.value.code == 2
+    code, out, err = run(capsys, "kernel", "--k", "1,0,-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: exponent entries must be nonzero\n"
 
 
 def test_kernel_rejects_malformed_ints(capsys):
@@ -274,6 +282,126 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys)
     assert exc.value.code == 2
+
+
+# -- output that cannot be written -------------------------------------------------
+
+# each case runs in a child process with buffered stdout, as in a plain shell:
+# only there is the output still in the buffer when the interpreter exits
+CHILD_ENV = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+CHILD_ENV["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(reinhardt.cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+)
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+
+
+def child(*argv, **kwargs):
+    command = [sys.executable, "-m", "reinhardt.cli", *argv]
+    return subprocess.Popen(command, env=CHILD_ENV, stderr=subprocess.PIPE, **kwargs)
+
+
+def assert_one_error_line(code, err: bytes, starts="error: "):
+    text = err.decode()
+    assert code == 2, text
+    assert text.startswith(starts) and text.count("\n") == 1, text
+    assert "Traceback" not in text and "Exception ignored" not in text
+
+
+def test_a_closed_pipe_is_one_error_line():
+    # 180,901 rows: far more than a pipe holds, so the child writes after the close
+    proc = child("series", "--k", "1,-1", "--box", "0:300,-300:300", stdout=subprocess.PIPE)
+    assert proc.stdout.readline() == b"0,-300,0\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert_one_error_line(proc.wait(), err)
+
+
+@needs_dev_full
+def test_stdout_on_a_full_disk_is_one_error_line():
+    with open("/dev/full", "wb") as full:
+        proc = child("kernel", "--k", "1,-1", "--format", "json", stdout=full)
+        _, err = proc.communicate()
+    assert_one_error_line(proc.returncode, err)
+
+
+@needs_dev_full
+def test_a_report_on_a_full_disk_is_one_error_line_and_no_check_lines():
+    proc = child("verify", "--suite", "rationality-diagnostic", "--report", "/dev/full",
+                 stdout=subprocess.PIPE)
+    out, err = proc.communicate()
+    assert out == b""
+    assert_one_error_line(proc.returncode, err, starts="error: cannot write the report: ")
+
+
+def test_a_process_without_stdout_is_not_an_error(monkeypatch):
+    # started with stdout closed, Python sets sys.stdout to None and print() writes nothing
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["kernel", "--k", "1,-1"]) == 0
+
+
+# -- the exit contract on drawn commands -------------------------------------------
+
+MALFORMED = st.sampled_from(["", "x", "1,x", "1,,-1", "1.5,-1", "0-4", "a:b", "1:2:3", ":", "-"])
+DEGENERATE_K = st.sampled_from(["1,0,-1", "0", "3", "2,5", "-1,-4", "0,0"])
+
+
+def _csv(values) -> str:
+    return ",".join(map(str, values))
+
+
+@st.composite
+def commands(draw):
+    """argv for ``kernel``, ``norm`` or ``series``: mostly well-formed, with small work.
+
+    About one value in eight is malformed, and about one ``--alpha`` or
+    ``--box`` in four has the wrong length.  Sizes stay small (|k| <= 7,
+    n <= 4, at most 256 box points, at most 10**4 samples), because no
+    command bounds its own work yet.
+    """
+    def text(well_formed: str, malformed=MALFORMED) -> str:
+        return well_formed if draw(st.sampled_from(range(8))) else draw(malformed)
+
+    positive = draw(st.lists(st.integers(1, 7), min_size=1, max_size=3))
+    negative = draw(st.lists(st.integers(-7, -1), min_size=1, max_size=4 - len(positive)))
+    k = draw(st.permutations(positive + negative))
+    n = draw(st.sampled_from([len(k)] * 6 + [len(k) + 1, len(k) - 1]))
+    command = draw(st.sampled_from(["kernel", "norm", "series"]))
+    argv = [command, "--k", text(_csv(k), st.one_of(MALFORMED, DEGENERATE_K))]
+    if command == "kernel":
+        argv += ["--format", text(draw(st.sampled_from(["plain", "latex", "json"])))]
+    elif command == "norm":
+        argv += ["--alpha", text(_csv(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))))]
+        if draw(st.booleans()):
+            seed = text(str(draw(st.integers(0, 10 ** 6))), st.sampled_from(["-1", "abc"]))
+            samples = text(str(draw(st.integers(2, 10 ** 4))), st.sampled_from(["-1", "0", "1", "many"]))
+            argv += ["--oracle", "mc", "--samples", samples, "--seed", seed]
+    else:
+        ranges = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-1, 3)), min_size=n, max_size=n))
+        argv += ["--box", text(_csv(f"{lo}:{lo + width}" for lo, width in ranges))]
+        argv += ["--format", text(draw(st.sampled_from(["csv", "json"])))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=commands())
+def test_every_drawn_command_exits_0_or_with_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code, parsed = main(argv), True
+        except SystemExit as exc:  # argparse's own refusal, before any handler runs
+            code, parsed = exc.code, False
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), (argv, err)
+    assert "Traceback" not in err
+    if code == 0:
+        assert out and err == "", (argv, err)
+    else:
+        assert out == "", argv
+        lines = err.splitlines()
+        assert "error:" in lines[-1], (argv, err)
+        assert not parsed or (len(lines) == 1 and lines[0].startswith("error: ")), (argv, err)
 
 
 # -- argv preprocessing -------------------------------------------------------------
