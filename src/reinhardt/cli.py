@@ -4,8 +4,9 @@ Four subcommands, exit codes 0 (success), 1 (verification failure),
 2 (usage or domain error — argparse's own convention — and output that
 cannot be written: a full disk, a closed pipe, an unwritable report).
 ``main`` alone turns a handler's ``ValueError`` or ``OSError`` into one
-``error:`` line on stderr and exit 2; any other exception is a bug and
-keeps its traceback.
+``error:`` line on stderr and exit 2 (the line is dropped when stderr is
+gone too, as when it shares stdout's closed pipe); any other exception is
+a bug and keeps its traceback.
 
 * ``kernel --k 1,-2 [--format plain|latex|json]`` — the closed-form kernel
   of a signature-one domain, printed in normalized coordinates: ``t1`` is
@@ -33,11 +34,10 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from operator import itemgetter
 from typing import Sequence
 
 from .domains import DomainSpec, NormValue, normalize_spec
-from .exact import DivergentIntegral, LaurentChunk
+from .exact import DivergentIntegral
 from .kernels import kernel_signature_one
 from .sampling import mc_norm_estimate
 from .series import expand_closed_form, series_coefficients_model, series_coefficients_oracle
@@ -178,11 +178,7 @@ def _cmd_series(args) -> int:
     else:
         chunk = series_coefficients_oracle(spec, box)
     if spec.permutation != tuple(range(spec.n)):
-        # the route's keys and values are already checked: relabel them as they are
-        relabel = itemgetter(*_in_caller_order(spec, range(spec.n)))
-        terms = chunk.terms
-        chunk = LaurentChunk(_in_caller_order(spec, chunk.box))
-        chunk.terms = dict(zip(map(relabel, terms), terms.values()))
+        chunk = chunk.permuted(_in_caller_order(spec, range(spec.n)))
     if args.format == "csv":
         sys.stdout.writelines(row + "\n" for row in chunk.csv_rows())
     else:
@@ -240,6 +236,11 @@ def _flush_stdout() -> None:
         sys.stdout.flush()
 
 
+def _to_devnull(stream) -> None:
+    """Point a gone stream at devnull: what it still holds is dropped, not an exit-time error."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _build_parser().parse_args(_absorb_negative_values(argv))
@@ -247,11 +248,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = args.run(args)
         _flush_stdout()
     except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        try:
+            print(f"error: {err}", file=sys.stderr)
+        except OSError:  # stderr is gone too, as when it shares stdout's closed pipe
+            _to_devnull(sys.stderr)
         try:
             _flush_stdout()
-        except OSError:  # stdout is gone: what it still holds goes to devnull, not to an exit-time error
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError:
+            _to_devnull(sys.stdout)
         return 2
     return code
 

@@ -28,10 +28,11 @@ Everything here computes over the integers and rationals with no rounding:
   ``∫_0^1 t^q log(1/t)^p dt = p! / (q+1)^{p+1}``.
 
 * :class:`LaurentChunk` — a finite window of Laurent coefficients: exact
-  values on a box of integer exponents, unknown outside it.  A value is an
-  ``int`` when it is integral and a reduced ``Fraction`` otherwise;
-  :func:`_exact_ratio` is the one place that picks between the two, and
-  every window producer goes through it.
+  values on a box of integer exponents, unknown outside it, stored as one
+  list of values per last-axis row, with a live view of the nonzero values
+  by exponent.  A value is an ``int`` when it is integral and a reduced
+  ``Fraction`` otherwise; :func:`_exact_ratio` is the one place that picks
+  between the two, and every window producer goes through it.
 
 An exponent, log power, bound, denominator, polynomial coefficient or row
 coordinate that is not an ``int`` is a ``TypeError`` naming it, never
@@ -42,6 +43,7 @@ truncated; so is a window value that is neither an ``int`` nor a
 from __future__ import annotations
 
 import math
+from collections.abc import MutableMapping
 from fractions import Fraction
 from itertools import product as _cartesian, repeat
 from operator import add, mul
@@ -554,12 +556,19 @@ class LaurentChunk:
     :attr:`pi_power` is :attr:`nvars`, the length of the box.  The box has
     at least one range, the last axis that rows run along.
 
+    The window is stored row-major, as the series routes compute it:
+    :attr:`rows` maps each lead ``(a_1, ..., a_{n-1})`` that has a nonzero
+    value to the list of its values along the last axis, ``lo`` to ``hi``,
+    zeros included; a lead with no entry is a row of zeros.  :attr:`terms`
+    is a live view of the nonzero values keyed by exponent tuple, read from
+    and written to the rows.
+
     Values are exact: an ``int`` when integral, a reduced ``Fraction``
     otherwise (both go through :func:`_exact_ratio`).  Anything else,
     a float included, is a ``TypeError``.
     """
 
-    __slots__ = ("box", "terms")
+    __slots__ = ("box", "rows")
 
     def __init__(
         self, box: Sequence[tuple[int, int]], terms: Mapping[tuple[int, ...], int | Fraction] | None = None
@@ -572,8 +581,9 @@ class LaurentChunk:
             if lo > hi:
                 raise ValueError(f"empty box range ({lo}, {hi})")
         self.box = box
-        clean: dict[tuple[int, ...], int | Fraction] = {}
+        self.rows: dict[tuple[int, ...], list[int | Fraction]] = {}
         if terms:
+            view = self.terms
             for exps, coef in terms.items():
                 exps = tuple(exps)
                 if len(exps) != len(box):
@@ -581,11 +591,7 @@ class LaurentChunk:
                 _check_ints("exponent", exps)
                 if not self._inside(exps):
                     raise ValueError(f"exponent {exps} lies outside the box {self.box}")
-                if not isinstance(coef, (int, Fraction)):
-                    raise TypeError(f"window values must be ints or Fractions, got {coef!r} at {exps}")
-                if coef:
-                    clean[exps] = _exact_ratio(*coef.as_integer_ratio())
-        self.terms = clean
+                view[exps] = coef
 
     @property
     def nvars(self) -> int:
@@ -595,52 +601,164 @@ class LaurentChunk:
     def pi_power(self) -> int:
         return self.nvars
 
+    @property
+    def terms(self) -> MutableMapping[tuple[int, ...], int | Fraction]:
+        """The nonzero values by exponent tuple, a live view of :attr:`rows`."""
+        return _Terms(self)
+
     def _inside(self, exps: tuple[int, ...]) -> bool:
         return all(lo <= e <= hi for e, (lo, hi) in zip(exps, self.box))
 
-    def coefficient(self, alpha: Sequence[int]) -> int | Fraction:
+    def _position(self, alpha: Sequence[int]) -> tuple[tuple[int, ...], int]:
+        """``(lead, i)``: the exponent ``alpha`` is entry ``i`` of the row ``lead``; outside the box is refused."""
         exps = tuple(alpha)
         if len(exps) != self.nvars:
             raise ValueError("exponent length disagrees with nvars")
         _check_ints("exponent", exps)
         if not self._inside(exps):
             raise OutsideWindow(f"exponent {exps} outside trusted box {self.box}")
-        return self.terms.get(exps, 0)
+        return exps[:-1], exps[-1] - self.box[-1][0]
+
+    def _put(self, lead: tuple[int, ...], i: int, value: int | Fraction) -> None:
+        """Store an exact ``value`` at entry ``i`` of the row ``lead``; a row left all zeros is dropped."""
+        row = self.rows.get(lead)
+        if row is None:
+            if not value:
+                return
+            lo, hi = self.box[-1]
+            row = self.rows[lead] = [0] * (hi - lo + 1)
+        row[i] = value
+        if not value and not any(row):
+            del self.rows[lead]
+
+    def coefficient(self, alpha: Sequence[int]) -> int | Fraction:
+        lead, i = self._position(alpha)
+        row = self.rows.get(lead)
+        return 0 if row is None else row[i]
 
     def box_points(self) -> Iterator[tuple[int, ...]]:
         """All exponents in the box, lexicographically."""
         return _cartesian(*(range(lo, hi + 1) for lo, hi in self.box))
 
+    def permuted(self, perm: Sequence[int]) -> "LaurentChunk":
+        """The same window with relabelled variables: new variable ``i`` is old variable ``perm[i]``.
+
+        The values are already checked and move as they are.  When the last
+        axis stays last, each row moves whole to its relabelled lead.
+        Otherwise the new last axis is an old lead coordinate ``j``: the old
+        rows that differ only in ``j`` stack, in the order of ``j``, into a
+        matrix whose columns are the new rows.
+        """
+        n = self.nvars
+        if sorted(perm) != list(range(n)):
+            raise ValueError("perm must be a permutation of the variables")
+        out = LaurentChunk([self.box[p] for p in perm])
+        if perm[-1] == n - 1:
+            rows = {tuple(lead[p] for p in perm[:-1]): list(row) for lead, row in self.rows.items()}
+        else:
+            j, m = perm[-1], perm.index(n - 1)  # old last axis -> new lead position m
+            stacks: dict[tuple, dict[int, list]] = {}
+            for lead, row in self.rows.items():
+                key = (tuple(lead[p] for p in perm[:m]), tuple(lead[p] for p in perm[m + 1:-1]))
+                stacks.setdefault(key, {})[lead[j]] = row
+            (lo, hi), (jlo, jhi) = self.box[-1], self.box[j]
+            zeros = [0] * (hi - lo + 1)
+            rows = {}
+            for (before, after), by_j in stacks.items():
+                matrix = [by_j.get(y, zeros) for y in range(jlo, jhi + 1)]
+                for x, column in zip(range(lo, hi + 1), zip(*matrix)):
+                    if any(column):
+                        rows[(*before, x, *after)] = list(column)
+        out.rows = dict(sorted(rows.items()))
+        return out
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentChunk):
             return NotImplemented
-        return self.box == other.box and self.terms == other.terms
+        return self.box == other.box and self.rows == other.rows
 
     # -- serialization -------------------------------------------------------
 
     def csv_rows(self) -> Iterator[str]:
         """One row per box point (zeros included): ``a_1,...,a_n,coefficient``.
 
-        Rows come in :meth:`box_points` order.  The last-axis fields are
-        formatted once, and the leading ``a_1,...,a_{n-1},`` once per run
-        of the last axis.
+        Rows come in :meth:`box_points` order.  The last-axis fields
+        ``"x,"`` are formatted once and zipped with each stored row's values;
+        a row of zeros takes fields already ending in ``0``.  The leading
+        ``a_1,...,a_{n-1},`` is formatted once per row.
         """
-        get = self.terms.get
         *lead, (lo, hi) = self.box
-        tails = [(x, f"{x},") for x in range(lo, hi + 1)]
+        tails = [f"{x}," for x in range(lo, hi + 1)]
+        zeros = [tail + "0" for tail in tails]
+        get = self.rows.get
         for prefix in _cartesian(*(range(a, b + 1) for a, b in lead)):
             head = "".join(f"{a}," for a in prefix)
-            yield from [head + tail + str(get(prefix + (x,), 0)) for x, tail in tails]
+            row = get(prefix)
+            if row is None:
+                yield from [head + zero for zero in zeros]
+            else:
+                yield from [head + tail + str(value) for tail, value in zip(tails, row)]
 
     def to_json_dict(self) -> dict:
+        lo = self.box[-1][0]
         return {
             "pi_power": self.pi_power,
             "box": [[lo, hi] for lo, hi in self.box],
             "coefficients": [
-                {"exp": list(exps), "coef": str(coef)}
-                for exps, coef in sorted(self.terms.items())
+                {"exp": [*lead, x], "coef": str(coef)}
+                for lead in sorted(self.rows)
+                for x, coef in enumerate(self.rows[lead], lo) if coef
             ],
         }
 
     def __repr__(self) -> str:
         return f"LaurentChunk(box={self.box}, {len(self.terms)} nonzero)"
+
+
+class _Terms(MutableMapping):
+    """The nonzero values of a :class:`LaurentChunk` by exponent tuple, kept in its rows.
+
+    Iteration runs over the rows in their order and along each row, so a
+    window a series route fills iterates lexicographically.  Reading a zero
+    or a non-exponent is a ``KeyError`` (:class:`OutsideWindow` outside the
+    box); writing goes through the window's value rule, writing 0 removes
+    the key, and writing outside the box raises :class:`OutsideWindow`.
+    """
+
+    __slots__ = ("_chunk",)
+
+    def __init__(self, chunk: LaurentChunk):
+        self._chunk = chunk
+
+    def __getitem__(self, alpha: tuple[int, ...]) -> int | Fraction:
+        try:
+            lead, i = self._chunk._position(alpha)
+        except (TypeError, ValueError):
+            raise KeyError(alpha) from None
+        row = self._chunk.rows.get(lead)
+        if row is None or not row[i]:
+            raise KeyError(alpha)
+        return row[i]
+
+    def __setitem__(self, alpha: tuple[int, ...], value: int | Fraction) -> None:
+        lead, i = self._chunk._position(alpha)
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"window values must be ints or Fractions, got {value!r} at {tuple(alpha)}")
+        self._chunk._put(lead, i, _exact_ratio(*value.as_integer_ratio()))
+
+    def __delitem__(self, alpha: tuple[int, ...]) -> None:
+        self[alpha]  # a KeyError unless there is a value to remove
+        self._chunk._put(*self._chunk._position(alpha), 0)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        lo = self._chunk.box[-1][0]
+        for lead, row in self._chunk.rows.items():
+            for x, value in enumerate(row, lo):
+                if value:
+                    yield lead + (x,)
+
+    def __len__(self) -> int:
+        return sum(len(row) - row.count(0) for row in self._chunk.rows.values())
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))

@@ -72,19 +72,20 @@ def expand_closed_form(kernel: RationalKernel, box: Sequence[tuple[int, int]]) -
     the last axis; a ramp already running at ``lo`` starts with its value
     ``w * (lo - s + 1)`` at ``lo`` and ``-w * (lo - s)`` at ``lo + 1``.
     The numerator's coefficients ``C(beta)`` are integers, so every sum
-    runs in integers, and with ``kernel.scalar = p/q`` each nonzero sum
-    ``v`` becomes the window value ``v * p / q``: an ``int`` when ``q``
-    divides ``v * p``, a reduced ``Fraction`` otherwise.
+    runs in integers, and the row of sums is the window's row; with
+    ``kernel.scalar = p/q != 1`` each sum ``v`` becomes the window value
+    ``v * p / q``: an ``int`` when ``q`` divides ``v * p``, a reduced
+    ``Fraction`` otherwise.
     """
     n = kernel.n
     chunk = _empty_window(box, n)
     k1 = kernel.spec.k[0]
     kb = kernel.spec.abs_k
     (lo0, hi0), *middle, (lo, hi) = chunk.box
-    xs = range(lo, hi + 1)
+    width = hi - lo + 1
     p, q = kernel.scalar.as_integer_ratio()
     numerator = kernel.numerator.sorted_terms()
-    terms: dict[tuple[int, ...], int | Fraction] = {}
+    rows = chunk.rows
     for a0 in range(lo0, hi0 + 1):
         # per term at this alpha_1: (C(beta)(m+1), the p_b offsets beta_b - |k_b|(m+2), s)
         ramps = []
@@ -98,7 +99,7 @@ def expand_closed_form(kernel: RationalKernel, box: Sequence[tuple[int, int]]) -
                 ramps.append((c * (m2 - 1), [beta[b] - kb[b] * m2 for b in range(1, n - 1)], s))
         for mid in itertools.product(*(range(a, b + 1) for a, b in middle)):
             # one slot past hi: a clamped ramp in a one-point row still writes at lo + 1
-            mass = [0] * (len(xs) + 1)
+            mass = [0] * (width + 1)
             for w, offsets, s in ramps:
                 for a, t in zip(mid, offsets):
                     if a < t:
@@ -110,12 +111,12 @@ def expand_closed_form(kernel: RationalKernel, box: Sequence[tuple[int, int]]) -
                     else:
                         mass[0] += w * (lo - s + 1)
                         mass[1] -= w * (lo - s)
-            row = (a0, *mid)
-            terms.update({
-                row + (x,): _exact_ratio(v * p, q)
-                for x, v in zip(xs, itertools.accumulate(itertools.accumulate(mass))) if v
-            })
-    chunk.terms = terms
+            row = list(itertools.accumulate(itertools.accumulate(mass)))
+            row.pop()
+            if any(row):
+                if q != 1 or p != 1:
+                    row = [_exact_ratio(v * p, q) for v in row]
+                rows[(a0, *mid)] = row
     return chunk
 
 
@@ -125,20 +126,20 @@ def _reciprocal_window(chunk: LaurentChunk, row) -> LaurentChunk:
     ``row(lead, lo, hi)`` answers the row ``beta = (*lead, x)`` of the
     shifted box ``beta = alpha + 1`` with its finite points ``xs`` and the
     ratio's ``int`` parts ``ps`` and ``qs`` there; each coefficient is
-    ``q / p``, reduced once.  The rule and the values are the row's.
+    ``q / p``, reduced once, written into that slice of a row of zeros.
+    The rule and the values are the row's.
     """
     *lead_box, (lo, hi) = chunk.box
-    tails = [(x,) for x in range(lo, hi + 1)]
-    terms: dict[tuple[int, ...], int | Fraction] = {}
+    zeros = [0] * (hi - lo + 1)
+    rows = chunk.rows
     for lead, beta_lead in zip(
         itertools.product(*(range(a, b + 1) for a, b in lead_box)),
         itertools.product(*(range(a + 1, b + 2) for a, b in lead_box)),
     ):
         xs, ps, qs = row(beta_lead, lo + 1, hi + 1)
         if xs:
-            keys = tails[xs.start - 1 - lo:xs.stop - 1 - lo]
-            terms.update(zip(map(lead.__add__, keys), map(_exact_ratio, qs, ps)))
-    chunk.terms = terms
+            values = rows[lead] = zeros.copy()
+            values[xs.start - 1 - lo:xs.stop - 1 - lo] = map(_exact_ratio, qs, ps)
     return chunk
 
 
@@ -217,25 +218,26 @@ def apply_annihilating_operator(n: int, s: int, chunk: LaurentChunk) -> LaurentC
     ``gamma - 1``.  Applied to a kernel-series window of Omega(n, s) the
     output must equal ``S(gamma)`` at every ``gamma`` whose monomial lies
     in the space (and 0 at the rest) — the denominator ``R`` of the norm
-    formula is annihilated.  The window's terms are taken in runs that
-    share a last-axis row, as the series routes store them, and ``R`` is
-    tabulated once per run at that run's exponents
-    (:meth:`~reinhardt.exact.SparsePoly.on_row`); rows without terms cost
-    nothing.
+    formula is annihilated.  ``R`` is tabulated once per stored row of the
+    window (:meth:`~reinhardt.exact.SparsePoly.on_row`); rows of zeros cost
+    nothing.  An ``int`` value multiplies ``R`` directly, and only a
+    ``Fraction`` is reduced, once.
     """
     if chunk.nvars != n:
         raise ValueError("window variable count disagrees with n")
     R = build_RS(n, s).R
     window = LaurentChunk(tuple((lo + 1, hi + 1) for lo, hi in chunk.box))
-    terms: dict[tuple[int, ...], int | Fraction] = {}
-    for lead, run in itertools.groupby(chunk.terms.items(), key=lambda term: term[0][:-1]):
-        run = list(run)
+    lo, hi = window.box[-1]
+    xs = range(lo, hi + 1)
+    for lead, row in chunk.rows.items():
         lead = tuple(a + 1 for a in lead)
-        xs = [alpha[-1] + 1 for alpha, _ in run]
-        for x, (_, coef), r in zip(xs, run, R.on_row(lead, xs)):
-            p, q = coef.as_integer_ratio()
-            value = _exact_ratio(p * r, q)
-            if value:
-                terms[lead + (x,)] = value
-    window.terms = terms
+        values = []
+        for coef, r in zip(row, R.on_row(lead, xs)):
+            if type(coef) is int:
+                values.append(coef * r)
+            else:
+                p, q = coef.as_integer_ratio()
+                values.append(_exact_ratio(p * r, q))
+        if any(values):
+            window.rows[lead] = values
     return window

@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as _cartesian, repeat
+from itertools import product as _cartesian
 from typing import Callable, Sequence
 
 from .counting import coefficient_C, index_set, pair_count, pair_count_bruteforce
@@ -288,24 +288,24 @@ def _annihilator_failures(n: int, s: int, box: Sequence[tuple[int, int]]) -> tup
     The series comes from shadow integration, not from ``R/S``, so a wrong
     ``R`` or ``S`` makes the flattened window miss ``S`` somewhere.  Every
     point of the box is compared, one last-axis row at a time: the flattened
-    window's coordinates are ``beta`` already, and the wanted row is ``S``
-    on its finite part, as :meth:`~reinhardt.norms.RSPair.row` reads it,
-    and 0 on the rest.
+    window's coordinates are ``beta`` already, its stored row (zeros when
+    it has none) is compared as it is, and the wanted row is ``S`` on its
+    finite part, as :meth:`~reinhardt.norms.RSPair.row` reads it, and 0 on
+    the rest.
     """
     flattened = apply_annihilating_operator(n, s, series_coefficients_oracle(model_spec(n, s), box))
     pair = build_RS(n, s)
-    get = flattened.terms.get
     *lead_box, (lo, hi) = flattened.box
-    tails = [(x,) for x in range(lo, hi + 1)]
+    zeros = [0] * (hi - lo + 1)
     failures = []
     points = 0
     for lead in _cartesian(*(range(a, b + 1) for a, b in lead_box)):
         _, _, qs = pair.row(lead, lo, hi)
-        want = [0] * (len(tails) - len(qs)) + qs
-        got = list(map(get, map(lead.__add__, tails), repeat(0)))
-        points += len(tails)
+        want = zeros[len(qs):] + qs
+        got = flattened.rows.get(lead, zeros)
+        points += len(zeros)
         if got != want:
-            failures.extend((n, s, lead + x) for x, g, w in zip(tails, got, want) if g != w)
+            failures.extend((n, s, lead + (x,)) for x, g, w in zip(range(lo, hi + 1), got, want) if g != w)
     return points, failures
 
 

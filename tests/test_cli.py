@@ -295,9 +295,9 @@ CHILD_ENV["PYTHONPATH"] = os.pathsep.join(
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
 
 
-def child(*argv, **kwargs):
+def child(*argv, stderr=subprocess.PIPE, **kwargs):
     command = [sys.executable, "-m", "reinhardt.cli", *argv]
-    return subprocess.Popen(command, env=CHILD_ENV, stderr=subprocess.PIPE, **kwargs)
+    return subprocess.Popen(command, env=CHILD_ENV, stderr=stderr, **kwargs)
 
 
 def assert_one_error_line(code, err: bytes, starts="error: "):
@@ -315,6 +315,16 @@ def test_a_closed_pipe_is_one_error_line():
     err = proc.stderr.read()
     proc.stderr.close()
     assert_one_error_line(proc.wait(), err)
+
+
+def test_a_closed_pipe_that_also_holds_stderr_exits_2():
+    # as in `2>&1 | head -1`: the error line itself meets the closed pipe, and
+    # the run still ends with the exit code of an unwritable output
+    proc = child("series", "--k", "1,-1", "--box", "0:300,-300:300",
+                 stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    assert proc.stdout.readline() == b"0,-300,0\n"
+    proc.stdout.close()
+    assert proc.wait() == 2
 
 
 @needs_dev_full

@@ -29,8 +29,9 @@ from reinhardt.exact import (
     integrate_one_var,
 )
 from reinhardt.domains import normalize_spec
-from reinhardt.kernels import kernel_fat_hartogs
+from reinhardt.kernels import kernel_fat_hartogs, kernel_signature_one
 from reinhardt.norms import build_RS
+from reinhardt.series import expand_closed_form, series_coefficients_model, series_coefficients_oracle
 
 
 @st.composite
@@ -615,6 +616,139 @@ def test_chunk_equality():
     assert a == LaurentChunk([(0, 1)], {(0,): 1, (1,): 0})  # zero coefficients are dropped
     assert a != LaurentChunk([(0, 1)], {(1,): Fraction(1)})
     assert a != LaurentChunk([(0, 2)], {(0,): Fraction(1)})
+
+
+# -- the terms view ------------------------------------------------------------
+
+
+ROUTES = {
+    "closed_form": lambda k, box: expand_closed_form(kernel_signature_one(normalize_spec(k)), box),
+    "model": lambda k, box: series_coefficients_model(len(k), sum(e > 0 for e in k), box),
+    "oracle": lambda k, box: series_coefficients_oracle(normalize_spec(k), box),
+}
+ROUTE_SPECS = {
+    "closed_form": [(1, -1), (2, -3), (3, -4, -5)],
+    "model": [(1, -1, -1), (1, 1, -1), (1, 1, -1, -1)],
+    "oracle": [(1, -2), (2, 3, -4), (2, 1, -1, -3)],
+}
+ROUTE_WINDOWS = [
+    ("closed_form", (3, -4, -5), [(0, 3), (-3, 1), (-3, 1)]),
+    ("model", (1, 1, -1), [(-1, 1)] * 3),
+    ("oracle", (2, 3, -4), [(0, 1), (0, 1), (-2, 1)]),
+]
+
+
+def test_a_write_through_terms_lands_in_every_reader():
+    chunk = ROUTES["closed_form"](*ROUTE_WINDOWS[0][1:])
+    alpha = min(chunk.terms)
+    value = chunk.coefficient(alpha) + Fraction(1, 7)
+    chunk.terms[alpha] += Fraction(1, 7)  # as the benchmark injects a wrong coefficient
+    assert chunk.coefficient(alpha) == value and chunk.terms[alpha] == value
+    assert ",".join(map(str, alpha)) + f",{value}" in chunk.csv_rows()
+    assert {"exp": list(alpha), "coef": str(value)} in chunk.to_json_dict()["coefficients"]
+    # a write into a row of zeros starts that row, and the value rule holds
+    chunk = LaurentChunk([(0, 1), (0, 2)])
+    chunk.terms[(1, 2)] = Fraction(6, 3)
+    assert list(chunk.csv_rows()) == ["0,0,0", "0,1,0", "0,2,0", "1,0,0", "1,1,0", "1,2,2"]
+    assert chunk.rows == {(1,): [0, 0, 2]} and type(chunk.coefficient((1, 2))) is int
+    assert chunk.to_json_dict()["coefficients"] == [{"exp": [1, 2], "coef": "2"}]
+
+
+def test_writing_zero_removes_a_key_and_writing_outside_the_box_is_refused():
+    chunk = LaurentChunk([(0, 1), (-1, 1)], {(0, -1): 3, (0, 1): Fraction(1, 2)})
+    chunk.terms[(0, -1)] = 0
+    assert (0, -1) not in chunk.terms and dict(chunk.terms) == {(0, 1): Fraction(1, 2)}
+    del chunk.terms[(0, 1)]
+    assert not chunk.terms and chunk.rows == {}  # a row left all zeros is dropped
+    assert chunk == LaurentChunk([(0, 1), (-1, 1)])
+    with pytest.raises(KeyError):
+        del chunk.terms[(0, 1)]
+    for outside in [(2, 0), (0, 2), (-1, -1)]:
+        with pytest.raises(OutsideWindow):
+            chunk.terms[outside] = 1
+        assert chunk.terms.get(outside, 0) == 0 and outside not in chunk.terms
+    with pytest.raises(TypeError, match="window values must be ints or Fractions"):
+        chunk.terms[(0, 0)] = 0.5
+    assert chunk.rows == {}
+    with pytest.raises(AttributeError):
+        chunk.terms = {}  # the view has no setter: values live in the rows
+
+
+def test_terms_count_only_nonzero_values():
+    chunk = LaurentChunk([(0, 2), (0, 2)], {(0, 0): 1, (0, 1): 0, (2, 2): Fraction(2, 4)})
+    assert chunk.rows == {(0,): [1, 0, 0], (2,): [0, 0, Fraction(1, 2)]}
+    assert len(chunk.terms) == 2 and chunk.terms
+    assert chunk.terms == {(0, 0): 1, (2, 2): Fraction(1, 2)}
+    assert chunk.terms != {(0, 0): 1, (0, 1): 0, (2, 2): Fraction(1, 2)}
+    assert (0, 1) not in chunk.terms and chunk.coefficient((0, 1)) == 0
+    empty = LaurentChunk([(0, 2)])
+    assert len(empty.terms) == 0 and not empty.terms and empty.terms == {}
+
+
+@pytest.mark.parametrize("route, k, box", ROUTE_WINDOWS, ids=[w[0] for w in ROUTE_WINDOWS])
+def test_a_route_window_iterates_lexicographically(route, k, box):
+    keys = list(ROUTES[route](k, box).terms)
+    assert keys and keys == sorted(keys)
+
+
+@st.composite
+def route_windows(draw):
+    route = draw(st.sampled_from(sorted(ROUTES)))
+    k = draw(st.sampled_from(ROUTE_SPECS[route]))
+    box = []
+    for _ in k:
+        lo = draw(st.integers(-3, 1))
+        box.append((lo, lo + draw(st.integers(0, 3))))
+    return route, k, box
+
+
+@settings(max_examples=40, deadline=None)
+@given(route_windows())
+@example(ROUTE_WINDOWS[0])
+@example(ROUTE_WINDOWS[1])
+@example(ROUTE_WINDOWS[2])
+def test_a_window_rebuilt_from_its_terms_is_the_same_window(case):
+    route, k, box = case
+    chunk = ROUTES[route](k, box)
+    rebuilt = LaurentChunk(box, dict(chunk.terms))
+    assert rebuilt == chunk
+    assert list(rebuilt.csv_rows()) == list(chunk.csv_rows())
+    assert rebuilt.to_json_dict() == chunk.to_json_dict()
+    assert list(chunk.terms) == sorted(chunk.terms)
+
+
+@st.composite
+def windows_and_permutations(draw):
+    n = draw(st.integers(1, 4))
+    box = []
+    for _ in range(n):
+        lo = draw(st.integers(-3, 1))
+        box.append((lo, lo + draw(st.integers(0, 3))))
+    terms = {}
+    for _ in range(draw(st.integers(0, 10))):
+        alpha = tuple(draw(st.integers(lo, hi)) for lo, hi in box)
+        terms[alpha] = Fraction(draw(st.integers(-5, 5)), draw(st.sampled_from([1, 2, 3])))
+    return LaurentChunk(box, terms), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(windows_and_permutations())
+@example((LaurentChunk([(0, 1), (-1, 1)], {(0, -1): 1, (1, 1): Fraction(1, 2)}), [1, 0]))  # a transpose
+@example((LaurentChunk([(0, 1), (0, 2), (-1, 0)], {(1, 2, -1): 3}), [1, 0, 2]))  # the last axis stays
+def test_permuted_moves_every_value_to_its_relabelled_exponent(case):
+    chunk, perm = case
+    out = chunk.permuted(perm)
+    relabelled = {tuple(alpha[p] for p in perm): value for alpha, value in chunk.terms.items()}
+    assert out == LaurentChunk([chunk.box[p] for p in perm], relabelled)
+    assert list(out.terms) == sorted(out.terms)
+    before = dict(chunk.terms)
+    out.terms.clear()  # the new window shares no row with the old one
+    assert dict(chunk.terms) == before
+
+
+def test_permuted_needs_a_permutation():
+    with pytest.raises(ValueError, match="permutation"):
+        LaurentChunk([(0, 1), (0, 1)]).permuted([0, 0])
 
 
 # -- integer entries -----------------------------------------------------------
