@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import reinhardt.kernels
 import reinhardt.sampling
 from reinhardt.domains import normalize_spec
 from reinhardt.exact import DivergentIntegral
@@ -185,6 +186,39 @@ def test_shared_stream_equals_one_call_per_monomial(monkeypatch):
         assert (alone.accepted, alone.discarded, alone.samples, alone.seed) == (
             shared.accepted, shared.discarded, shared.samples, shared.seed,
         )
+
+
+@pytest.mark.parametrize("raw, alphas, z, hexes, counts", [
+    ((1, -1), [(0, 0), (0, 1), (1, -1)], (0.3 + 0.1j, 0.5 - 0.2j), [
+        ("0x1.f42e7857864c1p-1", "0x1.f20dc95bcc230p-8"),
+        ("0x1.f9268579ff6f9p-2", "-0x1.77285d2bb6d77p-3"),
+        ("0x1.b9cf39be1e320p-2", "0x1.771597fae9160p-2"),
+    ], (49_701, 146)),
+    ((2, -1, -3), [(0, 0, 0), (1, 0, -1)], (0.3 + 0.1j, 0.5 - 0.2j, 0.5 - 0.2j), [
+        ("-0x1.9a6af7dd868fdp-12", "0x1.2e3355999df49p-11"),
+        ("-0x1.53b0c0160ab99p-11", "-0x1.cec05f5f014d0p-12"),
+    ], (2_937, 23_875)),
+])
+def test_reproducing_discard_path_is_pinned(monkeypatch, raw, alphas, z, hexes, counts):
+    # a coarse singular guard makes the discard path carry weight, and a small
+    # chunk size spreads the stream over several chunks, the last one partial
+    monkeypatch.setattr(reinhardt.kernels, "SINGULAR_GUARD", 1e-2)
+    monkeypatch.setattr(reinhardt.sampling, "_CHUNK", 30_000)
+    result = check_reproducing(normalize_spec(raw), alphas, z, 100_000, SEED)
+    assert [(e.real.hex(), e.imag.hex()) for e in result.estimates] == hexes
+    assert (result.accepted, result.discarded) == counts
+
+
+@pytest.mark.parametrize("raw, alpha, hexes, accepted", [
+    ((1, 2, -1), (1, 0, -1), ("0x1.30a40ad31bf75p+5", "0x1.3d7471fbb423bp-1"), 83_240),
+    ((1, 1, -1, -2), (0, 1, 0, -1), ("0x1.4814ce7913adcp+4", "0x1.1e5845ec37252p-3"), 36_311),
+])
+def test_multi_chunk_norm_estimates_are_pinned(monkeypatch, raw, alpha, hexes, accepted):
+    # three full chunks and a partial fourth, on specs with two positive exponents
+    monkeypatch.setattr(reinhardt.sampling, "_CHUNK", 30_000)
+    est = mc_norm_estimate(alpha, normalize_spec(raw), 100_000, SEED)
+    assert (est.estimate.hex(), est.std_error.hex()) == hexes
+    assert est.accepted == accepted
 
 
 @pytest.mark.parametrize("alphas, z, message", [
