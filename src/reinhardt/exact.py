@@ -43,7 +43,7 @@ truncated; so is a window value that is neither an ``int`` nor a
 from __future__ import annotations
 
 import math
-from collections.abc import MutableMapping
+from collections.abc import ItemsView, MutableMapping, ValuesView
 from fractions import Fraction
 from itertools import product as _cartesian, repeat
 from operator import add, mul
@@ -719,8 +719,11 @@ class _Terms(MutableMapping):
     """The nonzero values of a :class:`LaurentChunk` by exponent tuple, kept in its rows.
 
     Iteration runs over the rows in their order and along each row, so a
-    window a series route fills iterates lexicographically.  Reading a zero
-    or a non-exponent is a ``KeyError`` (:class:`OutsideWindow` outside the
+    window a series route fills iterates lexicographically; ``items`` and
+    ``values`` walk the rows the same way, and a read of an exponent tuple
+    of ``int`` entries goes straight to its row, so reading the whole window
+    (``dict(chunk.terms)`` included) checks no key twice.  Reading a zero or
+    a non-exponent is a ``KeyError`` (:class:`OutsideWindow` outside the
     box); writing goes through the window's value rule, writing 0 removes
     the key, and writing outside the box raises :class:`OutsideWindow`.
     """
@@ -731,11 +734,26 @@ class _Terms(MutableMapping):
         self._chunk = chunk
 
     def __getitem__(self, alpha: tuple[int, ...]) -> int | Fraction:
+        chunk = self._chunk
+        if type(alpha) is tuple and len(alpha) == len(chunk.box):
+            # the lead of a stored row lies in the box, so a tuple of exact ints
+            # whose lead is stored needs only its last entry checked; any other
+            # key takes the full check below
+            for e in alpha:
+                if type(e) is not int:
+                    break
+            else:
+                row = chunk.rows.get(alpha[:-1])
+                i = alpha[-1] - chunk.box[-1][0]
+                if row is not None and 0 <= i < len(row):
+                    if not row[i]:
+                        raise KeyError(alpha)
+                    return row[i]
         try:
-            lead, i = self._chunk._position(alpha)
+            lead, i = chunk._position(alpha)
         except (TypeError, ValueError):
             raise KeyError(alpha) from None
-        row = self._chunk.rows.get(lead)
+        row = chunk.rows.get(lead)
         if row is None or not row[i]:
             raise KeyError(alpha)
         return row[i]
@@ -757,8 +775,31 @@ class _Terms(MutableMapping):
                 if value:
                     yield lead + (x,)
 
+    def items(self) -> ItemsView:
+        return _TermsItems(self)
+
+    def values(self) -> ValuesView:
+        return _TermsValues(self)
+
     def __len__(self) -> int:
         return sum(len(row) - row.count(0) for row in self._chunk.rows.values())
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
+
+
+class _TermsItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[tuple[int, ...], int | Fraction]]:
+        chunk = self._mapping._chunk
+        lo = chunk.box[-1][0]
+        for lead, row in chunk.rows.items():
+            yield from [((*lead, x), value) for x, value in enumerate(row, lo) if value]
+
+
+class _TermsValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[int | Fraction]:
+        return (value for row in self._mapping._chunk.rows.values() for value in row if value)

@@ -13,6 +13,10 @@ exp(i theta_j)`` uniform on ``H(k)``; for any integrand ``f``,
     Integral_{H(k)} f dV  ~  pi**n / N * sum_{accepted} f(w_i),
 
 since the cube has volume 1 and each polar fiber contributes ``pi**n``.
+The integrand is computed only on the shadow's rows of each chunk (about
+half of them on ``H(1, -1)``).  Each sum still runs over the whole chunk,
+with zeros at the rows outside, so numpy adds in the same pairwise order as
+if every row were computed and masked, and the estimates keep their bits.
 Estimates report a standard error from the same sample, so consumers can
 apply z-score tolerances.  A norm that the exact oracle finds infinite is
 refused before sampling, because the sample mean of a divergent integral is
@@ -77,19 +81,36 @@ def _shadow_mask(spec: DomainSpec, t: np.ndarray) -> np.ndarray:
     return lhs < rhs
 
 
-def _draws(spec: DomainSpec, rng: np.random.Generator, samples: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _draws(spec: DomainSpec, rng: np.random.Generator, samples: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """``samples`` uniform points of the unit cube, in chunks of at most ``_CHUNK``.
 
-    Yields ``(t, mask)`` per chunk, ``mask`` marking the points in the
-    shadow.  Each chunk is drawn only when asked for, so a caller that draws
-    from ``rng`` between chunks keeps its draws interleaved with them.
+    Yields ``(count, rows, inside)`` per chunk of ``count`` points:
+    ``rows`` are the indices of the points in the shadow, ascending, and
+    ``inside`` holds those points, one per row.  Each chunk is drawn only
+    when asked for, so a caller that draws from ``rng`` between chunks keeps
+    its draws interleaved with them.
     """
     done = 0
     while done < samples:
         count = min(_CHUNK, samples - done)
         t = rng.random((count, spec.n))
-        yield t, _shadow_mask(spec, t)
+        rows = np.flatnonzero(_shadow_mask(spec, t))
+        inside = t.take(rows, axis=0)
+        del t  # only the shadow's points stay in memory while the caller works
+        yield count, rows, inside
         done += count
+
+
+def _scattered(count: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A length-``count`` array of zeros holding ``values`` at ``rows``.
+
+    Sums run over this array, not over ``values`` alone: it is the array
+    that masking every row gives, so numpy's pairwise summation keeps its
+    order and the estimates their bits.
+    """
+    out = np.zeros(count, dtype=values.dtype)
+    out[rows] = values
+    return out
 
 
 @dataclass(frozen=True)
@@ -104,25 +125,28 @@ class McNormEstimate:
 def mc_norm_estimate(alpha: Sequence[int], spec: DomainSpec, samples: int, seed: int) -> McNormEstimate:
     """Monte-Carlo estimate of ``||z**alpha||^2`` on ``H(k)`` with its standard error.
 
-    The exact oracle is asked first: an infinite norm raises
-    :class:`~reinhardt.exact.DivergentIntegral` before any sample is drawn,
-    since the sample mean of a divergent integral is still a finite number.
+    Fewer than two samples are refused first.  Then the exact oracle is
+    asked: an infinite norm raises :class:`~reinhardt.exact.DivergentIntegral`
+    before any sample is drawn, since the sample mean of a divergent
+    integral is still a finite number.  ``t**alpha`` is computed on the
+    shadow's rows only; the sums run over the whole chunk, zeros included,
+    so the bits are those of masking every row.
     """
-    if not monomial_norm_oracle(alpha, spec).finite:
-        raise DivergentIntegral(f"||z**{tuple(alpha)}||^2 is infinite on {spec}; there is nothing to estimate")
     if samples < 2:
         raise ValueError("need at least two samples")
+    if not monomial_norm_oracle(alpha, spec).finite:
+        raise DivergentIntegral(f"||z**{tuple(alpha)}||^2 is infinite on {spec}; there is nothing to estimate")
     a = np.array(alpha, dtype=np.float64)
     total = 0.0
     total_sq = 0.0
     accepted = 0
-    for t, mask in _draws(spec, generator(seed), samples):
+    for count, rows, inside in _draws(spec, generator(seed), samples):
         with np.errstate(divide="ignore", invalid="ignore"):
-            powered = np.prod(t ** a, axis=1)
-        g = np.where(mask, powered, 0.0)
+            np.power(inside, a, out=inside)
+        g = _scattered(count, rows, np.prod(inside, axis=1))
         total += float(np.sum(g))
         total_sq += float(np.sum(g * g))
-        accepted += int(np.count_nonzero(mask))
+        accepted += len(rows)
     if accepted == 0:
         raise ArithmeticError("no sample landed in the shadow; cannot estimate")
     scale = math.pi ** spec.n
@@ -149,11 +173,12 @@ def kernel_values(kernel: RationalKernel, z: Sequence[complex], W: np.ndarray) -
     if np.ndim(W) != 2 or np.shape(W)[1] != n:
         raise ValueError(f"W has shape {np.shape(W)}, expected (points, {n})")
     zc = np.asarray(z, dtype=np.complex128)
-    T = zc[None, :] * np.conj(W)
-    num, den, ok = _float_parts(kernel, T.T, lambda c: np.full(len(W), c, dtype=np.complex128))
+    T = np.ascontiguousarray((zc[None, :] * np.conj(W)).T)  # one contiguous column of pairings per variable
+    num, den, ok = _float_parts(kernel, T, lambda c: np.full(len(W), c, dtype=np.complex128))
     values = np.zeros(len(W), dtype=np.complex128)
     np.divide(num, den, out=values, where=ok)
-    return values / math.pi ** kernel.n, ok
+    values /= math.pi ** kernel.n
+    return values, ok
 
 
 @dataclass(frozen=True)
@@ -185,7 +210,11 @@ def check_reproducing(
     """Monte-Carlo check of ``z**alpha = Integral w**alpha K(z, w) dV(w)`` for each ``alpha``.
 
     Samples uniformly on the domain, evaluates the kernel vectorized, and
-    discards (but counts) near-singular draws.  One stream serves every
+    discards (but counts) near-singular draws.  The phases are drawn for
+    every row of a chunk, so the stream does not depend on the shadow; the
+    points, kernel values and weights are computed on the shadow's rows
+    only, and each sum runs over the whole chunk with zeros elsewhere, so
+    the bits are those of masking every row.  One stream serves every
     monomial: each chunk's points and kernel values are computed once and
     weighted by each ``w**alpha`` in turn, so an exponent's estimate is the
     same whether it is checked alone or with others.  The reference value
@@ -209,17 +238,20 @@ def check_reproducing(
     totals = [0.0 + 0.0j] * len(powers)
     accepted = 0
     discarded = 0
-    for t, mask in _draws(spec, rng, samples):
-        theta = rng.random(t.shape) * (2.0 * math.pi)
-        W = np.sqrt(t) * np.exp(1j * theta)
+    for count, rows, inside in _draws(spec, rng, samples):
+        # phases for the whole chunk, so the stream does not depend on the shadow
+        theta = rng.random((count, n)).take(rows, axis=0)
+        W = np.sqrt(inside) * np.exp(1j * (theta * (2.0 * math.pi)))
         k_vals, ok = kernel_values(kernel, z, W)
-        use = mask & ok
+        if not ok.all():
+            keep = np.flatnonzero(ok)
+            discarded += len(rows) - len(keep)
+            rows, W, k_vals = rows.take(keep), W.take(keep, axis=0), k_vals.take(keep)
         for i, a in enumerate(powers):
             with np.errstate(divide="ignore", invalid="ignore"):
                 f_vals = np.prod(W ** a, axis=1)
-            totals[i] += complex(np.sum(np.where(use, f_vals * k_vals, 0.0)))
-        accepted += int(np.count_nonzero(use))
-        discarded += int(np.count_nonzero(mask & ~ok))
+            totals[i] += complex(np.sum(_scattered(count, rows, f_vals * k_vals)))
+        accepted += len(rows)
     estimates = tuple(math.pi ** n / samples * total for total in totals)
     return ReproducingCheck(
         alphas=tuple(tuple(alpha) for alpha in alphas),

@@ -112,6 +112,16 @@ def test_norm_mc_too_few_samples_is_a_usage_error(capsys):
     assert "Traceback" not in err
 
 
+def test_norm_mc_too_few_samples_of_an_infinite_norm_is_a_usage_error(capsys):
+    # the sample count is checked before the exact finiteness test, whatever alpha is
+    code, out, err = run(
+        capsys, "norm", "--k", "1,-1", "--alpha", "-1,0", "--oracle", "mc", "--samples", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: need at least two samples\n"
+
+
 def test_norm_mc_of_an_infinite_norm_reports_divergence(capsys):
     # the exact finiteness test runs first, so no finite mean of a divergent integral is printed
     code, out, err = run(

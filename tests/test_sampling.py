@@ -17,7 +17,7 @@ import reinhardt.kernels
 import reinhardt.sampling
 from reinhardt.domains import normalize_spec
 from reinhardt.exact import DivergentIntegral
-from reinhardt.kernels import kernel_model_sig1, kernel_signature_one
+from reinhardt.kernels import _float_parts, kernel_model_sig1, kernel_signature_one
 from reinhardt.sampling import (
     bell_residuals,
     check_bell_identity,
@@ -61,6 +61,18 @@ def test_estimate_guards():
         mc_norm_estimate((0,), HARTOGS, 1000, SEED)
     with pytest.raises(ValueError):
         mc_norm_estimate((0, 0), HARTOGS, 1, SEED)
+
+
+@pytest.mark.parametrize("samples", [1, 0, -5])
+def test_too_few_samples_are_refused_before_the_oracle(monkeypatch, samples):
+    # an infinite norm used to answer first, so a bad sample count passed unnoticed
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("asked the exact oracle before checking the sample count")
+
+    monkeypatch.setattr(reinhardt.sampling, "monomial_norm_oracle", no_oracle)
+    for alpha in [(0, 0), (-1, 0)]:
+        with pytest.raises(ValueError, match=r"^need at least two samples$"):
+            mc_norm_estimate(alpha, HARTOGS, samples, SEED)
 
 
 def test_estimate_length_error_names_alpha():
@@ -219,6 +231,74 @@ def test_multi_chunk_norm_estimates_are_pinned(monkeypatch, raw, alpha, hexes, a
     est = mc_norm_estimate(alpha, normalize_spec(raw), 100_000, SEED)
     assert (est.estimate.hex(), est.std_error.hex()) == hexes
     assert est.accepted == accepted
+
+
+def masked_reproducing(spec, alphas, z, samples, seed):
+    """check_reproducing's sums computed on every drawn row, then masked: the reference."""
+    kernel = kernel_signature_one(spec)
+    rng = generator(seed)
+    zc = np.asarray(z, dtype=np.complex128)
+    totals = [0j] * len(alphas)
+    accepted = discarded = done = 0
+    while done < samples:
+        t = rng.random((min(reinhardt.sampling._CHUNK, samples - done), spec.n))
+        mask = reinhardt.sampling._shadow_mask(spec, t)
+        W = np.sqrt(t) * np.exp(1j * (rng.random(t.shape) * (2.0 * math.pi)))
+        pairings = (zc[None, :] * np.conj(W)).T
+        num, den, ok = _float_parts(kernel, pairings, lambda c: np.full(len(W), c, dtype=np.complex128))
+        k_vals = np.zeros(len(W), dtype=np.complex128)
+        np.divide(num, den, out=k_vals, where=ok)
+        k_vals = k_vals / math.pi ** spec.n
+        for i, a in enumerate(alphas):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                f_vals = np.prod(W ** np.array(a, dtype=np.float64), axis=1)
+            totals[i] += complex(np.sum(np.where(mask & ok, f_vals * k_vals, 0.0)))
+        accepted += int(np.count_nonzero(mask & ok))
+        discarded += int(np.count_nonzero(mask & ~ok))
+        done += len(t)
+    return [math.pi ** spec.n / samples * total for total in totals], accepted, discarded
+
+
+def masked_norm(alpha, spec, samples, seed):
+    """mc_norm_estimate's two sums computed on every drawn row, then masked: the reference."""
+    rng = generator(seed)
+    total = total_sq = 0.0
+    done = 0
+    while done < samples:
+        t = rng.random((min(reinhardt.sampling._CHUNK, samples - done), spec.n))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            powered = np.prod(t ** np.array(alpha, dtype=np.float64), axis=1)
+        g = np.where(reinhardt.sampling._shadow_mask(spec, t), powered, 0.0)
+        total += float(np.sum(g))
+        total_sq += float(np.sum(g * g))
+        done += len(t)
+    return total, total_sq
+
+
+@pytest.mark.parametrize("guard", [1e-12, 1e-2])
+@pytest.mark.parametrize("raw, alphas, z", [
+    ((1, -1), [(0, 0), (0, 1), (1, -1)], (0.2, 0.6)),
+    ((3, -2), [(1, 0), (-1, 2)], (0.1 + 0.2j, 0.7 - 0.1j)),
+    ((2, -1, -3), [(0, 0, 0), (1, -1, 2)], (0.3 + 0.1j, 0.5 - 0.2j, 0.5 - 0.2j)),
+])
+def test_shadow_rows_only_equals_masking_every_row(monkeypatch, guard, raw, alphas, z):
+    # computing on the shadow's rows alone must not move a bit of any estimate
+    monkeypatch.setattr(reinhardt.kernels, "SINGULAR_GUARD", guard)
+    monkeypatch.setattr(reinhardt.sampling, "_CHUNK", 7_000)
+    spec = normalize_spec(raw)
+    for seed in (SEED, 7):
+        result = check_reproducing(spec, alphas, z, 20_000, seed)
+        estimates, accepted, discarded = masked_reproducing(spec, alphas, z, 20_000, seed)
+        assert [e.hex() for e in np.array(result.estimates).view(np.float64)] == [
+            e.hex() for e in np.array(estimates).view(np.float64)
+        ]
+        assert (result.accepted, result.discarded) == (accepted, discarded)
+        est = mc_norm_estimate(alphas[0], spec, 20_000, seed)
+        total, total_sq = masked_norm(alphas[0], spec, 20_000, seed)
+        mean = total / 20_000
+        variance = max(total_sq / 20_000 - mean * mean, 0.0) * 20_000 / 19_999
+        assert est.estimate.hex() == (math.pi ** spec.n * mean).hex()
+        assert est.std_error.hex() == (math.pi ** spec.n * math.sqrt(variance / 20_000)).hex()
 
 
 @pytest.mark.parametrize("alphas, z, message", [
