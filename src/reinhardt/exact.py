@@ -720,12 +720,11 @@ class _Terms(MutableMapping):
 
     Iteration runs over the rows in their order and along each row, so a
     window a series route fills iterates lexicographically; ``items`` and
-    ``values`` walk the rows the same way, and a read of an exponent tuple
-    of ``int`` entries goes straight to its row, so reading the whole window
-    (``dict(chunk.terms)`` included) checks no key twice.  Reading a zero or
-    a non-exponent is a ``KeyError`` (:class:`OutsideWindow` outside the
-    box); writing goes through the window's value rule, writing 0 removes
-    the key, and writing outside the box raises :class:`OutsideWindow`.
+    ``values`` walk the rows the same way and check no key, so
+    ``dict(chunk.terms.items())`` reads the whole window at row speed.
+    Reading a zero or a non-exponent is a ``KeyError`` (:class:`OutsideWindow`
+    outside the box); writing goes through the window's value rule, writing 0
+    removes the key, and writing outside the box raises :class:`OutsideWindow`.
     """
 
     __slots__ = ("_chunk",)
@@ -734,26 +733,11 @@ class _Terms(MutableMapping):
         self._chunk = chunk
 
     def __getitem__(self, alpha: tuple[int, ...]) -> int | Fraction:
-        chunk = self._chunk
-        if type(alpha) is tuple and len(alpha) == len(chunk.box):
-            # the lead of a stored row lies in the box, so a tuple of exact ints
-            # whose lead is stored needs only its last entry checked; any other
-            # key takes the full check below
-            for e in alpha:
-                if type(e) is not int:
-                    break
-            else:
-                row = chunk.rows.get(alpha[:-1])
-                i = alpha[-1] - chunk.box[-1][0]
-                if row is not None and 0 <= i < len(row):
-                    if not row[i]:
-                        raise KeyError(alpha)
-                    return row[i]
         try:
-            lead, i = chunk._position(alpha)
+            lead, i = self._chunk._position(alpha)
         except (TypeError, ValueError):
             raise KeyError(alpha) from None
-        row = chunk.rows.get(lead)
+        row = self._chunk.rows.get(lead)
         if row is None or not row[i]:
             raise KeyError(alpha)
         return row[i]
