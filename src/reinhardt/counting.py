@@ -31,10 +31,15 @@ from itertools import product as _cartesian
 from typing import Sequence
 
 from .domains import DomainSpec, lcm_data
+from .exact import _check_ints
 
 
 def pair_count(lam: int, mu: int) -> int:
-    """#{(x, y) : 0 <= x, y <= lam-1, x + y = mu}, by the closed form."""
+    """#{(x, y) : 0 <= x, y <= lam-1, x + y = mu}, by the closed form.
+
+    A ``lam`` or ``mu`` that is not an ``int`` is a ``TypeError``.
+    """
+    _check_ints("pair count", (lam, mu))
     if lam < 1:
         raise ValueError("lam must be a positive integer")
     if mu < 0 or mu > 2 * lam - 2:
@@ -56,12 +61,14 @@ def coefficient_C(beta: Sequence[int], spec: DomainSpec) -> int:
 
     Only signature-one specs have the closed form; others raise
     ``ValueError``.  ``beta`` may be any integer vector of length ``n``
-    (the count is simply 0 outside the support box).
+    (the count is simply 0 outside the support box); an entry that is not
+    an ``int`` is a ``TypeError``.
     """
     if spec.s != 1:
         raise ValueError(f"closed-form coefficients need signature 1, got {spec.s}")
     if len(beta) != spec.n:
         raise ValueError(f"beta has length {len(beta)}, expected {spec.n}")
+    _check_ints("beta", beta)
     K, ell, _ = lcm_data(spec)
     head = ell[0] * (beta[0] + 1)
     value = pair_count(K, 2 * K - head - 1)

@@ -54,6 +54,8 @@ class DomainSpec:
     Instances should be built through :func:`normalize_spec`, which sorts
     the positive entries ahead of the negative ones and divides out the
     gcd; the constructor enforces that the data is already in this shape.
+    It is also the one home of the rules every exponent vector obeys: at
+    least two entries, none zero, and both signs present.
     The signature ``s`` is the number of positive entries of ``k``.
     ``permutation[i]`` records which position of the caller's original
     vector ended up at normalized position ``i``.
@@ -102,29 +104,19 @@ class DomainSpec:
 def normalize_spec(entries: Sequence[int]) -> DomainSpec:
     """Normalize a raw exponent vector to its canonical :class:`DomainSpec`.
 
-    Positive entries are moved ahead of negative ones (stably, preserving
-    the input order inside each sign block) and the whole vector is divided
-    by the gcd of the absolute values, e.g. ``(-2, 4) -> (2, -1)``.
+    Positive entries are moved ahead of the rest (stably, preserving the
+    input order inside each block) and the whole vector is divided by the
+    gcd of the absolute values, e.g. ``(-2, 4) -> (2, -1)``.
 
-    Raises ``ValueError`` for vectors with fewer than two entries, zero
-    entries, or entries of only one sign, ``TypeError`` for a non-``int``.
+    Raises ``TypeError`` for a non-``int`` entry.  The vector's own rules
+    live in :class:`DomainSpec`, which raises ``ValueError`` for fewer than
+    two entries, a zero entry, or entries of only one sign.
     """
     values = list(entries)
-    if len(values) < 2:
-        raise ValueError("an exponent vector needs at least two entries")
     _check_ints("exponent", values)
-    if any(e == 0 for e in values):
-        raise ValueError("exponent entries must be nonzero")
-    positives = [(i, e) for i, e in enumerate(values) if e > 0]
-    negatives = [(i, e) for i, e in enumerate(values) if e < 0]
-    if not positives or not negatives:
-        raise ValueError("exponents must mix signs (at least one positive and one negative)")
-    ordered = positives + negatives
-    g = math.gcd(*[abs(e) for _, e in ordered])
-    return DomainSpec(
-        k=tuple(e // g for _, e in ordered),
-        permutation=tuple(i for i, _ in ordered),
-    )
+    order = [i for i, e in enumerate(values) if e > 0] + [i for i, e in enumerate(values) if e <= 0]
+    g = math.gcd(*values) or 1
+    return DomainSpec(k=tuple(values[i] // g for i in order), permutation=tuple(order))
 
 
 def model_spec(n: int, s: int) -> DomainSpec:

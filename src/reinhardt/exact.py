@@ -83,9 +83,11 @@ class SparsePoly:
     nonzero ``int`` coefficients; any other coefficient is a ``TypeError``.
     There is at least one variable, the last axis that rows run along.
     Instances are treated as immutable; all operations return new
-    polynomials.  :meth:`on_row` is the one evaluator: it restricts the
-    polynomial to the last variable and tabulates that along a row; a point
-    is the one-point row.
+    polynomials.  The constructor checks and merges ``terms``; every
+    operation whose result terms are already checked builds it with
+    :meth:`_raw` instead.  :meth:`on_row` is the one evaluator: it restricts
+    the polynomial to the last variable and tabulates that along a row; a
+    point is the one-point row.
     """
 
     __slots__ = ("nvars", "terms", "_by_last")
@@ -111,21 +113,18 @@ class SparsePoly:
                         del clean[exps]
         self.terms = clean
 
+    @staticmethod
+    def _raw(nvars: int, terms: dict[tuple[int, ...], int]) -> "SparsePoly":
+        """A polynomial holding ``terms`` as they are: already checked, merged and nonzero."""
+        out = SparsePoly.__new__(SparsePoly)
+        out.nvars, out.terms = nvars, terms
+        return out
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def constant(cls, nvars: int, c) -> "SparsePoly":
-        return cls(nvars, {(0,) * nvars: c})
-
-    @classmethod
     def one(cls, nvars: int) -> "SparsePoly":
-        return cls.constant(nvars, 1)
-
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> "SparsePoly":
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(nvars, {tuple(exps): 1})
+        return cls(nvars, {(0,) * nvars: 1})
 
     @classmethod
     def monomial(cls, nvars: int, exps: Sequence[int]) -> "SparsePoly":
@@ -158,15 +157,10 @@ class SparsePoly:
                 terms[exps] = acc
             else:
                 terms.pop(exps, None)
-        out = SparsePoly.__new__(SparsePoly)
-        out.nvars, out.terms = self.nvars, terms
-        return out
+        return SparsePoly._raw(self.nvars, terms)
 
     def __neg__(self) -> "SparsePoly":
-        out = SparsePoly.__new__(SparsePoly)
-        out.nvars = self.nvars
-        out.terms = {exps: -coef for exps, coef in self.terms.items()}
-        return out
+        return SparsePoly._raw(self.nvars, {exps: -coef for exps, coef in self.terms.items()})
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         if not isinstance(other, SparsePoly):
@@ -185,16 +179,10 @@ class SparsePoly:
                         terms[exps] = acc
                     else:
                         terms.pop(exps, None)
-            out = SparsePoly.__new__(SparsePoly)
-            out.nvars, out.terms = self.nvars, terms
-            return out
+            return SparsePoly._raw(self.nvars, terms)
         if isinstance(other, int):
-            if not other:
-                return SparsePoly(self.nvars)
-            out = SparsePoly.__new__(SparsePoly)
-            out.nvars = self.nvars
-            out.terms = {exps: coef * other for exps, coef in self.terms.items()}
-            return out
+            terms = {exps: coef * other for exps, coef in self.terms.items()} if other else {}
+            return SparsePoly._raw(self.nvars, terms)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -289,8 +277,9 @@ class SparsePoly:
             return power_cache[key]
 
         total = SparsePoly(self.nvars)
+        origin = (0,) * self.nvars
         for exps, coef in self.terms.items():
-            term = SparsePoly.constant(self.nvars, coef)
+            term = SparsePoly._raw(self.nvars, {origin: coef})
             for i, e in enumerate(exps):
                 if e:
                     term = term * var_power(i, e)
@@ -308,25 +297,21 @@ class SparsePoly:
             new = list(exps)
             new[index] -= 1
             terms[tuple(new)] = coef
-        out = SparsePoly.__new__(SparsePoly)
-        out.nvars, out.terms = self.nvars, terms
-        return out
+        return SparsePoly._raw(self.nvars, terms)
 
     def extended(self, nvars: int) -> "SparsePoly":
         """The same polynomial viewed in a larger variable ring."""
         if nvars < self.nvars:
             raise ValueError("cannot shrink the variable ring")
         pad = (0,) * (nvars - self.nvars)
-        return SparsePoly(nvars, {exps + pad: coef for exps, coef in self.terms.items()})
+        return SparsePoly._raw(nvars, {exps + pad: coef for exps, coef in self.terms.items()})
 
     def permuted(self, perm: Sequence[int]) -> "SparsePoly":
         """Relabel variables: new variable ``i`` is old variable ``perm[i]``."""
         if sorted(perm) != list(range(self.nvars)):
             raise ValueError("perm must be a permutation of the variables")
-        terms = {}
-        for exps, coef in self.terms.items():
-            terms[tuple(exps[perm[i]] for i in range(self.nvars))] = coef
-        return SparsePoly(self.nvars, terms)
+        terms = {tuple(exps[p] for p in perm): coef for exps, coef in self.terms.items()}
+        return SparsePoly._raw(self.nvars, terms)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -561,7 +546,11 @@ class LaurentChunk:
     value to the list of its values along the last axis, ``lo`` to ``hi``,
     zeros included; a lead with no entry is a row of zeros.  :attr:`terms`
     is a live view of the nonzero values keyed by exponent tuple, read from
-    and written to the rows.
+    and written to the rows.  The constructor's ``terms`` are written
+    through that view, so a key is checked in one place, ``_position``,
+    whichever way it comes in: a wrong length is a ``ValueError``, a
+    non-``int`` entry a ``TypeError`` and a key outside the box
+    :class:`OutsideWindow`.
 
     Values are exact: an ``int`` when integral, a reduced ``Fraction``
     otherwise (both go through :func:`_exact_ratio`).  Anything else,
@@ -583,15 +572,7 @@ class LaurentChunk:
         self.box = box
         self.rows: dict[tuple[int, ...], list[int | Fraction]] = {}
         if terms:
-            view = self.terms
-            for exps, coef in terms.items():
-                exps = tuple(exps)
-                if len(exps) != len(box):
-                    raise ValueError(f"exponent {exps} has {len(exps)} entries for a box of {len(box)} ranges")
-                _check_ints("exponent", exps)
-                if not self._inside(exps):
-                    raise ValueError(f"exponent {exps} lies outside the box {self.box}")
-                view[exps] = coef
+            self.terms.update(terms)
 
     @property
     def nvars(self) -> int:
@@ -606,16 +587,13 @@ class LaurentChunk:
         """The nonzero values by exponent tuple, a live view of :attr:`rows`."""
         return _Terms(self)
 
-    def _inside(self, exps: tuple[int, ...]) -> bool:
-        return all(lo <= e <= hi for e, (lo, hi) in zip(exps, self.box))
-
     def _position(self, alpha: Sequence[int]) -> tuple[tuple[int, ...], int]:
         """``(lead, i)``: the exponent ``alpha`` is entry ``i`` of the row ``lead``; outside the box is refused."""
         exps = tuple(alpha)
         if len(exps) != self.nvars:
-            raise ValueError("exponent length disagrees with nvars")
+            raise ValueError(f"exponent {exps} has {len(exps)} entries for a box of {self.nvars} ranges")
         _check_ints("exponent", exps)
-        if not self._inside(exps):
+        if not all(lo <= e <= hi for e, (lo, hi) in zip(exps, self.box)):
             raise OutsideWindow(f"exponent {exps} outside trusted box {self.box}")
         return exps[:-1], exps[-1] - self.box[-1][0]
 
@@ -719,9 +697,10 @@ class _Terms(MutableMapping):
     """The nonzero values of a :class:`LaurentChunk` by exponent tuple, kept in its rows.
 
     Iteration runs over the rows in their order and along each row, so a
-    window a series route fills iterates lexicographically; ``items`` and
-    ``values`` walk the rows the same way and check no key, so
-    ``dict(chunk.terms.items())`` reads the whole window at row speed.
+    window a series route fills iterates lexicographically.  That one row
+    walk is ``items``; iteration and ``values`` read it, and none of the
+    three checks a key, so ``dict(chunk.terms.items())`` reads the whole
+    window at row speed.
     Reading a zero or a non-exponent is a ``KeyError`` (:class:`OutsideWindow`
     outside the box); writing goes through the window's value rule, writing 0
     removes the key, and writing outside the box raises :class:`OutsideWindow`.
@@ -753,11 +732,7 @@ class _Terms(MutableMapping):
         self._chunk._put(*self._chunk._position(alpha), 0)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        lo = self._chunk.box[-1][0]
-        for lead, row in self._chunk.rows.items():
-            for x, value in enumerate(row, lo):
-                if value:
-                    yield lead + (x,)
+        return (alpha for alpha, _ in self.items())
 
     def items(self) -> ItemsView:
         return _TermsItems(self)
@@ -786,4 +761,4 @@ class _TermsValues(ValuesView):
     __slots__ = ()
 
     def __iter__(self) -> Iterator[int | Fraction]:
-        return (value for row in self._mapping._chunk.rows.values() for value in row if value)
+        return (value for _, value in self._mapping.items())

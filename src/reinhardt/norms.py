@@ -113,7 +113,7 @@ def build_RS(n: int, s: int) -> RSPair:
     _check_shape(n, s)
     S = SparsePoly.one(n)
     for j in range(s):
-        S = S * SparsePoly.variable(n, j)
+        S = S * SparsePoly.linear_form(n, {j: 1})
         for l in range(s, n):
             S = S * SparsePoly.linear_form(n, {j: 1, l: 1})
     if n == s:
@@ -125,7 +125,7 @@ def build_RS(n: int, s: int) -> RSPair:
     shrink = SparsePoly.one(n)
     for j in range(s):
         grow = grow * SparsePoly.linear_form(n, {j: 1, new: 1})
-        shrink = shrink * SparsePoly.variable(n, j)
+        shrink = shrink * SparsePoly.linear_form(n, {j: 1})
     reflect = {j: SparsePoly.linear_form(n, {j: 1, new: 1}) for j in range(s)}
     reflect.update({j: SparsePoly.linear_form(n, {j: 1, new: -1}) for j in range(s, n - 1)})
     bracket = prev * grow - prev.substitute(reflect) * shrink

@@ -214,21 +214,17 @@ def check_R_structure() -> CheckResult:
                 issues.append(f"R({n},{s}) inhomogeneous")
             if s in (1, n) and R != SparsePoly.one(n):
                 issues.append(f"R({n},{s}) != 1")
-            for j in range(s - 1):
+            for j in [*range(s - 1), *range(s, n - 1)]:
                 perm = list(range(n))
                 perm[j], perm[j + 1] = perm[j + 1], perm[j]
                 if R.permuted(perm) != R:
-                    issues.append(f"R({n},{s}) asymmetric in positive block at {j}")
-            for l in range(s, n - 1):
-                perm = list(range(n))
-                perm[l], perm[l + 1] = perm[l + 1], perm[l]
-                if R.permuted(perm) != R:
-                    issues.append(f"R({n},{s}) asymmetric in negative block at {l}")
+                    block = "positive" if j < s else "negative"
+                    issues.append(f"R({n},{s}) asymmetric in {block} block at {j}")
             for j in range(s):
                 if not R.substitute({j: SparsePoly(n)}):
                     issues.append(f"beta_{j+1} divides R({n},{s})")
                 for l in range(s, n):
-                    if not R.substitute({j: -SparsePoly.variable(n, l)}):
+                    if not R.substitute({j: SparsePoly.linear_form(n, {l: -1})}):
                         issues.append(f"(beta_{j+1}+beta_{l+1}) divides R({n},{s})")
     if build_RS(3, 2).R != SparsePoly.linear_form(3, {0: 1, 1: 1, 2: 1}):
         issues.append("R(3,2) != beta_1+beta_2+beta_3")

@@ -47,13 +47,16 @@ def test_normalize_examples():
 
 
 def test_normalize_rejects_degenerate_vectors():
-    with pytest.raises(ValueError):
+    # the three rules live in DomainSpec; normalize_spec reaches them
+    with pytest.raises(ValueError, match="^an exponent vector needs at least two entries$"):
         normalize_spec((1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^exponent entries must be nonzero$"):
         normalize_spec((1, 0, -1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^exponent entries must be nonzero$"):
+        normalize_spec((0, 0))
+    with pytest.raises(ValueError, match=r"^exponents must mix signs \(at least one positive and one negative\)$"):
         normalize_spec((1, 2, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^exponents must mix signs"):
         normalize_spec((-1, -2))
 
 

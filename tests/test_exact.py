@@ -28,6 +28,7 @@ from reinhardt.exact import (
     _exact_ratio,
     integrate_one_var,
 )
+from reinhardt.counting import coefficient_C, pair_count
 from reinhardt.domains import normalize_spec
 from reinhardt.kernels import kernel_fat_hartogs, kernel_signature_one
 from reinhardt.norms import build_RS
@@ -90,12 +91,13 @@ def test_poly_pow_rejects_negative_exponent():
 
 
 def test_poly_constructors():
-    x = SparsePoly.variable(3, 0)
-    y = SparsePoly.variable(3, 1)
+    x = SparsePoly.monomial(3, (1, 0, 0))
+    y = SparsePoly.linear_form(3, {1: 1})
     assert x + y == SparsePoly.linear_form(3, {0: 1, 1: 1})
-    assert reference_value(SparsePoly.linear_form(3, {2: -2}) + SparsePoly.constant(3, 5), (0, 0, 3)) == -1
+    assert reference_value(SparsePoly.linear_form(3, {2: -2}) + SparsePoly(3, {(0, 0, 0): 5}), (0, 0, 3)) == -1
     assert reference_value(-3 * SparsePoly.monomial(2, (1, 2)), (3, 2)) == -36
-    assert SparsePoly.constant(2, 0) == SparsePoly(2)
+    assert SparsePoly(2, {(0, 0): 0}) == SparsePoly(2)
+    assert 0 * SparsePoly.one(2) == SparsePoly(2)
 
 
 def test_poly_constructor_validation():
@@ -112,7 +114,7 @@ def test_poly_coefficients_are_integers():
     with pytest.raises(TypeError):
         SparsePoly(2, {(1, 0): Fraction(-5, 3)})
     with pytest.raises(TypeError):
-        SparsePoly.constant(1, 0.5)
+        SparsePoly(1, {(0,): 0.5})
     with pytest.raises(TypeError):
         SparsePoly.one(1) * Fraction(1, 2)
 
@@ -147,13 +149,13 @@ def test_poly_substitution_composes_with_evaluation(p, q, pt):
 
 def test_poly_substitute_example():
     p = SparsePoly(2, {(2, 0): 1, (0, 1): 1})  # x^2 + y
-    swapped = p.substitute({0: SparsePoly.variable(2, 1), 1: SparsePoly.variable(2, 0)})
+    swapped = p.substitute({0: SparsePoly.linear_form(2, {1: 1}), 1: SparsePoly.linear_form(2, {0: 1})})
     assert swapped == SparsePoly(2, {(0, 2): 1, (1, 0): 1})
 
 
 @given(polys())
 def test_poly_exact_division_undoes_multiplication(p):
-    x = SparsePoly.variable(2, 0)
+    x = SparsePoly.linear_form(2, {0: 1})
     assert (x * p).divide_exact_by_var(0) == p or not p
 
 
@@ -576,8 +578,25 @@ def test_chunk_coefficient_and_window():
 def test_chunk_constructor_validation():
     with pytest.raises(ValueError):
         LaurentChunk([(0, -1), (0, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(OutsideWindow):
         LaurentChunk([(0, 1)], {(5,): Fraction(1)})
+
+
+@pytest.mark.parametrize("key, error", [
+    ((0,), ValueError), ((0.5, 0), TypeError), ((2, 0), OutsideWindow),
+], ids=["wrong-length", "non-int", "outside-the-box"])
+def test_every_way_in_refuses_a_bad_key_alike(key, error):
+    # the constructor, a terms write and a read all go through one key check
+    box = [(0, 1), (0, 1)]
+    ways = {
+        "constructor": lambda: LaurentChunk(box, {key: 1}),
+        "terms write": lambda: LaurentChunk(box).terms.__setitem__(key, 1),
+        "coefficient": lambda: LaurentChunk(box).coefficient(key),
+    }
+    for way, call in ways.items():
+        with pytest.raises(Exception) as caught:
+            call()
+        assert caught.type is error, way
 
 
 def test_chunk_needs_a_last_axis():
@@ -786,7 +805,10 @@ def test_permuted_needs_a_permutation():
     (lambda: LaurentChunk(((0, 1), (0, 1))).coefficient((0.7, 0)), "0.7"),
     (lambda: kernel_fat_hartogs(1.5), "-1.5"),
     (lambda: FracExpSum(1, {((0,), (1.5,)): 1}), "1.5"),
-], ids=["spec", "poly-exponent", "chunk-box", "chunk-coefficient", "fat-hartogs", "log-power"])
+    (lambda: pair_count(1.5, 1), "1.5"),
+    (lambda: coefficient_C((0.0, 2), normalize_spec((1, -2))), "0.0"),
+], ids=["spec", "poly-exponent", "chunk-box", "chunk-coefficient", "fat-hartogs", "log-power",
+        "pair-count", "closed-form-coefficient"])
 def test_non_int_entries_are_refused_not_truncated(build, bad):
     # each of these once went through int() and silently dropped the fraction
     with pytest.raises(TypeError, match=rf"entries must be ints, got {bad}$"):

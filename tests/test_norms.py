@@ -193,7 +193,7 @@ def test_R_shares_no_linear_factor_with_S(n, s):
     for j in range(s):
         assert R.substitute({j: SparsePoly(n)})
         for l in range(s, n):
-            assert R.substitute({j: -SparsePoly.variable(n, l)})
+            assert R.substitute({j: SparsePoly.linear_form(n, {l: -1})})
 
 
 @given(

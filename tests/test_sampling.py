@@ -39,6 +39,13 @@ from reinhardt.verify import (
 HARTOGS = normalize_spec((1, -1))
 SEED = 20260818
 
+# The float.hex pins in this file were recorded with numpy 2.4.6 on CPython
+# 3.11.7, x86-64, with the SIMD extensions numpy.show_runtime() lists as
+# found: X86_V3, X86_V4, AVX512_ICL, AVX512_SPR.  The bits follow numpy's
+# choice of loop for each array layout, not only the arithmetic (a
+# transposed in-place product gave other last bits), so another numpy or
+# CPU may move them with no change here; such a move is never re-recorded.
+
 
 def test_estimates_are_bit_for_bit_reproducible():
     a = mc_norm_estimate((0, 0), HARTOGS, 50_000, SEED)

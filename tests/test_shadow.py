@@ -302,9 +302,9 @@ def test_parametric_integral_is_the_model_formula_for_every_beta(n, s):
     # positive-step forms, and the paper's ||z^alpha||^2 = pi^n R/S says
     # P * S == den * Q * R as polynomials in beta
     shadow = ParametricShadow(model_spec(n, s))
-    Q = SparsePoly.constant(n, shadow.den)
+    Q = SparsePoly(n, {(0,) * n: shadow.den})
     for f in shadow.forms:
-        Q = Q * (SparsePoly.linear_form(n, {j: c for j, c in enumerate(f[1:]) if c}) + SparsePoly.constant(n, f[0]))
+        Q = Q * (SparsePoly.linear_form(n, {j: c for j, c in enumerate(f[1:]) if c}) + SparsePoly(n, {(0,) * n: f[0]}))
     pair = build_RS(n, s)
     assert SparsePoly(n, shadow.numerator) * pair.S == Q * pair.R
     # and the chamber of the positive-step forms is the finiteness predicate:
