@@ -80,14 +80,6 @@ def _normalized(spec: DomainSpec, values: Sequence) -> tuple:
     return tuple(values[p] for p in spec.permutation)
 
 
-def _in_caller_order(spec: DomainSpec, values: Sequence) -> tuple:
-    """The inverse of :func:`_normalized`."""
-    out = [None] * spec.n
-    for i, p in enumerate(spec.permutation):
-        out[p] = values[i]
-    return tuple(out)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reinhardt",
@@ -178,7 +170,7 @@ def _cmd_series(args) -> int:
     else:
         chunk = series_coefficients_oracle(spec, box)
     if spec.permutation != tuple(range(spec.n)):
-        chunk = chunk.permuted(_in_caller_order(spec, range(spec.n)))
+        chunk = chunk.permuted(sorted(range(spec.n), key=spec.permutation.__getitem__))  # the inverse
     if args.format == "csv":
         sys.stdout.writelines(row + "\n" for row in chunk.csv_rows())
     else:

@@ -50,10 +50,10 @@ def pair_count(lam: int, mu: int) -> int:
 
 
 def pair_count_bruteforce(lam: int, mu: int) -> int:
-    """The same count by enumeration (test oracle for :func:`pair_count`)."""
+    """The same count by enumerating ``x``, which fixes ``y = mu - x`` (test oracle for :func:`pair_count`)."""
     if lam < 1:
         raise ValueError("lam must be a positive integer")
-    return sum(1 for x in range(lam) for y in range(lam) if x + y == mu)
+    return sum(1 for x in range(lam) if 0 <= mu - x < lam)
 
 
 def coefficient_C(beta: Sequence[int], spec: DomainSpec) -> int:

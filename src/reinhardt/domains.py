@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import _check_ints
+from .exact import _check_ints, _check_permutation
 
 
 def shifted(alpha: Sequence[int]) -> tuple[int, ...]:
@@ -58,7 +58,7 @@ class DomainSpec:
     least two entries, none zero, and both signs present.
     The signature ``s`` is the number of positive entries of ``k``.
     ``permutation[i]`` records which position of the caller's original
-    vector ended up at normalized position ``i``.
+    vector ended up at normalized position ``i``; ``exact._check_permutation`` checks it.
     """
 
     k: tuple[int, ...]
@@ -81,8 +81,8 @@ class DomainSpec:
             raise ValueError("normalized exponents must have gcd 1")
         if not self.permutation:
             object.__setattr__(self, "permutation", tuple(range(len(k))))
-        elif sorted(self.permutation) != list(range(len(k))):
-            raise ValueError("permutation must be a permutation of 0..n-1")
+        else:
+            _check_permutation(self.permutation, len(k))
 
     @property
     def n(self) -> int:

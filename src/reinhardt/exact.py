@@ -45,8 +45,7 @@ from __future__ import annotations
 import math
 from collections.abc import ItemsView, MutableMapping, ValuesView
 from fractions import Fraction
-from itertools import product as _cartesian, repeat
-from operator import add, mul
+from itertools import product as _cartesian
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -63,6 +62,13 @@ def _check_ints(what: str, values: Iterable) -> None:
     for x in values:
         if not isinstance(x, int):
             raise TypeError(f"{what} entries must be ints, got {x!r}")
+
+
+def _check_permutation(perm: Sequence[int], n: int) -> None:
+    """Refuse ``perm`` unless its entries are ``int``s and each of ``0..n-1`` appears once."""
+    _check_ints("permutation", perm)
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"permutation must hold each of 0..{n - 1} once, got {tuple(perm)}")
 
 
 def _exact_ratio(num: int, den: int) -> int | Fraction:
@@ -232,11 +238,11 @@ class SparsePoly:
 
         The leading coordinates are fixed once: the polynomial restricted to
         the last variable is a short ``int`` coefficient list, tabulated over
-        ``xs`` by Horner's rule.  Its layout, each term's coefficient and
-        nonzero leading factors grouped by its last exponent, is built on
-        first use and kept.  A ``lead`` or ``xs`` entry that is not an
-        ``int`` is a ``TypeError`` naming it (a ``range`` holds only ints,
-        so it is not scanned).
+        ``xs`` by Horner's rule, one ``p * x + c`` list per step.  Its layout,
+        each term's coefficient and nonzero leading factors grouped by its
+        last exponent, is built on first use and kept.  A ``lead`` or ``xs``
+        entry that is not an ``int`` is a ``TypeError`` naming it (a
+        ``range`` holds only ints, so it is not scanned).
         """
         if len(lead) != self.nvars - 1:
             raise ValueError(f"a row needs {self.nvars - 1} leading coordinates, got {len(lead)}")
@@ -257,9 +263,9 @@ class SparsePoly:
                     num *= lead[i] ** e
                 c += num
             coeffs.append(c)
-        values = [coeffs.pop()] * len(xs)
-        while coeffs:
-            values = list(map(add, map(mul, values, xs), repeat(coeffs.pop())))
+        values = [coeffs[-1]] * len(xs)
+        for c in reversed(coeffs[:-1]):
+            values = [p * x + c for p, x in zip(values, xs)]
         return values
 
     def substitute(self, mapping: Mapping[int, "SparsePoly"]) -> "SparsePoly":
@@ -307,9 +313,8 @@ class SparsePoly:
         return SparsePoly._raw(nvars, {exps + pad: coef for exps, coef in self.terms.items()})
 
     def permuted(self, perm: Sequence[int]) -> "SparsePoly":
-        """Relabel variables: new variable ``i`` is old variable ``perm[i]``."""
-        if sorted(perm) != list(range(self.nvars)):
-            raise ValueError("perm must be a permutation of the variables")
+        """Relabel variables: new variable ``i`` is old variable ``perm[i]`` (checked by :func:`_check_permutation`)."""
+        _check_permutation(perm, self.nvars)
         terms = {tuple(exps[p] for p in perm): coef for exps, coef in self.terms.items()}
         return SparsePoly._raw(self.nvars, terms)
 
@@ -614,10 +619,6 @@ class LaurentChunk:
         row = self.rows.get(lead)
         return 0 if row is None else row[i]
 
-    def box_points(self) -> Iterator[tuple[int, ...]]:
-        """All exponents in the box, lexicographically."""
-        return _cartesian(*(range(lo, hi + 1) for lo, hi in self.box))
-
     def permuted(self, perm: Sequence[int]) -> "LaurentChunk":
         """The same window with relabelled variables: new variable ``i`` is old variable ``perm[i]``.
 
@@ -625,11 +626,10 @@ class LaurentChunk:
         axis stays last, each row moves whole to its relabelled lead.
         Otherwise the new last axis is an old lead coordinate ``j``: the old
         rows that differ only in ``j`` stack, in the order of ``j``, into a
-        matrix whose columns are the new rows.
+        matrix whose columns are the new rows.  :func:`_check_permutation` checks ``perm``.
         """
         n = self.nvars
-        if sorted(perm) != list(range(n)):
-            raise ValueError("perm must be a permutation of the variables")
+        _check_permutation(perm, n)
         out = LaurentChunk([self.box[p] for p in perm])
         if perm[-1] == n - 1:
             rows = {tuple(lead[p] for p in perm[:-1]): list(row) for lead, row in self.rows.items()}
@@ -660,7 +660,7 @@ class LaurentChunk:
     def csv_rows(self) -> Iterator[str]:
         """One row per box point (zeros included): ``a_1,...,a_n,coefficient``.
 
-        Rows come in :meth:`box_points` order.  The last-axis fields
+        Rows come in lexicographic order of the exponents.  The last-axis fields
         ``"x,"`` are formatted once and zipped with each stored row's values;
         a row of zeros takes fields already ending in ``0``.  The leading
         ``a_1,...,a_{n-1},`` is formatted once per row.

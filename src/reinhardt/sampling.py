@@ -22,6 +22,14 @@ apply z-score tolerances.  A norm that the exact oracle finds infinite is
 refused before sampling, because the sample mean of a divergent integral is
 still a finite number.
 
+The bits follow numpy's loop choice, so a float rewrite is checked bit for
+bit.  As ``uint64`` on a chunk of (1,-1), (2,-1,-3), (3,-2), (1,-1,-1,-2)
+(numpy 2.4.6, AVX-512), layout alone moved no bit of ``np.power`` or
+``zc[None, :] * np.conj(W)``.  A scalar exponent 2, -1 or 1/2 moves ~5%
+against an exponent array, so F-ordered ``np.power(inside, a)`` did on
+(2,-1,-3), (3,-2); swapped product operands did on all four (26-29%);
+F- vs C-ordered ``np.prod(W ** a, axis=1)`` on all but (1,-1) (49-77%).
+
 Two identity checks live here because only numerics can see them whole:
 
 * the reproducing property ``f(z) = Integral f(w) K(z, w) dV(w)`` for

@@ -29,7 +29,7 @@ from reinhardt.exact import (
     integrate_one_var,
 )
 from reinhardt.counting import coefficient_C, pair_count
-from reinhardt.domains import normalize_spec
+from reinhardt.domains import DomainSpec, normalize_spec
 from reinhardt.kernels import kernel_fat_hartogs, kernel_signature_one
 from reinhardt.norms import build_RS
 from reinhardt.series import expand_closed_form, series_coefficients_model, series_coefficients_oracle
@@ -572,7 +572,7 @@ def test_chunk_coefficient_and_window():
         chunk.coefficient((3, 0))
     with pytest.raises(ValueError):
         chunk.coefficient((0,))
-    assert len(list(chunk.box_points())) == 5 * 4
+    assert len(list(chunk.csv_rows())) == 5 * 4
 
 
 def test_chunk_constructor_validation():
@@ -793,6 +793,23 @@ def test_permuted_moves_every_value_to_its_relabelled_exponent(case):
 def test_permuted_needs_a_permutation():
     with pytest.raises(ValueError, match="permutation"):
         LaurentChunk([(0, 1), (0, 1)]).permuted([0, 0])
+
+
+RELABELLINGS = {
+    "SparsePoly.permuted": lambda perm: SparsePoly(2, {(1, 2): 3}).permuted(perm),
+    "LaurentChunk.permuted": lambda perm: LaurentChunk([(0, 1), (-1, 1)], {(1, -1): 2}).permuted(perm),
+    "DomainSpec": lambda perm: DomainSpec(k=(1, -1), permutation=perm),
+}
+
+
+@pytest.mark.parametrize("relabel", RELABELLINGS.values(), ids=RELABELLINGS.keys())
+@pytest.mark.parametrize("perm, error, message", [
+    ([1.0, 0], TypeError, r"1\.0"), ([0, 0], ValueError, "permutation"), ([0], ValueError, "permutation"),
+], ids=["float-entry", "repeated-entry", "too-short"])
+def test_every_relabelling_checks_its_permutation_alike(relabel, perm, error, message):
+    # one rule: int entries, each of 0..n-1 once; a float equal to an int is refused by name
+    with pytest.raises(error, match=message):
+        relabel(perm)
 
 
 # -- integer entries -----------------------------------------------------------

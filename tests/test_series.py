@@ -379,7 +379,7 @@ def test_annihilator_flattens_hartogs_series():
     flat = apply_annihilating_operator(2, 1, series)
     S = build_RS(2, 1).S
     assert flat.box == ((-2, 4), (-2, 4))
-    for gamma in flat.box_points():
+    for gamma in box_points(flat.box):
         beta = gamma  # after the shift, gamma plays the role of beta
         expected = reference_value(S, beta) if beta[0] > 0 and beta[0] + beta[1] > 0 else 0
         assert flat.coefficient(gamma) == expected

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 import reinhardt.verify as verify
@@ -34,3 +36,25 @@ def test_the_suite_table_keeps_the_report_order():
     assert list(verify.SUITES) == [
         "combinatorics", "norms", "coefficient-match", "bell", "reproducing", "rationality-diagnostic",
     ]
+
+
+def test_expansion_check_counts_each_differing_point_once(monkeypatch):
+    # a changed value, a value the oracle lacks and one the closed form lacks
+    # are three points, whichever window holds a nonzero value at each
+    real = verify.series_coefficients_oracle
+
+    def perturbed(spec, box):
+        window = real(spec, box)
+        changed, dropped = list(window.terms)[:2]
+        window.terms[changed] += Fraction(1, 7)
+        window.terms[dropped] = 0
+        corner = tuple(lo for lo, _ in box)
+        assert corner not in window.terms
+        window.terms[corner] = 5
+        return window
+
+    monkeypatch.setattr(verify, "series_coefficients_oracle", perturbed)
+    result = verify.check_expansion_vs_oracle()
+    assert not result.passed
+    assert result.detail.startswith("5814 Laurent coefficients across 6 specs")
+    assert result.detail.count(": 3 coefficients differ") == len(verify.CENTRAL_SPECS)
