@@ -231,6 +231,10 @@ def test_reproducing_discard_path_is_pinned(monkeypatch, raw, alphas, z, hexes, 
 @pytest.mark.parametrize("raw, alpha, hexes, accepted", [
     ((1, 2, -1), (1, 0, -1), ("0x1.30a40ad31bf75p+5", "0x1.3d7471fbb423bp-1"), 83_240),
     ((1, 1, -1, -2), (0, 1, 0, -1), ("0x1.4814ce7913adcp+4", "0x1.1e5845ec37252p-3"), 36_311),
+    # one-column sign blocks of exponent 2, and integrands with the entries 2 and -1:
+    # numpy's square and reciprocal loops move bits against its general power loop
+    ((2, -1, -3), (2, -1, 1), ("0x1.0cd63b2fddaacp+0", "0x1.5799f9f42365ep-7"), 26_695),
+    ((1, 1, -2), (2, 1, -1), ("0x1.122f558f95117p+1", "0x1.a857b74ee21dbp-7"), 55_349),
 ])
 def test_multi_chunk_norm_estimates_are_pinned(monkeypatch, raw, alpha, hexes, accepted):
     # three full chunks and a partial fourth, on specs with two positive exponents
