@@ -54,8 +54,11 @@ class DomainSpec:
     Instances should be built through :func:`normalize_spec`, which sorts
     the positive entries ahead of the negative ones and divides out the
     gcd; the constructor enforces that the data is already in this shape.
-    It is also the one home of the rules every exponent vector obeys: at
-    least two entries, none zero, and both signs present.
+    It is also the one home of the rules every exponent vector obeys:
+    ``int`` entries (a ``float`` or ``bool`` is a ``TypeError``), at least
+    two of them, none zero, and both signs present.  ``k`` and
+    ``permutation`` are stored as tuples, so a spec built from lists
+    hashes and compares like one built from tuples.
     The signature ``s`` is the number of positive entries of ``k``.
     ``permutation[i]`` records which position of the caller's original
     vector ended up at normalized position ``i``; ``exact._check_permutation`` checks it.
@@ -66,7 +69,11 @@ class DomainSpec:
     permutation: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        k = self.k
+        k = tuple(self.k)
+        for e in k:
+            if isinstance(e, bool) or not isinstance(e, int):
+                raise TypeError(f"exponent entries must be ints, got {e!r}")
+        object.__setattr__(self, "k", k)
         if len(k) < 2:
             raise ValueError("an exponent vector needs at least two entries")
         if any(e == 0 for e in k):
@@ -83,6 +90,7 @@ class DomainSpec:
             object.__setattr__(self, "permutation", tuple(range(len(k))))
         else:
             _check_permutation(self.permutation, len(k))
+            object.__setattr__(self, "permutation", tuple(self.permutation))
 
     @property
     def n(self) -> int:

@@ -30,6 +30,16 @@ against an exponent array, so F-ordered ``np.power(inside, a)`` did on
 (2,-1,-3), (3,-2); swapped product operands did on all four (26-29%);
 F- vs C-ordered ``np.prod(W ** a, axis=1)`` on all but (1,-1) (49-77%).
 
+So the shadow mask and ``t**alpha`` are products of whole columns
+(``_power_product``), taken left to right, which a real row reduction
+equals bit for bit whatever the layout.  numpy's iterator gives a
+one-column block such as ``t[:, :1] ** k[:1]`` a stride-0 exponent, which
+takes the square, reciprocal and sqrt loops, so a one-column block keeps
+that form; a wider block takes the general power loop, so each of its
+exponents fills a full-length column.  The complex ``W ** a`` product stays
+a row reduction over a C-ordered array; zero exponents are left out of it,
+since ``w**0`` is 1.
+
 Two identity checks live here because only numerics can see them whole:
 
 * the reproducing property ``f(z) = Integral f(w) K(z, w) dV(w)`` for
@@ -80,13 +90,35 @@ def generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,))))
 
 
+def _power_product(cols: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """The row products ``prod_j cols[j] ** exps[j]``, multiplied left to right into one column.
+
+    ``cols`` holds one column per exponent, e.g. ``t[:, :s].T``.  The bits
+    equal those of ``np.prod(cols.T ** exps, axis=1)``: a one-column block
+    keeps its exponent at stride 0, as numpy's iterator gives that form,
+    so an exponent 2, -1 or 1/2 takes the square, reciprocal or sqrt loop;
+    a wider block takes the general power loop, so each of its exponents
+    fills a full-length column (a scalar there would move ~5% of the
+    entries).  A real product taken left to right equals the row reduction
+    whatever the layout.
+    """
+    if len(exps) == 1:
+        return np.power(cols[0], exps)
+    out = np.full(len(cols[0]), exps[0])
+    np.power(cols[0], out, out=out)
+    power = np.empty_like(out)
+    for col, e in zip(cols[1:], exps[1:]):
+        power.fill(e)
+        np.power(col, power, out=power)
+        out *= power
+    return out
+
+
 def _shadow_mask(spec: DomainSpec, t: np.ndarray) -> np.ndarray:
     s = spec.s
     k = np.array(spec.k[:s], dtype=np.float64)
     kb = np.array([abs(e) for e in spec.k[s:]], dtype=np.float64)
-    lhs = np.prod(t[:, :s] ** k, axis=1)
-    rhs = np.prod(t[:, s:] ** kb, axis=1)
-    return lhs < rhs
+    return _power_product(t[:, :s].T, k) < _power_product(t[:, s:].T, kb)
 
 
 def _draws(spec: DomainSpec, rng: np.random.Generator, samples: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -150,8 +182,7 @@ def mc_norm_estimate(alpha: Sequence[int], spec: DomainSpec, samples: int, seed:
     accepted = 0
     for count, rows, inside in _draws(spec, generator(seed), samples):
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.power(inside, a, out=inside)
-        g = _scattered(count, rows, np.prod(inside, axis=1))
+            g = _scattered(count, rows, _power_product(inside.T, a))
         total += float(np.sum(g))
         total_sq += float(np.sum(g * g))
         accepted += len(rows)
@@ -243,6 +274,7 @@ def check_reproducing(
     powers = [np.array(alpha, dtype=np.float64) for alpha in alphas]
     zc = np.asarray(z, dtype=np.complex128)
     references = tuple(complex(np.prod(zc ** a)) for a in powers)
+    factors = [(np.flatnonzero(a), a[a != 0]) for a in powers]  # w_j**0 is 1: only the others are raised
     totals = [0.0 + 0.0j] * len(powers)
     accepted = 0
     discarded = 0
@@ -255,10 +287,13 @@ def check_reproducing(
             keep = np.flatnonzero(ok)
             discarded += len(rows) - len(keep)
             rows, W, k_vals = rows.take(keep), W.take(keep, axis=0), k_vals.take(keep)
-        for i, a in enumerate(powers):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                f_vals = np.prod(W ** a, axis=1)
-            totals[i] += complex(np.sum(_scattered(count, rows, f_vals * k_vals)))
+        for i, (cols, a) in enumerate(factors):
+            weighted = k_vals
+            if len(cols):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    # take keeps the subset C-ordered, which the complex row product's bits need
+                    weighted = np.prod(W.take(cols, axis=1) ** a, axis=1) * k_vals
+            totals[i] += complex(np.sum(_scattered(count, rows, weighted)))
         accepted += len(rows)
     estimates = tuple(math.pi ** n / samples * total for total in totals)
     return ReproducingCheck(

@@ -83,6 +83,22 @@ def test_spec_constructor_enforces_normal_form():
         DomainSpec(k=(1, -1), permutation=(0, 0))
 
 
+@pytest.mark.parametrize("k, bad", [((1.0, -1), "1.0"), ((True, -1), "True"), ((2, -1, -3.0), "-3.0")])
+def test_spec_constructor_refuses_non_int_exponents(k, bad):
+    # a float used to fail inside math.gcd, and True passed as 1 and printed as H(True, -1)
+    with pytest.raises(TypeError, match=rf"^exponent entries must be ints, got {re.escape(bad)}$"):
+        DomainSpec(k=k)
+
+
+def test_spec_built_from_lists_equals_the_tuple_spec():
+    from_lists = DomainSpec(k=[2, -1], permutation=[1, 0])
+    from_tuples = DomainSpec(k=(2, -1), permutation=(1, 0))
+    assert (from_lists.k, from_lists.permutation) == ((2, -1), (1, 0))
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+    assert {from_lists, from_tuples} == {from_tuples}
+
+
 def test_spec_str_and_properties():
     spec = normalize_spec((1, -1))
     assert str(spec) == "H(1, -1)"
