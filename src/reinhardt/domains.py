@@ -76,15 +76,15 @@ class DomainSpec:
         object.__setattr__(self, "k", k)
         if len(k) < 2:
             raise ValueError("an exponent vector needs at least two entries")
-        if any(e == 0 for e in k):
+        if 0 in k:
             raise ValueError("exponent entries must be nonzero")
-        s = sum(1 for e in k if e > 0)
+        s = sum(e > 0 for e in k)
         if s == 0 or s == len(k):
             raise ValueError("exponents must mix signs (at least one positive and one negative)")
         object.__setattr__(self, "s", s)
-        if any(e <= 0 for e in k[:s]) or any(e >= 0 for e in k[s:]):
+        if min(k[:s]) < 0 or max(k[s:]) > 0:
             raise ValueError("normalized exponents must list positive entries first")
-        if math.gcd(*[abs(e) for e in k]) != 1:
+        if math.gcd(*k) != 1:
             raise ValueError("normalized exponents must have gcd 1")
         if not self.permutation:
             object.__setattr__(self, "permutation", tuple(range(len(k))))

@@ -93,14 +93,13 @@ def generator(seed: int) -> np.random.Generator:
 def _power_product(cols: np.ndarray, exps: np.ndarray) -> np.ndarray:
     """The row products ``prod_j cols[j] ** exps[j]``, multiplied left to right into one column.
 
-    ``cols`` holds one column per exponent, e.g. ``t[:, :s].T``.  The bits
-    equal those of ``np.prod(cols.T ** exps, axis=1)``: a one-column block
-    keeps its exponent at stride 0, as numpy's iterator gives that form,
-    so an exponent 2, -1 or 1/2 takes the square, reciprocal or sqrt loop;
-    a wider block takes the general power loop, so each of its exponents
-    fills a full-length column (a scalar there would move ~5% of the
-    entries).  A real product taken left to right equals the row reduction
-    whatever the layout.
+    ``cols`` holds one column per exponent, e.g. ``t[:, :s].T``, and the
+    bits are those of ``np.prod(cols.T ** exps, axis=1)`` under one rule:
+    a one-column block keeps a stride-0 exponent, as numpy's iterator gives
+    the row form, so 2, -1 and 1/2 take the square, reciprocal and sqrt
+    loops; in a wider block each exponent fills a full-length column and
+    takes the general power loop.  The wrong form for either width moves
+    ~5% of the entries.
     """
     if len(exps) == 1:
         return np.power(cols[0], exps)
