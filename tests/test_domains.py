@@ -96,7 +96,6 @@ def test_spec_built_from_lists_equals_the_tuple_spec():
     assert (from_lists.k, from_lists.permutation) == ((2, -1), (1, 0))
     assert from_lists == from_tuples
     assert hash(from_lists) == hash(from_tuples)
-    assert {from_lists, from_tuples} == {from_tuples}
 
 
 def test_spec_str_and_properties():
