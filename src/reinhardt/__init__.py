@@ -5,6 +5,11 @@ vectors, compute monomial norms on model domains and (by exact iterated
 integration) on arbitrary ``H(k)``, expand kernels into exact Laurent
 coefficient windows, and verify everything through independent routes —
 shadow integrals, annihilating operators, branch sums, and Monte-Carlo.
+
+The exact layers never touch numpy, so ``import reinhardt`` does not load
+it: the six :mod:`reinhardt.sampling` names and ``run_suites`` are resolved
+on first use (PEP 562), and only sampling — ``norm --oracle mc`` and the
+bell and reproducing suites of ``verify`` — imports numpy.
 """
 
 from .counting import coefficient_C, index_set, pair_count, pair_count_bruteforce
@@ -26,14 +31,6 @@ from .kernels import (
     kernel_thin_hartogs,
 )
 from .norms import RSPair, build_RS, monomial_norm_model
-from .sampling import (
-    McNormEstimate,
-    ReproducingCheck,
-    bell_residuals,
-    check_bell_identity,
-    check_reproducing,
-    mc_norm_estimate,
-)
 from .series import (
     apply_annihilating_operator,
     expand_closed_form,
@@ -43,7 +40,6 @@ from .series import (
     slice_coefficients,
 )
 from .shadow import ParametricShadow, monomial_norm_oracle, shadow_integral_exact
-from .verify import run_suites
 
 __version__ = "0.1.0"
 
@@ -89,3 +85,27 @@ __all__ = [
     "shadow_integral_exact",
     "slice_coefficients",
 ]
+
+#: Exported names whose module is imported on first use: sampling needs numpy.
+_LAZY = {
+    "McNormEstimate": "sampling",
+    "ReproducingCheck": "sampling",
+    "bell_residuals": "sampling",
+    "check_bell_identity": "sampling",
+    "check_reproducing": "sampling",
+    "mc_norm_estimate": "sampling",
+    "run_suites": "verify",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

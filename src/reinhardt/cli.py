@@ -39,7 +39,6 @@ from typing import Sequence
 from .domains import DomainSpec, NormValue, normalize_spec
 from .exact import DivergentIntegral
 from .kernels import kernel_signature_one
-from .sampling import mc_norm_estimate
 from .series import expand_closed_form, series_coefficients_model, series_coefficients_oracle
 from .shadow import monomial_norm_oracle
 from .verify import DEFAULT_SEED, SUITES, run_suites
@@ -142,6 +141,8 @@ def _cmd_norm(args) -> int:
     if args.oracle == "exact":
         print(monomial_norm_oracle(alpha, spec))
         return 0
+    from .sampling import mc_norm_estimate  # numpy loads only for the commands that sample
+
     try:
         result = mc_norm_estimate(alpha, spec, args.samples, args.seed)
     except DivergentIntegral:

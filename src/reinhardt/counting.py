@@ -23,6 +23,13 @@ and in fact already on the smaller box ``G*`` where each coordinate with
 ``ell_b == 1`` is pinched to ``1 <= beta_b <= 2|k_b| - 1``; the coefficient
 vanishes identically on ``G \\ G*``, which is what makes branch-sum
 ("Bell-type") manipulations of the kernel work.
+
+:func:`numerator_terms` builds the nonzero coefficients without scanning
+``G``: ``pair_count(lam, mu)`` is nonzero exactly when
+``0 <= mu <= 2*lam - 2``, so for a fixed ``beta_1`` each negative-block
+factor is nonzero on one interval of ``beta_b``, found by floor division,
+and the support is a product of intervals per ``beta_1``.  The brute-force
+scan of :func:`index_set` with :func:`coefficient_C` stays as its check.
 """
 
 from __future__ import annotations
@@ -100,3 +107,38 @@ def index_set(spec: DomainSpec, variant: str = "full") -> tuple[tuple[int, ...],
         else:
             ranges.append(range(0, cap + 1))
     return tuple(_cartesian(*ranges))
+
+
+def numerator_terms(spec: DomainSpec) -> dict[tuple[int, ...], int]:
+    """The nonzero ``C(beta)`` over ``G``, from the support intervals alone.
+
+    Equal to ``{beta: coefficient_C(beta, spec)}`` over
+    ``index_set(spec, "full")`` with the zeros dropped, keys in the same
+    lexicographic order.  With ``head = ell_1*(beta_1 + 1)``, the head
+    factor is nonzero on the whole of ``G``'s ``beta_1`` range
+    (``1 <= head <= 2K - 1`` there), and factor ``b``,
+    ``pair_count(ell_b, ell_b*(beta_b + 1) + head - 2K - 1)``, is nonzero
+    exactly when ``ell_b * beta_b`` lies in
+    ``[2K + 1 - head - ell_b, 2K + ell_b - 1 - head]``, clipped to
+    ``0 <= beta_b <= 2|k_b|``.
+    """
+    if spec.s != 1:
+        raise ValueError(f"closed-form coefficients need signature 1, got {spec.s}")
+    K, ell, _ = lcm_data(spec)
+    abs_k = spec.abs_k
+    terms: dict[tuple[int, ...], int] = {}
+    for beta1 in range(0, 2 * spec.k[0] - 1):
+        head = ell[0] * (beta1 + 1)
+        shift = head - 2 * K - 1
+        partial = [((beta1,), pair_count(K, 2 * K - head - 1))]
+        for b in range(1, spec.n):
+            low = -shift - ell[b]
+            lo = max(0, -(-low // ell[b]))
+            hi = min(2 * abs_k[b], (low + 2 * ell[b] - 2) // ell[b])
+            if lo > hi:
+                break  # this beta_1 carries no term
+            factors = [(beta_b, pair_count(ell[b], ell[b] * (beta_b + 1) + shift)) for beta_b in range(lo, hi + 1)]
+            partial = [(prefix + (beta_b,), value * f) for prefix, value in partial for beta_b, f in factors]
+        else:
+            terms.update(partial)
+    return terms

@@ -70,9 +70,7 @@ class DomainSpec:
 
     def __post_init__(self) -> None:
         k = tuple(self.k)
-        for e in k:
-            if isinstance(e, bool) or not isinstance(e, int):
-                raise TypeError(f"exponent entries must be ints, got {e!r}")
+        _check_ints("exponent", k)
         object.__setattr__(self, "k", k)
         if len(k) < 2:
             raise ValueError("an exponent vector needs at least two entries")

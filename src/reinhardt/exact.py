@@ -58,9 +58,9 @@ class OutsideWindow(KeyError):
 
 
 def _check_ints(what: str, values: Iterable) -> None:
-    """Refuse any entry of ``values`` that is not an ``int``, naming it."""
+    """Refuse any entry of ``values`` that is not an ``int``, naming it (a ``bool`` is refused too)."""
     for x in values:
-        if not isinstance(x, int):
+        if type(x) is not int:
             raise TypeError(f"{what} entries must be ints, got {x!r}")
 
 

@@ -8,11 +8,13 @@ rational function of the pairings ``t_a = z_a * conj(w_a)``:
               / [ (prod_{b>=2} t_b^{|k_b|} - t_1^{k_1})**2 * prod_{b>=2} (1 - t_b)**2 ]
 
 with lcm data ``(K, ell, L)``, coefficients ``C`` from
-:mod:`reinhardt.counting`, and support box ``G``.  :class:`RationalKernel`
-stores only what ``k`` does not fix: the spec, a rational scalar and the
-integer numerator polynomial.  The power ``n`` of pi, the squared "main"
-denominator (exponents ``k_1`` and ``|k_b|``) and the squared unit factors
-``(1 - t_b)`` are read from the spec.
+:mod:`reinhardt.counting`, and support box ``G``.  The numerator is built
+from the nonzero intervals of ``C``
+(:func:`~reinhardt.counting.numerator_terms`), not by a scan of ``G``.
+:class:`RationalKernel` stores only what ``k`` does not fix: the spec, a
+rational scalar and the integer numerator polynomial.  The power ``n`` of
+pi, the squared "main" denominator (exponents ``k_1`` and ``|k_b|``) and
+the squared unit factors ``(1 - t_b)`` are read from the spec.
 
 Two kernels are equal when their canonical forms match: the content of the
 numerator is folded into the scalar, so the general construction at
@@ -21,8 +23,8 @@ directly-built special case with scalar 1 and numerator ``t_2**k``.
 
 Special-case constructors for ``H(1, -k)`` ("fat" generalized Hartogs
 triangles) and ``H(k, -1)`` ("thin") are built from their own explicit
-coefficient patterns, deliberately not reusing :func:`coefficient_C`, so
-that agreement with :func:`kernel_signature_one` is a real cross-check.
+coefficient patterns, deliberately not reusing :mod:`reinhardt.counting`,
+so that agreement with :func:`kernel_signature_one` is a real cross-check.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .counting import coefficient_C, index_set
+from .counting import numerator_terms
 from .domains import DomainSpec, lcm_data, model_spec, normalize_spec
 from .exact import SparsePoly
 
@@ -237,7 +239,7 @@ def kernel_signature_one(spec: DomainSpec) -> RationalKernel:
             f"{spec} has signature {spec.s}; the closed form exists only for signature 1"
         )
     _, _, L = lcm_data(spec)
-    numerator = SparsePoly(spec.n, {beta: coefficient_C(beta, spec) for beta in index_set(spec, "full")})
+    numerator = SparsePoly(spec.n, numerator_terms(spec))
     return RationalKernel(spec, Fraction(1, L), numerator)
 
 

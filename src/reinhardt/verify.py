@@ -18,6 +18,9 @@ line.  One table, :data:`SUITES`, groups them into the suites that
 * ``bell``                   — branch-sum identity at random point pairs.
 * ``reproducing``            — Monte-Carlo reproducing property.
 * ``rationality-diagnostic`` — decay classification of slice families.
+
+The bell and reproducing checks import :mod:`reinhardt.sampling`, and so
+numpy, when they run; the table and the other suites load without it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .domains import DomainSpec, model_spec, normalize_spec
 from .exact import SparsePoly
 from .kernels import kernel_fat_hartogs, kernel_signature_one, kernel_thin_hartogs
 from .norms import build_RS, monomial_norm_model
-from .sampling import bell_residuals, check_reproducing
 from .series import (
     apply_annihilating_operator,
     expand_closed_form,
@@ -326,6 +328,8 @@ def check_annihilating_operator() -> CheckResult:
 
 
 def check_branch_sums(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    from .sampling import bell_residuals  # numpy loads only for the suites that sample
+
     results = []
     for raw in BELL_SPECS:
         residuals = bell_residuals(normalize_spec(raw), BELL_PAIRS, seed)
@@ -340,6 +344,8 @@ def check_branch_sums(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 
 
 def check_reproducing_monomials(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    from .sampling import check_reproducing
+
     r = check_reproducing(
         normalize_spec((1, -1)), REPRODUCING_EXPONENTS, REPRODUCING_POINT, REPRODUCING_SAMPLES, seed
     )

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reinhardt.counting import (
     coefficient_C,
     index_set,
+    numerator_terms,
     pair_count,
     pair_count_bruteforce,
 )
@@ -71,6 +72,8 @@ def test_coefficient_guards():
     with pytest.raises(ValueError):
         coefficient_C((0, 0, 0), normalize_spec((1, 1, -1)))  # signature 2
     with pytest.raises(ValueError):
+        numerator_terms(normalize_spec((1, 1, -1)))
+    with pytest.raises(ValueError):
         coefficient_C((0,), normalize_spec((1, -1)))
 
 
@@ -130,3 +133,24 @@ def test_pruned_box_carries_all_mass():
             coefficient_C(b, spec) for b in pruned
         )
         assert pruned <= set(full)
+
+
+# -- the numerator from its support intervals -------------------------------------
+
+
+def scanned_terms(spec):
+    """The nonzero coefficients by the brute-force scan of the full box ``G``."""
+    return {beta: c for beta in index_set(spec, "full") if (c := coefficient_C(beta, spec))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.lists(st.integers(1, 7), min_size=1, max_size=3))
+@example(97, [89])
+@example(13, [11, 7])
+@example(1, [1] * 7)
+def test_numerator_terms_equal_the_box_scan(head, negatives):
+    spec = normalize_spec((head, *(-b for b in negatives)))
+    terms = numerator_terms(spec)
+    reference = scanned_terms(spec)
+    assert terms == reference
+    assert list(terms) == list(reference)  # the same lexicographic insertion order

@@ -824,10 +824,16 @@ def test_every_relabelling_checks_its_permutation_alike(relabel, perm, error, me
     (lambda: FracExpSum(1, {((0,), (1.5,)): 1}), "1.5"),
     (lambda: pair_count(1.5, 1), "1.5"),
     (lambda: coefficient_C((0.0, 2), normalize_spec((1, -2))), "0.0"),
+    (lambda: normalize_spec((True, -2)), "True"),
+    (lambda: DomainSpec(k=(1, -1), permutation=(True, False)), "True"),
+    (lambda: SparsePoly.linear_form(2, {0: 1, 1: 1}).on_row((True,), [1]), "True"),
+    (lambda: pair_count(True, 1), "True"),
 ], ids=["spec", "poly-exponent", "chunk-box", "chunk-coefficient", "fat-hartogs", "log-power",
-        "pair-count", "closed-form-coefficient"])
+        "pair-count", "closed-form-coefficient", "bool-spec", "bool-permutation", "bool-row",
+        "bool-pair-count"])
 def test_non_int_entries_are_refused_not_truncated(build, bad):
-    # each of these once went through int() and silently dropped the fraction
+    # each of these once went through int() and silently dropped the fraction,
+    # or took True as 1: normalize_spec((True, -2)) returned H(1, -2)
     with pytest.raises(TypeError, match=rf"entries must be ints, got {bad}$"):
         build()
 

@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import reinhardt
 import reinhardt.domains
@@ -24,6 +29,41 @@ def test_star_import():
     namespace: dict = {}
     exec("from reinhardt import *", namespace)
     assert set(reinhardt.__all__) <= namespace.keys()
+
+
+def test_dir_lists_every_exported_name():
+    # the sampling names and run_suites are resolved on first use, and still listed
+    assert set(reinhardt.__all__) <= set(dir(reinhardt))
+
+
+def numpy_loaded_after(code: str) -> bool:
+    """Whether ``numpy`` is in ``sys.modules`` after ``code`` runs in a fresh interpreter."""
+    src = str(Path(reinhardt.__file__).resolve().parent.parent)
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    probe = f"{code}\nimport sys\nprint('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+def test_import_does_not_load_numpy():
+    assert not numpy_loaded_after("import reinhardt")
+
+
+@pytest.mark.parametrize("argv, samples", [
+    (["kernel", "--k", "1,-1"], False),
+    (["series", "--k", "1,-1", "--box", "0:3,-3:3"], False),  # closed form
+    (["series", "--k", "1,1,-1", "--box", "0:2,0:2,-2:2"], False),  # model
+    (["series", "--k", "2,1,-3", "--box", "0:2,0:2,-2:2"], False),  # oracle
+    (["norm", "--k", "2,-1", "--alpha", "1,0", "--oracle", "exact"], False),
+    (["verify", "--suite", "combinatorics"], False),
+    (["norm", "--k", "1,-1", "--alpha", "0,0", "--oracle", "mc", "--samples", "1000"], True),
+], ids=["kernel", "series-closed-form", "series-model", "series-oracle", "norm-exact",
+        "verify-combinatorics", "norm-mc"])
+def test_only_the_commands_that_sample_load_numpy(argv, samples):
+    code = f"import contextlib, io, reinhardt.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n    assert reinhardt.cli.main({argv!r}) == 0"
+    assert numpy_loaded_after(code) == samples
 
 
 def imported_modules(path: Path) -> set[str]:
