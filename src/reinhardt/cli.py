@@ -36,7 +36,7 @@ import sys
 from contextlib import nullcontext
 from typing import Sequence
 
-from .domains import DomainSpec, NormValue, normalize_spec
+from .domains import NormValue, normal_order, normalize_spec
 from .exact import DivergentIntegral
 from .kernels import kernel_signature_one
 from .series import expand_closed_form, series_coefficients_model, series_coefficients_oracle
@@ -72,11 +72,6 @@ def _parse_seed(text: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-
-
-def _normalized(spec: DomainSpec, values: Sequence) -> tuple:
-    """Per-coordinate values in the caller's order of ``--k``, put in normalized order."""
-    return tuple(values[p] for p in spec.permutation)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -137,7 +132,7 @@ def _cmd_norm(args) -> int:
     spec = normalize_spec(args.k)
     if len(args.alpha) != spec.n:
         raise ValueError(f"--alpha needs {spec.n} entries for {spec}")
-    alpha = _normalized(spec, args.alpha)
+    alpha = tuple(args.alpha[p] for p in normal_order(args.k))
     if args.oracle == "exact":
         print(monomial_norm_oracle(alpha, spec))
         return 0
@@ -163,15 +158,16 @@ def _cmd_series(args) -> int:
         raise ValueError(f"--box needs {spec.n} ranges for {spec}")
     if any(lo > hi for lo, hi in args.box):
         raise ValueError("box ranges must satisfy lo <= hi")
-    box = _normalized(spec, args.box)
+    order = normal_order(args.k)
+    box = tuple(args.box[p] for p in order)
     if spec.s == 1:
         chunk = expand_closed_form(kernel_signature_one(spec), box)
     elif spec.is_model:
         chunk = series_coefficients_model(spec.n, spec.s, box)
     else:
         chunk = series_coefficients_oracle(spec, box)
-    if spec.permutation != tuple(range(spec.n)):
-        chunk = chunk.permuted(sorted(range(spec.n), key=spec.permutation.__getitem__))  # the inverse
+    if order != tuple(range(spec.n)):
+        chunk = chunk.permuted(sorted(range(spec.n), key=order.__getitem__))  # the inverse
     if args.format == "csv":
         sys.stdout.writelines(row + "\n" for row in chunk.csv_rows())
     else:

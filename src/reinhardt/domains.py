@@ -11,7 +11,10 @@ Two exponent vectors cut out the same domain when they agree up to a
 positive rational multiple and a reordering of coordinates, so every vector
 is normalized here to a canonical representative: positive entries first
 (input order preserved inside each sign block) and the entries divided by
-the gcd of their absolute values.
+the gcd of their absolute values.  A spec is that representative alone, so
+``(2, -1)`` and ``(-1, 2)`` give equal specs; a caller that works in its
+own coordinate order (the CLI) moves its per-coordinate values with
+:func:`normal_order`.
 
 The *signature* ``s`` is the number of positive entries.  When every entry
 is ``+1`` or ``-1`` the domain is called a *model domain*, written
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import _check_ints, _check_permutation
+from .exact import _check_ints
 
 
 def shifted(alpha: Sequence[int]) -> tuple[int, ...]:
@@ -56,17 +59,14 @@ class DomainSpec:
     gcd; the constructor enforces that the data is already in this shape.
     It is also the one home of the rules every exponent vector obeys:
     ``int`` entries (a ``float`` or ``bool`` is a ``TypeError``), at least
-    two of them, none zero, and both signs present.  ``k`` and
-    ``permutation`` are stored as tuples, so a spec built from lists
-    hashes and compares like one built from tuples.
+    two of them, none zero, and both signs present.  ``k`` is stored as a
+    tuple, so a spec built from a list hashes and compares like one built
+    from a tuple; equality and hash come from ``k`` alone.
     The signature ``s`` is the number of positive entries of ``k``.
-    ``permutation[i]`` records which position of the caller's original
-    vector ended up at normalized position ``i``; ``exact._check_permutation`` checks it.
     """
 
     k: tuple[int, ...]
     s: int = field(init=False)
-    permutation: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
         k = tuple(self.k)
@@ -84,11 +84,6 @@ class DomainSpec:
             raise ValueError("normalized exponents must list positive entries first")
         if math.gcd(*k) != 1:
             raise ValueError("normalized exponents must have gcd 1")
-        if not self.permutation:
-            object.__setattr__(self, "permutation", tuple(range(len(k))))
-        else:
-            _check_permutation(self.permutation, len(k))
-            object.__setattr__(self, "permutation", tuple(self.permutation))
 
     @property
     def n(self) -> int:
@@ -107,12 +102,20 @@ class DomainSpec:
         return f"H({', '.join(str(e) for e in self.k)})"
 
 
+def normal_order(entries: Sequence[int]) -> tuple[int, ...]:
+    """The input positions of ``entries`` in normalized order.
+
+    Positive entries come first, then the rest; input order is kept inside
+    each block, e.g. ``(-3, 6, -9) -> (1, 0, 2)``.
+    """
+    return tuple([i for i, e in enumerate(entries) if e > 0] + [i for i, e in enumerate(entries) if e <= 0])
+
+
 def normalize_spec(entries: Sequence[int]) -> DomainSpec:
     """Normalize a raw exponent vector to its canonical :class:`DomainSpec`.
 
-    Positive entries are moved ahead of the rest (stably, preserving the
-    input order inside each block) and the whole vector is divided by the
-    gcd of the absolute values, e.g. ``(-2, 4) -> (2, -1)``.
+    The entries are put in :func:`normal_order` and the whole vector is
+    divided by the gcd of the absolute values, e.g. ``(-2, 4) -> (2, -1)``.
 
     Raises ``TypeError`` for a non-``int`` entry.  The vector's own rules
     live in :class:`DomainSpec`, which raises ``ValueError`` for fewer than
@@ -120,9 +123,8 @@ def normalize_spec(entries: Sequence[int]) -> DomainSpec:
     """
     values = list(entries)
     _check_ints("exponent", values)
-    order = [i for i, e in enumerate(values) if e > 0] + [i for i, e in enumerate(values) if e <= 0]
     g = math.gcd(*values) or 1
-    return DomainSpec(k=tuple(values[i] // g for i in order), permutation=tuple(order))
+    return DomainSpec(k=tuple([values[i] // g for i in normal_order(values)]))
 
 
 def model_spec(n: int, s: int) -> DomainSpec:
@@ -151,16 +153,16 @@ class NormValue:
     The rational part ``coefficient`` and the power ``pi_power`` of pi are
     stored exactly; they may only be read when ``finite`` is True, which is
     when the coefficient is not None.  A coefficient is an ``int`` or a
-    ``Fraction``, stored as a ``Fraction``; anything else, a float or a
-    string included, is a ``TypeError``.  Build values with :meth:`of` and
-    :meth:`infinite`.
+    ``Fraction``, stored as a ``Fraction``; anything else, a float, a
+    ``bool`` or a string included, is a ``TypeError``.  Build values with
+    :meth:`of` and :meth:`infinite`.
     """
 
     __slots__ = ("_coefficient", "_pi_power")
 
     def __init__(self, coefficient: int | Fraction | None, pi_power: int | None):
         if coefficient is not None:
-            if not isinstance(coefficient, (int, Fraction)):
+            if isinstance(coefficient, bool) or not isinstance(coefficient, (int, Fraction)):
                 raise TypeError(f"norm coefficients must be ints or Fractions, got {coefficient!r}")
             if pi_power is None or coefficient <= 0:
                 raise ValueError("a finite norm needs a positive rational coefficient and a pi power")

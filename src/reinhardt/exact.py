@@ -36,8 +36,8 @@ Everything here computes over the integers and rationals with no rounding:
 
 An exponent, log power, bound, denominator, polynomial coefficient or row
 coordinate that is not an ``int`` is a ``TypeError`` naming it, never
-truncated; so is a window value that is neither an ``int`` nor a
-``Fraction``.
+truncated; so is a window value that is a ``bool`` or neither an ``int``
+nor a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -559,7 +559,7 @@ class LaurentChunk:
 
     Values are exact: an ``int`` when integral, a reduced ``Fraction``
     otherwise (both go through :func:`_exact_ratio`).  Anything else,
-    a float included, is a ``TypeError``.
+    a float or a ``bool`` included, is a ``TypeError``.
     """
 
     __slots__ = ("box", "rows")
@@ -723,7 +723,7 @@ class _Terms(MutableMapping):
 
     def __setitem__(self, alpha: tuple[int, ...], value: int | Fraction) -> None:
         lead, i = self._chunk._position(alpha)
-        if not isinstance(value, (int, Fraction)):
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise TypeError(f"window values must be ints or Fractions, got {value!r} at {tuple(alpha)}")
         self._chunk._put(lead, i, _exact_ratio(*value.as_integer_ratio()))
 

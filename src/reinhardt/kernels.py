@@ -120,7 +120,7 @@ class RationalKernel:
         if not isinstance(other, RationalKernel):
             return NotImplemented
         a, b = self.canonical(), other.canonical()
-        return a.spec.k == b.spec.k and a.scalar == b.scalar and a.numerator == b.numerator
+        return a.spec == b.spec and a.scalar == b.scalar and a.numerator == b.numerator
 
     # -- evaluation -----------------------------------------------------------
 

@@ -121,14 +121,13 @@ def check_pair_count_total() -> CheckResult:
 
 def _signature_one_specs(max_entry: int, dims: Sequence[int]) -> list[DomainSpec]:
     """All normalized signature-1 specs with |entries| <= max_entry, n in dims."""
-    specs = {}
+    specs = set()
     for n in dims:
         for body in _cartesian(range(1, max_entry + 1), repeat=n):
-            raw = (body[0],) + tuple(-e for e in body[1:])
-            spec = normalize_spec(raw)
+            spec = normalize_spec((body[0],) + tuple(-e for e in body[1:]))
             if max(spec.abs_k) <= max_entry:
-                specs[spec.k] = spec
-    return [specs[k] for k in sorted(specs)]
+                specs.add(spec)
+    return sorted(specs, key=lambda spec: spec.k)
 
 
 def check_support_pruning() -> CheckResult:

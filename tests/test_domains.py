@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from reinhardt.domains import DomainSpec, NormValue, lcm_data, model_spec, normalize_spec, shifted
+from reinhardt.domains import DomainSpec, NormValue, lcm_data, model_spec, normal_order, normalize_spec, shifted
 
 mixed_vectors = st.lists(
     st.integers(min_value=-9, max_value=9).filter(lambda e: e != 0),
@@ -35,7 +35,8 @@ def test_normalize_examples():
     spec = normalize_spec((-2, 4))
     assert spec.k == (2, -1)
     assert spec.s == 1
-    assert spec.permutation == (1, 0)
+    assert normal_order((-2, 4)) == (1, 0)
+    assert spec == normalize_spec((2, -1)) and hash(spec) == hash(normalize_spec((2, -1)))
 
     spec = normalize_spec((6, 10, -15))
     assert spec.k == (6, 10, -15)  # gcd already 1
@@ -43,7 +44,7 @@ def test_normalize_examples():
 
     spec = normalize_spec((-3, 6, -9))
     assert spec.k == (2, -1, -3)
-    assert spec.permutation == (1, 0, 2)
+    assert normal_order((-3, 6, -9)) == (1, 0, 2)
 
 
 def test_normalize_rejects_degenerate_vectors():
@@ -63,10 +64,17 @@ def test_normalize_rejects_degenerate_vectors():
 @given(mixed_vectors)
 def test_normalize_is_idempotent(raw):
     spec = normalize_spec(raw)
-    again = normalize_spec(spec.k)
-    assert again.k == spec.k
-    assert again.s == spec.s
-    assert again.permutation == tuple(range(spec.n))
+    assert normalize_spec(spec.k) == spec
+    assert normal_order(spec.k) == tuple(range(spec.n))
+
+
+@given(mixed_vectors)
+def test_any_interleaving_of_the_sign_blocks_is_the_same_spec(mixed):
+    # H(k) is fixed by k up to a reordering: the caller's order is not part of a spec
+    blocks = [e for e in mixed if e > 0] + [e for e in mixed if e < 0]
+    assert normalize_spec(mixed) == normalize_spec(blocks)
+    assert hash(normalize_spec(mixed)) == hash(normalize_spec(blocks))
+    assert [mixed[i] for i in normal_order(mixed)] == blocks
 
 
 @given(mixed_vectors, st.integers(min_value=1, max_value=4))
@@ -79,8 +87,6 @@ def test_spec_constructor_enforces_normal_form():
         DomainSpec(k=(-1, 1))  # positives must come first
     with pytest.raises(ValueError):
         DomainSpec(k=(2, -4))  # gcd 2
-    with pytest.raises(ValueError):
-        DomainSpec(k=(1, -1), permutation=(0, 0))
 
 
 @pytest.mark.parametrize("k, bad", [((1.0, -1), "1.0"), ((True, -1), "True"), ((2, -1, -3.0), "-3.0")])
@@ -91,9 +97,9 @@ def test_spec_constructor_refuses_non_int_exponents(k, bad):
 
 
 def test_spec_built_from_lists_equals_the_tuple_spec():
-    from_lists = DomainSpec(k=[2, -1], permutation=[1, 0])
-    from_tuples = DomainSpec(k=(2, -1), permutation=(1, 0))
-    assert (from_lists.k, from_lists.permutation) == ((2, -1), (1, 0))
+    from_lists = DomainSpec(k=[2, -1])
+    from_tuples = DomainSpec(k=(2, -1))
+    assert from_lists.k == (2, -1)
     assert from_lists == from_tuples
     assert hash(from_lists) == hash(from_tuples)
 
@@ -174,9 +180,10 @@ def test_norm_value_rejects_nonpositive():
         NormValue.of(Fraction(-1, 3), 1)
 
 
-@pytest.mark.parametrize("coefficient", [0.5, 0.1, "1/2", 1j])
+@pytest.mark.parametrize("coefficient", [0.5, 0.1, "1/2", 1j, True])
 def test_norm_value_holds_exact_coefficients_only(coefficient):
-    # Fraction(0.1) is 3602879701896397/36028797018963968 and Fraction("1/2") parses text
+    # Fraction(0.1) is 3602879701896397/36028797018963968, Fraction("1/2") parses text
+    # and True once passed as 1 and printed as 1 · π^2
     for build in (NormValue, NormValue.of):
         with pytest.raises(TypeError, match=rf"ints or Fractions, got {re.escape(repr(coefficient))}$"):
             build(coefficient, 2)

@@ -58,3 +58,10 @@ def test_expansion_check_counts_each_differing_point_once(monkeypatch):
     assert not result.passed
     assert result.detail.startswith("5814 Laurent coefficients across 6 specs")
     assert result.detail.count(": 3 coefficients differ") == len(verify.CENTRAL_SPECS)
+
+
+def test_signature_one_specs_are_distinct_and_sorted_by_k():
+    # one spec per normalized k: (2, -2) is (1, -1), while (1, -2, -3) and (1, -3, -2) stay two
+    specs = verify._signature_one_specs(6, (2, 3))
+    assert len(specs) == 204
+    assert all(a.k < b.k for a, b in zip(specs, specs[1:]))
