@@ -145,9 +145,10 @@ def _cmd_norm(args) -> int:
         return 0
     except ArithmeticError as err:  # the sampler's refusal: no sample landed
         raise ValueError(str(err)) from err
+    variance = "" if result.finite_variance else "; infinite variance, so ± is not the uncertainty"
     print(
         f"{result.estimate:.8g} ± {result.std_error:.2g} "
-        f"(samples={result.samples}, accepted={result.accepted}, seed={result.seed})"
+        f"(samples={result.samples}, accepted={result.accepted}, seed={result.seed}{variance})"
     )
     return 0
 

@@ -55,35 +55,6 @@ def _sup(e: int) -> str:
     return str(e).translate(_SUPERSCRIPTS) if e != 1 else ""
 
 
-def _float_parts(kernel: RationalKernel, t, fresh):
-    """Numerator, denominator and guard verdict of ``kernel`` at pairings ``t``, in floats.
-
-    The one float evaluator.  It uses only ``+ - * **`` and their in-place
-    forms, so ``t`` may hold complex scalars or numpy columns; ``fresh(c)``
-    starts a new value ``c`` of the same kind.  The verdict ``ok`` is
-    ``|den| >= SINGULAR_GUARD * max(1, |num|)``.  Callers divide
-    themselves, since Python and numpy round complex division differently.
-    """
-    num = fresh(0.0)
-    for exps, coef in kernel.numerator.sorted_terms():
-        term = fresh(float(coef))
-        for i, e in enumerate(exps):
-            if e:
-                term *= t[i] ** e
-        num += term
-    num *= float(kernel.scalar)
-    abs_k = kernel.spec.abs_k
-    main = fresh(1.0)
-    for b in range(1, kernel.n):
-        main *= t[b] ** abs_k[b]
-    main -= t[0] ** abs_k[0]
-    den = main * main
-    for b in range(1, kernel.n):
-        den *= (1.0 - t[b]) ** 2
-    ok = (abs(den) >= SINGULAR_GUARD) & (abs(den) >= SINGULAR_GUARD * abs(num))
-    return num, den, ok
-
-
 @dataclass(frozen=True, eq=False)
 class RationalKernel:
     """An exact rational Bergman kernel in the pairings ``t_a = z_a conj(w_a)``.
@@ -124,6 +95,34 @@ class RationalKernel:
 
     # -- evaluation -----------------------------------------------------------
 
+    def float_parts(self, t, fresh):
+        """Numerator, denominator and guard verdict at pairings ``t``, in floats.
+
+        The one float evaluator.  It uses only ``+ - * **`` and in-place
+        forms, so ``t`` may hold complex scalars or numpy columns; ``fresh(c)``
+        starts a new value ``c`` of that kind.  The verdict ``ok`` is
+        ``|den| >= SINGULAR_GUARD * max(1, |num|)``.  Callers divide
+        themselves: Python and numpy round complex division differently.
+        """
+        num = fresh(0.0)
+        for exps, coef in self.numerator.sorted_terms():
+            term = fresh(float(coef))
+            for i, e in enumerate(exps):
+                if e:
+                    term *= t[i] ** e
+            num += term
+        num *= float(self.scalar)
+        abs_k = self.spec.abs_k
+        main = fresh(1.0)
+        for b in range(1, self.n):
+            main *= t[b] ** abs_k[b]
+        main -= t[0] ** abs_k[0]
+        den = main * main
+        for b in range(1, self.n):
+            den *= (1.0 - t[b]) ** 2
+        ok = (abs(den) >= SINGULAR_GUARD) & (abs(den) >= SINGULAR_GUARD * abs(num))
+        return num, den, ok
+
     def evaluate_pairings(self, t: Sequence[complex]) -> complex:
         """Evaluate at given pairings ``t``; exact structure, float arithmetic.
 
@@ -134,7 +133,7 @@ class RationalKernel:
         """
         if len(t) != self.n:
             raise ValueError(f"need {self.n} pairings, got {len(t)}")
-        num, den, ok = _float_parts(self, t, lambda c: c)
+        num, den, ok = self.float_parts(t, lambda c: c)
         if not ok:
             raise SingularEvaluation(
                 f"denominator {abs(den):.3e} below guard {SINGULAR_GUARD:.0e} * {max(1.0, abs(num)):.3e}"

@@ -18,9 +18,10 @@ half of them on ``H(1, -1)``).  Each sum still runs over the whole chunk,
 with zeros at the rows outside, so numpy adds in the same pairwise order as
 if every row were computed and masked, and the estimates keep their bits.
 Estimates report a standard error from the same sample, so consumers can
-apply z-score tolerances.  A norm that the exact oracle finds infinite is
-refused before sampling, because the sample mean of a divergent integral is
-still a finite number.
+apply z-score tolerances, and say whether the estimator's variance is
+finite: when it is not, the standard error is not the uncertainty.  A norm
+that the exact oracle finds infinite is refused before sampling, because
+the sample mean of a divergent integral is still a finite number.
 
 The bits follow numpy's loop choice, so a float rewrite is checked bit for
 bit.  As ``uint64`` on a chunk of (1,-1), (2,-1,-3), (3,-2), (1,-1,-1,-2)
@@ -40,7 +41,7 @@ exponents fills a full-length column.  The complex ``W ** a`` product stays
 a row reduction over a C-ordered array; zero exponents are left out of it,
 since ``w**0`` is 1.
 
-Two identity checks live here because only numerics can see them whole:
+Two checks of kernels passed in live here, as only numerics see them whole:
 
 * the reproducing property ``f(z) = Integral f(w) K(z, w) dV(w)`` for
   monomials ``f``, with near-singular kernel evaluations counted and
@@ -71,9 +72,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .domains import DomainSpec, lcm_data, model_spec
+from .domains import DomainSpec, lcm_data
 from .exact import DivergentIntegral
-from .kernels import RationalKernel, _float_parts, kernel_model_sig1, kernel_signature_one
+from .kernels import RationalKernel
 from .shadow import monomial_norm_oracle
 
 _CHUNK = 1 << 20
@@ -154,8 +155,16 @@ def _scattered(count: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class McNormEstimate:
+    """A Monte-Carlo norm with its standard error.
+
+    ``finite_variance`` says whether the estimator's second moment,
+    ``||z**(2 alpha)||^2 / pi**n``, is finite; if not, ``std_error`` is not
+    the uncertainty of ``estimate``.
+    """
+
     estimate: float
     std_error: float
+    finite_variance: bool
     accepted: int
     samples: int
     seed: int
@@ -167,7 +176,8 @@ def mc_norm_estimate(alpha: Sequence[int], spec: DomainSpec, samples: int, seed:
     Fewer than two samples are refused first.  Then the exact oracle is
     asked: an infinite norm raises :class:`~reinhardt.exact.DivergentIntegral`
     before any sample is drawn, since the sample mean of a divergent
-    integral is still a finite number.  ``t**alpha`` is computed on the
+    integral is still a finite number; the oracle at ``2 alpha`` says
+    whether the variance is finite.  ``t**alpha`` is computed on the
     shadow's rows only; the sums run over the whole chunk, zeros included,
     so the bits are those of masking every row.
     """
@@ -175,6 +185,7 @@ def mc_norm_estimate(alpha: Sequence[int], spec: DomainSpec, samples: int, seed:
         raise ValueError("need at least two samples")
     if not monomial_norm_oracle(alpha, spec).finite:
         raise DivergentIntegral(f"||z**{tuple(alpha)}||^2 is infinite on {spec}; there is nothing to estimate")
+    finite_variance = monomial_norm_oracle(tuple(2 * a for a in alpha), spec).finite
     a = np.array(alpha, dtype=np.float64)
     total = 0.0
     total_sq = 0.0
@@ -193,6 +204,7 @@ def mc_norm_estimate(alpha: Sequence[int], spec: DomainSpec, samples: int, seed:
     return McNormEstimate(
         estimate=scale * mean,
         std_error=scale * math.sqrt(variance / samples),
+        finite_variance=finite_variance,
         accepted=accepted,
         samples=samples,
         seed=seed,
@@ -212,7 +224,7 @@ def kernel_values(kernel: RationalKernel, z: Sequence[complex], W: np.ndarray) -
         raise ValueError(f"W has shape {np.shape(W)}, expected (points, {n})")
     zc = np.asarray(z, dtype=np.complex128)
     T = np.ascontiguousarray((zc[None, :] * np.conj(W)).T)  # one contiguous column of pairings per variable
-    num, den, ok = _float_parts(kernel, T, lambda c: np.full(len(W), c, dtype=np.complex128))
+    num, den, ok = kernel.float_parts(T, lambda c: np.full(len(W), c, dtype=np.complex128))
     values = np.zeros(len(W), dtype=np.complex128)
     np.divide(num, den, out=values, where=ok)
     values /= math.pi ** kernel.n
@@ -239,7 +251,7 @@ class ReproducingCheck:
 
 
 def check_reproducing(
-    spec: DomainSpec,
+    kernel: RationalKernel,
     alphas: Sequence[Sequence[int]],
     z: Sequence[complex],
     samples: int,
@@ -247,8 +259,8 @@ def check_reproducing(
 ) -> ReproducingCheck:
     """Monte-Carlo check of ``z**alpha = Integral w**alpha K(z, w) dV(w)`` for each ``alpha``.
 
-    Samples uniformly on the domain, evaluates the kernel vectorized, and
-    discards (but counts) near-singular draws.  The phases are drawn for
+    Samples uniformly on ``kernel.spec``, evaluates ``kernel`` vectorized,
+    and discards (but counts) near-singular draws.  The phases are drawn for
     every row of a chunk, so the stream does not depend on the shadow; the
     points, kernel values and weights are computed on the shadow's rows
     only, and each sum runs over the whole chunk with zeros elsewhere, so
@@ -258,7 +270,7 @@ def check_reproducing(
     same whether it is checked alone or with others.  The reference value
     is the monomial at ``z``; the relative error compares against it.
     """
-    n = spec.n
+    spec, n = kernel.spec, kernel.n
     if samples < 1:
         raise ValueError("need at least one sample")
     if len(alphas) == 0:
@@ -268,7 +280,6 @@ def check_reproducing(
             raise ValueError(f"alpha has length {len(alpha)}, expected {n}")
     if len(z) != n:
         raise ValueError(f"z has length {len(z)}, expected {n}")
-    kernel = kernel_signature_one(spec)
     rng = generator(seed)
     powers = [np.array(alpha, dtype=np.float64) for alpha in alphas]
     zc = np.asarray(z, dtype=np.complex128)
@@ -307,16 +318,20 @@ def check_reproducing(
     )
 
 
-def check_bell_identity(kernel: RationalKernel, z: Sequence[complex], w: Sequence[complex]) -> float:
+def check_bell_identity(kernel: RationalKernel, model: RationalKernel,
+                        z: Sequence[complex], w: Sequence[complex]) -> float:
     """Relative residual of the branch-sum identity at one point pair.
 
-    ``kernel`` is the closed-form kernel of a signature-one ``H(k)``,
-    checked against the model kernel of Omega(n, 1).  ``z`` must lie in
-    the model domain and ``w`` in ``H(k)`` with nonzero coordinates; the
+    ``model`` is the kernel of the model domain of ``kernel.spec`` (else a
+    ``ValueError``).  ``z`` must lie in the model domain and ``w`` in
+    ``H(k)`` with nonzero coordinates (else a ``ValueError``); the
     residual is ``|lhs - rhs| / max(|lhs|, |rhs|)``.
     """
+    if not model.spec.is_model or (model.n, model.spec.s) != (kernel.n, kernel.spec.s):
+        raise ValueError(f"{model.spec} is not the model domain of {kernel.spec}")
+    if 0 in w:
+        raise ValueError(f"w = {tuple(w)} has a zero coordinate; the branch sum divides by each")
     _, ell, _ = lcm_data(kernel.spec)
-    kernel_model = kernel_model_sig1(kernel.n)
 
     u = 1.0 + 0.0j
     for za, la in zip(z, ell):
@@ -334,7 +349,7 @@ def check_bell_identity(kernel: RationalKernel, z: Sequence[complex], w: Sequenc
             U *= zetas[a] ** j / ell[a] * point[a] / (zetas[a] ** j * w[a])
         # point[a] / w[a] * zeta**j / zeta**j reduces to w_a^{1/ell_a - 1},
         # written through the stored root so both sides share one branch choice
-        rhs += kernel_model.evaluate(z, point) * U.conjugate()
+        rhs += model.evaluate(z, point) * U.conjugate()
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
 
@@ -351,14 +366,12 @@ def _sample_domain_point(spec: DomainSpec, rng: np.random.Generator) -> list[com
     raise ArithmeticError(f"no interior point of {spec} with margin {_MARGIN} in {_MAX_DRAWS} draws")
 
 
-def bell_residuals(spec: DomainSpec, pairs: int, seed: int) -> list[float]:
-    """Branch-sum residuals at ``pairs`` random point pairs (seeded)."""
+def bell_residuals(kernel: RationalKernel, model: RationalKernel, pairs: int, seed: int) -> list[float]:
+    """Branch-sum residuals at ``pairs`` seeded point pairs, ``z`` in ``model.spec``, ``w`` in ``kernel.spec``."""
     rng = generator(seed)
-    model = model_spec(spec.n, 1)
-    kernel = kernel_signature_one(spec)
     out = []
     for _ in range(pairs):
-        z = _sample_domain_point(model, rng)
-        w = _sample_domain_point(spec, rng)
-        out.append(check_bell_identity(kernel, z, w))
+        z = _sample_domain_point(model.spec, rng)
+        w = _sample_domain_point(kernel.spec, rng)
+        out.append(check_bell_identity(kernel, model, z, w))
     return out

@@ -19,8 +19,8 @@ line.  One table, :data:`SUITES`, groups them into the suites that
 * ``reproducing``            — Monte-Carlo reproducing property.
 * ``rationality-diagnostic`` — decay classification of slice families.
 
-The bell and reproducing checks import :mod:`reinhardt.sampling`, and so
-numpy, when they run; the table and the other suites load without it.
+The bell and reproducing checks build their kernels and import
+:mod:`reinhardt.sampling`, so numpy, when they run; the rest load without it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 from .counting import coefficient_C, index_set, pair_count, pair_count_bruteforce
 from .domains import DomainSpec, model_spec, normalize_spec
 from .exact import SparsePoly
-from .kernels import kernel_fat_hartogs, kernel_signature_one, kernel_thin_hartogs
+from .kernels import kernel_fat_hartogs, kernel_model_sig1, kernel_signature_one, kernel_thin_hartogs
 from .norms import build_RS, monomial_norm_model
 from .series import (
     apply_annihilating_operator,
@@ -331,7 +331,8 @@ def check_branch_sums(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 
     results = []
     for raw in BELL_SPECS:
-        residuals = bell_residuals(normalize_spec(raw), BELL_PAIRS, seed)
+        kernel = kernel_signature_one(normalize_spec(raw))
+        residuals = bell_residuals(kernel, kernel_model_sig1(kernel.n), BELL_PAIRS, seed)
         worst = max(residuals)
         results.append(CheckResult(
             f"branch-sum-{'_'.join(map(str, raw))}",
@@ -345,9 +346,8 @@ def check_branch_sums(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 def check_reproducing_monomials(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     from .sampling import check_reproducing
 
-    r = check_reproducing(
-        normalize_spec((1, -1)), REPRODUCING_EXPONENTS, REPRODUCING_POINT, REPRODUCING_SAMPLES, seed
-    )
+    kernel = kernel_signature_one(normalize_spec((1, -1)))
+    r = check_reproducing(kernel, REPRODUCING_EXPONENTS, REPRODUCING_POINT, REPRODUCING_SAMPLES, seed)
     return [
         CheckResult(
             f"monomial-{alpha[0]}_{alpha[1]}",

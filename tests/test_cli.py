@@ -132,6 +132,16 @@ def test_norm_mc_of_an_infinite_norm_reports_divergence(capsys):
     assert err == ""
 
 
+def test_norm_mc_says_when_its_error_bar_is_not_the_uncertainty(capsys):
+    # ||z**(0, -4)||^2 is infinite on H(1, -2): the estimator of ||z**(0, -2)||^2 has infinite variance
+    code, out, _ = run(capsys, "norm", "--k", "1,-2", "--alpha", "0,-2", "--oracle", "mc", "--samples", "1000")
+    assert code == 0
+    assert out.endswith("; infinite variance, so ± is not the uncertainty)\n")
+    code, out, _ = run(capsys, "norm", "--k", "1,-1", "--alpha", "0,0", "--oracle", "mc", "--samples", "1000")
+    assert code == 0
+    assert "variance" not in out
+
+
 @pytest.mark.parametrize("command", [
     ("verify", "--suite", "bell"),
     ("verify", "--suite", "reproducing"),

@@ -119,10 +119,30 @@ def test_the_model_finiteness_rule_is_named_in_norms_only():
 
 
 def test_sampling_has_no_kernel_evaluator_of_its_own():
-    # kernel_values calls the one float evaluator in kernels; it reads no
-    # numerator term or exponent itself
+    # kernel_values calls the kernel's one float evaluator, float_parts; it
+    # reads no numerator term or exponent itself
     used = used_names(Path(reinhardt.sampling.__file__))
     assert used.isdisjoint({"sorted_terms", "numerator", "abs_k"})
+
+
+def test_sampling_builds_no_kernel_of_its_own():
+    # the float checks take the kernels they check, so a kernel that is not
+    # rational can be checked as it is; verify builds the ones it passes in
+    used = used_names(Path(reinhardt.sampling.__file__))
+    assert used.isdisjoint({"kernel_signature_one", "kernel_model_sig1", "model_spec", "_float_parts"})
+
+
+def test_no_module_imports_a_private_name_from_kernels():
+    # the float evaluator is RationalKernel.float_parts, reached through the kernel
+    private = [
+        (path.name, alias.name)
+        for path in sorted(Path(reinhardt.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rsplit(".", 1)[-1] == "kernels"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_series_has_no_integer_form_of_its_own():

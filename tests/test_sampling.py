@@ -17,7 +17,7 @@ import reinhardt.kernels
 import reinhardt.sampling
 from reinhardt.domains import normalize_spec
 from reinhardt.exact import DivergentIntegral
-from reinhardt.kernels import _float_parts, kernel_model_sig1, kernel_signature_one
+from reinhardt.kernels import kernel_model_sig1, kernel_signature_one
 from reinhardt.sampling import (
     bell_residuals,
     check_bell_identity,
@@ -37,6 +37,7 @@ from reinhardt.verify import (
 )
 
 HARTOGS = normalize_spec((1, -1))
+HARTOGS_KERNEL = kernel_signature_one(HARTOGS)
 SEED = 20260818
 
 # The float.hex pins in this file were recorded with numpy 2.4.6 on CPython
@@ -61,6 +62,8 @@ def test_estimates_agree_with_exact_norms():
         truth = float(monomial_norm_oracle(alpha, HARTOGS))
         assert abs(est.estimate - truth) < 4 * est.std_error
         assert 0 < est.accepted < est.samples
+        # ||z**(0, -2)||^2 is infinite on H(1, -1), so that estimator's variance is too
+        assert est.finite_variance == (alpha != (0, -1))
 
 
 def test_estimate_guards():
@@ -171,7 +174,7 @@ def test_kernel_values_refuses_wrong_widths(z, W, message):
 
 
 def test_reproducing_property_smoke():
-    result = check_reproducing(HARTOGS, [(0, 1)], (0.2, 0.6), 100_000, SEED)
+    result = check_reproducing(HARTOGS_KERNEL, [(0, 1)], (0.2, 0.6), 100_000, SEED)
     assert result.alphas == ((0, 1),)
     assert result.relative_errors[0] < 0.15
     assert result.references[0] == pytest.approx(0.6)
@@ -181,7 +184,7 @@ def test_reproducing_property_smoke():
 
 def test_reproducing_stream_is_pinned():
     # the three verify estimates, recorded when each monomial drew its own stream
-    result = check_reproducing(HARTOGS, REPRODUCING_EXPONENTS, REPRODUCING_POINT, REPRODUCING_SAMPLES, SEED)
+    result = check_reproducing(HARTOGS_KERNEL, REPRODUCING_EXPONENTS, REPRODUCING_POINT, REPRODUCING_SAMPLES, SEED)
     assert [(e.real.hex(), e.imag.hex()) for e in result.estimates] == [
         ("0x1.00481834fdaa4p+0", "-0x1.a76b35b20392cp-11"),
         ("0x1.33a7c84412d4dp-1", "-0x1.9413695320585p-14"),
@@ -195,9 +198,9 @@ def test_shared_stream_equals_one_call_per_monomial(monkeypatch):
     monkeypatch.setattr(reinhardt.sampling, "_CHUNK", 30_000)
     alphas = [(0, 0), (0, 1), (1, -1), (2, -3)]
     z = (0.3 + 0.1j, 0.5 - 0.2j)
-    shared = check_reproducing(HARTOGS, alphas, z, 100_000, SEED)
+    shared = check_reproducing(HARTOGS_KERNEL, alphas, z, 100_000, SEED)
     for i, alpha in enumerate(alphas):
-        alone = check_reproducing(HARTOGS, [alpha], z, 100_000, SEED)
+        alone = check_reproducing(HARTOGS_KERNEL, [alpha], z, 100_000, SEED)
         assert alone.alphas == (shared.alphas[i],) == (alpha,)
         assert alone.estimates == (shared.estimates[i],)
         assert alone.references == (shared.references[i],)
@@ -223,7 +226,7 @@ def test_reproducing_discard_path_is_pinned(monkeypatch, raw, alphas, z, hexes, 
     # chunk size spreads the stream over several chunks, the last one partial
     monkeypatch.setattr(reinhardt.kernels, "SINGULAR_GUARD", 1e-2)
     monkeypatch.setattr(reinhardt.sampling, "_CHUNK", 30_000)
-    result = check_reproducing(normalize_spec(raw), alphas, z, 100_000, SEED)
+    result = check_reproducing(kernel_signature_one(normalize_spec(raw)), alphas, z, 100_000, SEED)
     assert [(e.real.hex(), e.imag.hex()) for e in result.estimates] == hexes
     assert (result.accepted, result.discarded) == counts
 
@@ -264,7 +267,7 @@ def masked_reproducing(spec, alphas, z, samples, seed):
         mask = row_mask(spec, t)
         W = np.sqrt(t) * np.exp(1j * (rng.random(t.shape) * (2.0 * math.pi)))
         pairings = (zc[None, :] * np.conj(W)).T
-        num, den, ok = _float_parts(kernel, pairings, lambda c: np.full(len(W), c, dtype=np.complex128))
+        num, den, ok = kernel.float_parts(pairings, lambda c: np.full(len(W), c, dtype=np.complex128))
         k_vals = np.zeros(len(W), dtype=np.complex128)
         np.divide(num, den, out=k_vals, where=ok)
         k_vals = k_vals / math.pi ** spec.n
@@ -306,7 +309,7 @@ def test_shadow_rows_only_equals_masking_every_row(monkeypatch, guard, raw, alph
     monkeypatch.setattr(reinhardt.sampling, "_CHUNK", 7_000)
     spec = normalize_spec(raw)
     for seed in (SEED, 7):
-        result = check_reproducing(spec, alphas, z, 20_000, seed)
+        result = check_reproducing(kernel_signature_one(spec), alphas, z, 20_000, seed)
         estimates, accepted, discarded = masked_reproducing(spec, alphas, z, 20_000, seed)
         assert [e.hex() for e in np.array(result.estimates).view(np.float64)] == [
             e.hex() for e in np.array(estimates).view(np.float64)
@@ -349,7 +352,7 @@ def test_reproducing_guards(monkeypatch, alphas, z, message):
 
     monkeypatch.setattr(reinhardt.sampling, "generator", no_sampling)
     with pytest.raises(ValueError, match=message):
-        check_reproducing(HARTOGS, alphas, z, 1000, SEED)
+        check_reproducing(HARTOGS_KERNEL, alphas, z, 1000, SEED)
 
 
 @pytest.mark.parametrize("samples", [0, -5])
@@ -360,24 +363,55 @@ def test_reproducing_refuses_too_few_samples(monkeypatch, samples):
 
     monkeypatch.setattr(reinhardt.sampling, "generator", no_sampling)
     with pytest.raises(ValueError, match="at least one sample"):
-        check_reproducing(HARTOGS, [(0, 1)], (0.2, 0.6), samples, SEED)
+        check_reproducing(HARTOGS_KERNEL, [(0, 1)], (0.2, 0.6), samples, SEED)
 
 
 def test_bell_identity_at_a_fixed_pair():
     spec = normalize_spec((2, -1))
     z = (0.3 + 0.2j, 0.5 - 0.1j)
     w = (0.4 + 0.1j, 0.6 + 0.2j)  # |w1^2| < |w2| holds
-    assert check_bell_identity(kernel_signature_one(spec), z, w) < 1e-12
+    assert check_bell_identity(kernel_signature_one(spec), kernel_model_sig1(2), z, w) < 1e-12
 
 
 def test_bell_identity_rejects_other_signatures():
     with pytest.raises(ValueError):
-        check_bell_identity(kernel_signature_one(normalize_spec((1, 1, -1))), (0.1, 0.1, 0.5), (0.1, 0.1, 0.5))
+        check_bell_identity(
+            kernel_signature_one(normalize_spec((1, 1, -1))), kernel_model_sig1(3), (0.1, 0.1, 0.5), (0.1, 0.1, 0.5)
+        )
+
+
+@pytest.mark.parametrize("model", [
+    kernel_model_sig1(3),  # Omega(3, 1): another dimension
+    kernel_signature_one(normalize_spec((1, -2))),  # H(1, -2): not a model domain
+])
+def test_bell_identity_refuses_a_model_kernel_of_another_domain(model):
+    kernel = kernel_signature_one(normalize_spec((2, -1)))
+    with pytest.raises(ValueError, match=r"is not the model domain of H\(2, -1\)$"):
+        check_bell_identity(kernel, model, (0.3 + 0.2j, 0.5 - 0.1j), (0.4 + 0.1j, 0.6 + 0.2j))
+    with pytest.raises(ValueError, match=r"is not the model domain of H\(2, -1\)$"):
+        bell_residuals(kernel, model, 1, SEED)
+
+
+def test_bell_identity_takes_the_model_by_its_domain():
+    # the general construction at (1, -1) is the model kernel of Omega(2, 1)
+    kernel = kernel_signature_one(normalize_spec((2, -1)))
+    z, w = (0.3 + 0.2j, 0.5 - 0.1j), (0.4 + 0.1j, 0.6 + 0.2j)
+    general = check_bell_identity(kernel, kernel_signature_one(HARTOGS), z, w)
+    assert general == check_bell_identity(kernel, kernel_model_sig1(2), z, w)
+
+
+@pytest.mark.parametrize("w", [(0.0, 0.5), (0.4 + 0.1j, 0j)])
+def test_bell_identity_refuses_a_zero_coordinate_of_w(w):
+    # the branch sum divides by each w_a: this was a ZeroDivisionError
+    kernel = kernel_signature_one(normalize_spec((2, -1)))
+    with pytest.raises(ValueError, match=r"^w = .* has a zero coordinate"):
+        check_bell_identity(kernel, kernel_model_sig1(2), (0.1, 0.5), w)
 
 
 def test_bell_residuals_are_tiny_and_deterministic():
-    first = bell_residuals(normalize_spec((2, -1)), 5, SEED)
-    second = bell_residuals(normalize_spec((2, -1)), 5, SEED)
+    kernel = kernel_signature_one(normalize_spec((2, -1)))
+    first = bell_residuals(kernel, kernel_model_sig1(2), 5, SEED)
+    second = bell_residuals(kernel, kernel_model_sig1(2), 5, SEED)
     assert first == second
     assert max(first) < 1e-10
 
@@ -385,7 +419,11 @@ def test_bell_residuals_are_tiny_and_deterministic():
 def test_branch_sum_residuals_are_pinned():
     # the verify residuals pin the scalar float evaluator bit for bit, as the
     # reproducing stream pins the vectorized one
-    worst = {raw: max(bell_residuals(normalize_spec(raw), BELL_PAIRS, DEFAULT_SEED)).hex() for raw in BELL_SPECS}
+    model = kernel_model_sig1(2)
+    worst = {
+        raw: max(bell_residuals(kernel_signature_one(normalize_spec(raw)), model, BELL_PAIRS, DEFAULT_SEED)).hex()
+        for raw in BELL_SPECS
+    }
     assert worst == {
         (2, -1): "0x1.62286dc5e0224p-50",
         (3, -2): "0x1.a5c61918c70f0p-49",
@@ -396,7 +434,7 @@ def test_branch_sum_residuals_are_pinned():
 def test_empty_sampling_region_raises_instead_of_hanging():
     # with margin 0.8 no t in [0.05, 0.9]^2 satisfies t_1 < 0.8 * t_2**50
     with pytest.raises(ArithmeticError, match=r"H\(1, -50\)"):
-        bell_residuals(normalize_spec((1, -50)), 1, 1)
+        bell_residuals(kernel_signature_one(normalize_spec((1, -50))), kernel_model_sig1(2), 1, 1)
 
 
 def test_generator_streams_are_stable():
