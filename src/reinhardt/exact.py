@@ -16,13 +16,16 @@ Everything here computes over the integers and rationals with no rounding:
   and nonnegative integer log powers ``p_j``.  Exponents sit on a lattice
   ``(1/den) * Z`` and coefficients on ``(1/cden) * Z``: the one
   constructor takes, and the sum stores, ``int`` exponent numerators keying
-  ``int`` coefficient numerators, and both denominators are kept minimal so
-  that equal sums have equal fields, which makes merging like terms integer
-  hashing and adding.  :func:`integrate_one_var` is the one move
-  iterated monomial integration needs: the definite integral in one
-  variable from a monomial lower bound (or 0) up to 1, written in one pass
-  over the terms as ``F(1) - F(lower)`` of the antiderivative ``F``; a
-  ``log`` of the monomial bound expands linearly.  The log powers are
+  ``int`` coefficient numerators over one denominator each, which makes
+  merging like terms integer hashing and adding.  The public fields are
+  the minimal form, so equal sums read equal fields; the constructor
+  reduces its input, an integration result reduces on its first field
+  read or comparison, and ``as_constant`` reduces once, so a chain of
+  steps does no gcd work between them.  :func:`integrate_one_var` is the
+  one move iterated monomial integration needs: the definite integral in
+  one variable from a monomial lower bound (or 0) up to 1, written in one
+  pass over the terms as ``F(1) - F(lower)`` of the antiderivative ``F``;
+  a ``log`` of the monomial bound expands linearly.  The log powers are
   essential: integrating ``t**-1`` against a monomial lower bound is exact
   via ``d/dt[-log(1/t)**(p+1)/(p+1)] = t**-1 * log(1/t)**p``, and
   ``∫_0^1 t^q log(1/t)^p dt = p! / (q+1)^{p+1}``.
@@ -340,17 +343,24 @@ class FracExpSum:
     ``(1/cden) * Z``.  ``terms`` maps ``(exps, logs)`` pairs of ``int``
     tuples to nonzero ``int`` numerators: ``q_j = exps[j] / den``, ``c =
     terms[(exps, logs)] / cden``, and ``logs`` holds the nonnegative powers
-    of ``log(1/t_j)``.  Both denominators are kept minimal, ``gcd(den, *exps
-    of every key) == 1`` and ``gcd(cden, *every numerator) == 1`` (the empty
-    sum has ``den == cden == 1``), so equal sums have equal fields and
-    compare equal.  The constructor takes this stored form, ``int``
-    numerators over positive ``int`` denominators that need not be minimal,
-    and reduces it.  Log factors only ever appear through integration
-    against monomial bounds; the all-zero ``logs`` tuple is the plain
-    fractional-power case.
+    of ``log(1/t_j)``.  The public fields ``den``, ``cden`` and ``terms``
+    are the minimal form, ``gcd(den, *exps of every key) == 1`` and
+    ``gcd(cden, *every numerator) == 1`` (the empty sum has ``den == cden
+    == 1``), so equal sums read equal fields and compare equal.
+
+    The sum stores nonzero ``int`` numerators over one positive ``int``
+    denominator each, ``_den`` and ``_cden``, that need not be minimal:
+    like terms still merge by integer hashing and adding whenever they
+    share those denominators, which is all integration needs.  The
+    constructor takes this stored form, checks it and reduces it; an
+    integration result keeps the form it was built in, is reduced in place
+    by :meth:`_settle` on its first field read or comparison, and
+    :meth:`as_constant` reduces it once, to a ``Fraction``.  Log factors
+    only ever appear through integration against monomial bounds; the
+    all-zero ``logs`` tuple is the plain fractional-power case.
     """
 
-    __slots__ = ("nvars", "den", "cden", "terms")
+    __slots__ = ("nvars", "_den", "_cden", "_terms", "_minimal")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[tuple[int, ...], tuple[int, ...]], int],
                  den: int = 1, cden: int = 1):
@@ -366,12 +376,22 @@ class FracExpSum:
             if any(p < 0 for p in logs):
                 raise ValueError("log powers must be nonnegative")
             _check_ints("coefficient", (coef,))
-        self.nvars = nvars
-        self._settle(den, cden, terms)
+        self.nvars, self._den, self._cden, self._minimal = nvars, den, cden, False
+        self._terms = {key: c for key, c in terms.items() if c}
+        self._settle()
 
-    def _settle(self, den: int, cden: int, terms: Mapping) -> "FracExpSum":
-        """Store a copy of ``terms`` (numerators over ``den`` and ``cden``) with both denominators minimal."""
-        terms = {key: c for key, c in terms.items() if c}
+    @staticmethod
+    def _raw(nvars: int, terms: dict, den: int = 1, cden: int = 1) -> "FracExpSum":
+        """A sum holding ``terms`` over ``den`` and ``cden`` as they are: already checked, merged and nonzero."""
+        out = FracExpSum.__new__(FracExpSum)
+        out.nvars, out._den, out._cden, out._terms, out._minimal = nvars, den, cden, terms, False
+        return out
+
+    def _settle(self) -> "FracExpSum":
+        """Reduce the stored form to the minimal one, in place, once; return the sum."""
+        if self._minimal:
+            return self
+        den, cden, terms = self._den, self._cden, self._terms
         if den > 1:
             g = math.gcd(den, *(e for exps, _ in terms for e in exps))
             if g > 1:
@@ -382,23 +402,42 @@ class FracExpSum:
             if g > 1:
                 cden //= g
                 terms = {key: c // g for key, c in terms.items()}
-        self.den, self.cden, self.terms = den, cden, terms
+        self._den, self._cden, self._terms, self._minimal = den, cden, terms, True
         return self
+
+    @property
+    def den(self) -> int:
+        """The minimal exponent denominator."""
+        return self._settle()._den
+
+    @property
+    def cden(self) -> int:
+        """The minimal coefficient denominator."""
+        return self._settle()._cden
+
+    @property
+    def terms(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+        """The numerators over the minimal ``den`` and ``cden``, keyed by ``(exps, logs)``."""
+        return self._settle()._terms
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FracExpSum):
             return NotImplemented
-        return (self.nvars == other.nvars and self.den == other.den
-                and self.cden == other.cden and self.terms == other.terms)
+        a, b = self._settle(), other._settle()
+        return (a.nvars == b.nvars and a._den == b._den
+                and a._cden == b._cden and a._terms == b._terms)
 
     def as_constant(self) -> Fraction:
-        """The value of a variable-free sum; errors if any variable remains."""
+        """The value of a variable-free sum; errors if any variable remains.
+
+        Sums the stored numerators and reduces once, over the stored ``cden``.
+        """
         total = 0
-        for (exps, logs), c in self.terms.items():
+        for (exps, logs), c in self._terms.items():
             if any(exps) or any(logs):
                 raise ValueError("sum still depends on a variable")
             total += c
-        return Fraction(total, self.cden)
+        return Fraction(total, self._cden)
 
 
 def _times_log_power(logs: tuple[int, ...], support: list[tuple[int, int]], r: int) -> dict:
@@ -442,7 +481,10 @@ def integrate_one_var(
     numerators of the other variables on the lattice ``1/(den * bden)``,
     and ``log(1/t)`` expands as ``sum_j exps[j] / bden * log(1/t_j)``.
     Every contribution is an ``int`` numerator over its own denominator;
-    all are brought to their lcm and the sum is reduced once.
+    all are brought to their lcm, like terms merge and zero numerators
+    drop.  The step reads ``f``'s stored form and writes the result's
+    (see :class:`FracExpSum`): no denominator is reduced here, so a chain
+    of steps reduces once, when its result is first read.
 
     With a zero lower bound, ``F -> 0`` as ``t -> 0`` for every term with
     ``q > -1``, and the integral diverges if some term of ``f`` has ``q <=
@@ -463,11 +505,11 @@ def integrate_one_var(
     n = f.nvars
     if not 0 <= var < n:
         raise ValueError(f"variable index {var} out of range")
-    den = f.den
+    den = f._den
     # (key, numerator, denominator) of each contribution to F(1) - F(lower)
     parts = []
     if lower is None:
-        for (exps, logs), c in f.terms.items():
+        for (exps, logs), c in f._terms.items():
             e, p = exps[var], logs[var]
             s = e + den  # (q + 1) * den
             if s <= 0:
@@ -475,9 +517,13 @@ def integrate_one_var(
                     f"integrand term with exponent {Fraction(e, den)} and log power {p} "
                     f"in t_{var} is not integrable at 0"
                 )
-            key = (exps[:var] + (0,) + exps[var + 1:], logs[:var] + (0,) + logs[var + 1:])
+            exps = exps[:var] + (0,) + exps[var + 1:]
+            if not p:
+                parts.append(((exps, logs), c * den, s))
+                continue
+            key = (exps, logs[:var] + (0,) + logs[var + 1:])
             parts.append((key, c * math.factorial(p) * den ** (p + 1), s ** (p + 1)))
-        return _summed(n, parts, den, f.cden)
+        return _summed(n, parts, den, f._cden)
     bexps, bden = lower
     if len(bexps) != n:
         raise ValueError("bound length disagrees with nvars")
@@ -487,12 +533,26 @@ def integrate_one_var(
     if bden < 1:
         raise ValueError("a bound's denominator must be positive")
     support = [(j, b) for j, b in enumerate(bexps) if b]
-    for (exps, logs), c in f.terms.items():
+    for (exps, logs), c in f._terms.items():
         e, p = exps[var], logs[var]
         s = e + den
-        logs = logs[:var] + (0,) + logs[var + 1:]
         base = [x * bden for x in exps]
         base[var] = 0
+        if not p:
+            # the p == 0 case of the general path below, with its unit factorials,
+            # powers and single-step log expansion written out
+            if not s:
+                key = tuple(base)
+                for j, b in support:
+                    parts.append(((key, logs[:j] + (logs[j] + 1,) + logs[j + 1:]), c * b, bden))
+                continue
+            weight = c * den
+            parts.append(((tuple(base), logs), weight, s))
+            for j, b in support:
+                base[j] += s * b
+            parts.append(((tuple(base), logs), -weight, s))
+            continue
+        logs = logs[:var] + (0,) + logs[var + 1:]
         if not s:
             # -F(lower) = log(1/lower)^(p+1) / (p+1) = (sum_j b_j log(1/t_j))^(p+1) / ((p+1) bden^(p+1))
             key, d = tuple(base), (p + 1) * bden ** (p + 1)
@@ -511,23 +571,22 @@ def integrate_one_var(
             for lvec, m in _times_log_power(logs, support, p - i).items():
                 parts.append(((low, lvec), weight * m, d))
             weight *= p - i
-    return _summed(n, parts, den * bden, f.cden)
+    return _summed(n, parts, den * bden, f._cden)
 
 
 def _summed(nvars: int, parts: list, den: int, cden: int) -> FracExpSum:
     """The contributions ``(key, numerator, denominator)`` over ``cden`` as one sum.
 
     Each numerator is brought to the lcm of the denominators, like keys
-    merge, and both denominators are reduced once.  The parts are built
-    from a checked sum and bound, so nothing is checked again.
+    merge and zero numerators drop, so a cancelled term cannot reach a
+    later step; neither denominator is reduced.  The parts are built from
+    a checked sum and bound, so nothing is checked again.
     """
     common = math.lcm(*[d for _, _, d in parts])
     terms: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     for key, num, d in parts:
         terms[key] = terms.get(key, 0) + num * (common // d)
-    out = FracExpSum.__new__(FracExpSum)
-    out.nvars = nvars
-    return out._settle(den, cden * common, terms)
+    return FracExpSum._raw(nvars, {key: c for key, c in terms.items() if c}, den, cden * common)
 
 
 # ---------------------------------------------------------------------------

@@ -325,13 +325,20 @@ def check_bell_identity(kernel: RationalKernel, model: RationalKernel,
     ``model`` is the kernel of the model domain of ``kernel.spec`` (else a
     ``ValueError``).  ``z`` must lie in the model domain and ``w`` in
     ``H(k)`` with nonzero coordinates (else a ``ValueError``); the
-    residual is ``|lhs - rhs| / max(|lhs|, |rhs|)``.
+    residual is ``|lhs - rhs| / max(|lhs|, |rhs|)``.  A ``z`` with a zero
+    coordinate whose ``ell_a > 1`` is a ``ValueError`` too: there ``u(z) =
+    prod ell_a z_a^(ell_a - 1)`` is 0, both sides vanish, and the ratio
+    would be 0/0.
     """
     if not model.spec.is_model or (model.n, model.spec.s) != (kernel.n, kernel.spec.s):
         raise ValueError(f"{model.spec} is not the model domain of {kernel.spec}")
     if 0 in w:
         raise ValueError(f"w = {tuple(w)} has a zero coordinate; the branch sum divides by each")
     _, ell, _ = lcm_data(kernel.spec)
+    for a, (za, la) in enumerate(zip(z, ell)):
+        if za == 0 and la > 1:
+            raise ValueError(f"z = {tuple(z)} has a zero coordinate z_{a} with ell_{a} = {la} > 1, "
+                             "where u(z) and both sides of the identity vanish")
 
     u = 1.0 + 0.0j
     for za, la in zip(z, ell):

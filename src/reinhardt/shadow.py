@@ -37,7 +37,10 @@ allowed), which would leave a term of the antiderivative that blows up at
 which is a bug, and is an ``ArithmeticError``.
 
 Every exponent stays on the lattice ``(1/D) * Z``, where ``D`` divides the
-product of the ``|k_b|`` over the negatives integrated so far.
+product of the ``|k_b|`` over the negatives integrated so far.  The steps
+chain on the sums' stored, unreduced form: the start monomial is built
+unchecked (``beta`` is checked already), and ``as_constant`` reduces the
+final constant once.
 
 The negative block nests in increasing index order.  The value is
 independent of the order of either block, which the test suite checks by
@@ -129,7 +132,7 @@ def shadow_integral_exact(beta: Sequence[int], spec: DomainSpec) -> Fraction | N
         return None
     abs_k = spec.abs_k
 
-    f = FracExpSum(n, {(tuple(b - 1 for b in beta), (0,) * n): 1})
+    f = FracExpSum._raw(n, {(tuple(b - 1 for b in beta), (0,) * n): 1})
     # Negative block, innermost first; each bound is int numerators over |k_m|.
     for m in range(n - 1, s - 1, -1):
         lower = list(spec.k[:s]) + [0] * (n - s)

@@ -561,6 +561,64 @@ def test_keys_are_int_tuples():
         assert type(c) is int
 
 
+def test_a_cancelled_term_never_reaches_a_positive_step():
+    # over t0 in (t1, 1), t1^-1 - 2 t0 t1^-1 is (t1^-1 - 1) - (t1^-1 - t1):
+    # the t1^-1 parts cancel, and a stored zero for them would diverge at t1 -> 0
+    f = FracExpSum(2, {((0, -1), (0, 0)): 1, ((1, -1), (0, 0)): -2})
+    inner = integrate_one_var(f, 0, ((0, 1), 1))
+    assert integrate_one_var(inner, 1, None).as_constant() == Fraction(-1, 2)
+    assert inner == FracExpSum(2, {((0, 0), (0, 0)): -1, ((0, 1), (0, 0)): 1})
+
+
+@st.composite
+def sums_and_steps(draw):
+    """A sum with n <= 3, den <= 6 and log powers <= 2, and two integration steps."""
+    n = draw(st.integers(1, 3))
+    den = draw(st.integers(1, 6))
+    key = st.tuples(st.tuples(*[st.integers(-2 * den, 2 * den)] * n), st.tuples(*[st.integers(0, 2)] * n))
+    terms = draw(st.dictionaries(key, st.integers(-6, 6), max_size=4))
+    steps = []
+    for _ in range(2):
+        var = draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            steps.append((var, None))
+        else:
+            bexps = [draw(st.integers(-3, 3)) for _ in range(n)]
+            bexps[var] = 0
+            steps.append((var, (bexps, draw(st.integers(1, 4)))))
+    return n, terms, den, draw(st.integers(1, 6)), steps
+
+
+def _outcome(f):
+    """The fields of ``f`` and its constant value, or the error it raises."""
+    try:
+        value = f.as_constant()
+    except ValueError as exc:
+        value = str(exc)
+    return f.den, f.cden, f.terms, value
+
+
+@settings(max_examples=100, deadline=None)
+@given(sums_and_steps())
+def test_reading_a_field_between_steps_changes_nothing(case):
+    # a step reads and writes its sums as stored; reading a field reduces one
+    # in place, which must not change any later result
+    n, terms, den, cden, steps = case
+    outcomes = []
+    for read_between in (False, True):
+        f = FracExpSum(n, terms, den, cden)
+        try:
+            for var, lower in steps:
+                f = integrate_one_var(f, var, lower)
+                if read_between:
+                    assert f.den >= 1
+        except DivergentIntegral as exc:
+            outcomes.append(str(exc))
+            continue
+        outcomes.append((f, _outcome(f)))
+    assert outcomes[0] == outcomes[1]
+
+
 # -- LaurentChunk ---------------------------------------------------------------
 
 

@@ -408,6 +408,16 @@ def test_bell_identity_refuses_a_zero_coordinate_of_w(w):
         check_bell_identity(kernel, kernel_model_sig1(2), (0.1, 0.5), w)
 
 
+@pytest.mark.parametrize("k, z", [
+    ((2, -3), (0, 0.5)),  # ell = (3, 2): the residual read 1.0 for an identity that holds
+    ((2, -1), (0.3, 0)),  # ell = (1, 2): this was a ZeroDivisionError
+])
+def test_bell_identity_refuses_a_zero_coordinate_of_z_with_ell_above_one(k, z):
+    # u(z) = prod ell_a z_a^(ell_a - 1) is 0 there, so both sides vanish
+    with pytest.raises(ValueError, match=r"^z = .* has a zero coordinate"):
+        check_bell_identity(kernel_signature_one(normalize_spec(k)), kernel_model_sig1(2), z, (0.4 + 0.1j, 0.6 + 0.2j))
+
+
 def test_bell_residuals_are_tiny_and_deterministic():
     kernel = kernel_signature_one(normalize_spec((2, -1)))
     first = bell_residuals(kernel, kernel_model_sig1(2), 5, SEED)
